@@ -7,7 +7,7 @@ truth with a max-margin hinge objective. An annotation stage labels logged
 tracks and an evaluation stage scores predictions with ADE/FDE.
 """
 
-from .geometry import Curve, Point2, curve_length, curvature_at_s, point_at_s, project_point
+from .geometry import Curve, Point2, curvature_at_s, point_at_s, project_point
 from .scene import (
     EgoPlan,
     IntersectionExit,
@@ -15,8 +15,6 @@ from .scene import (
     MapGraph,
     ObstacleState,
     ObstacleTrack,
-    classify_priority,
-    classify_scenario,
     load_scene,
 )
 from .annotation import (
@@ -35,7 +33,6 @@ from .generation import (
     KinematicLimits,
     PathCandidate,
     SpeedProfile,
-    extend_trajectory,
     heuristic_exit_priors,
     realize_trajectory,
     sample_profiles,

@@ -8,19 +8,20 @@ so a track that ends before the horizon yields no trajectory label.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CoverageError, ParseError
+from . import jsonio
+from .errors import CoverageError, JoinError
 from .geometry import Point2
-from .scene import MapGraph, ObstacleTrack, TIME_EPS, nearest_lane
+from .scene import DEFAULT_LATERAL_CAPTURE_M, MapGraph, ObstacleTrack, TIME_EPS, nearest_lane
 
 DEFAULT_RESOLUTION_S = 0.1
 DEFAULT_HORIZON_S = 8.0
 DEFAULT_EXIT_CAPTURE_M = 3.0
-DEFAULT_LATERAL_CAPTURE_M = 2.0
+
+AnchorKey = Tuple[str, float]
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,34 @@ def anchor_times(track: ObstacleTrack, stride: float, min_history: float = 0.0) 
     return anchors
 
 
+def anchor_key(obstacle_id: str, t: float) -> AnchorKey:
+    """The key that joins priors, predictions and labels of one anchor."""
+    return (obstacle_id, float(t))
+
+
+def join_on_anchor(
+    prediction_records: Sequence[dict], dataset_records: Sequence[dict]
+) -> Tuple[List[Tuple[AnchorKey, dict, dict]], int]:
+    """(key, prediction, label) for every anchor key on both sides, sorted
+    by key, plus the count of records whose key is on one side only.
+    A key repeated within one side is a JoinError."""
+
+    def index(records: Sequence[dict], side: str) -> Dict[AnchorKey, dict]:
+        table: Dict[AnchorKey, dict] = {}
+        for record in records:
+            key = anchor_key(record["obstacle_id"], record["anchor_time"])
+            if key in table:
+                raise JoinError(f"duplicate {side} key {key}")
+            table[key] = record
+        return table
+
+    predictions = index(prediction_records, "prediction")
+    labels = index(dataset_records, "dataset")
+    keys = sorted(predictions.keys() & labels.keys())
+    joined = [(key, predictions[key], labels[key]) for key in keys]
+    return joined, len(predictions) + len(labels) - 2 * len(joined)
+
+
 def build_dataset(
     tracks: Sequence[ObstacleTrack],
     map_graph: MapGraph,
@@ -259,17 +288,5 @@ def build_dataset(
 
 def load_dataset_records(path: str) -> list[dict]:
     """Parse a JSON-lines dataset file, validating the record shape."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            for key in ("road_test_id", "obstacle_id", "anchor_time", "history", "future"):
-                if key not in record:
-                    raise ParseError(f"{path}:{lineno}: missing key {key!r}")
-            records.append(record)
-    return records
+    keys = ("road_test_id", "obstacle_id", "anchor_time", "history", "future")
+    return [record for _, record in jsonio.iter_jsonl(path, keys)]

@@ -11,15 +11,16 @@ folded into the sub-costs, so only the three weights are learned.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .annotation import TrajectoryLabel
-from .errors import ConfigError, JoinError, ParseError, PipelineError
+from . import jsonio
+from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor
+from .costing import sum_proximity, sum_squared_accels, sum_squared_centripetal
+from .errors import ConfigError, JoinError, PipelineError
 from .geometry import Point2, menger_curvature
 from .scene import EgoPlan
 
@@ -32,7 +33,7 @@ class TuningExample:
 
     gt_subcosts: SubCosts
     candidate_subcosts: Tuple[SubCosts, ...]
-    key: Optional[Tuple[str, float]] = None
+    key: Optional[AnchorKey] = None
 
     def __post_init__(self):
         if not self.candidate_subcosts:
@@ -63,30 +64,12 @@ class TunerConfig:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.convergence_tol < 0.0:
             raise ConfigError(f"convergence_tol must be nonnegative, got {self.convergence_tol}")
+        if len(self.theta_init) != 3:
+            raise ConfigError("theta_init must have exactly 3 entries")
 
     @classmethod
     def from_file(cls, path: str) -> "TunerConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: tuner config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown tuner config keys: {sorted(unknown)}")
-        if "theta_init" in doc:
-            doc = dict(doc)
-            theta = doc["theta_init"]
-            if not isinstance(theta, (list, tuple)) or len(theta) != 3:
-                raise ConfigError(f"{path}: theta_init must have exactly 3 entries")
-            doc["theta_init"] = tuple(float(v) for v in theta)
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return jsonio.load_dataclass(cls, path)
 
 
 def _finite_difference_speeds(points: Sequence[Tuple[float, Point2]]) -> List[float]:
@@ -159,17 +142,11 @@ def ground_truth_subcosts(
     # endpoints have no bracketing triple; copy the nearest interior estimate
     curvatures = [interior[0]] + interior + [interior[-1]]
 
-    c_acc = math.fsum(a * a for a in accels)
-    c_centripetal = math.fsum((v * v * k) ** 2 for v, k in zip(speeds, curvatures)) / z1
-    if ego is None or not ego.poses:
-        c_collision = 0.0
-    else:
-        terms = []
-        for rel, pos in points:
-            d = pos.distance_to(ego.position_at(label.anchor_time + rel))
-            terms.append(math.exp(-d * d))
-        c_collision = math.fsum(terms) / z2
-    return (c_acc, c_centripetal, c_collision)
+    return (
+        sum_squared_accels(accels),
+        sum_squared_centripetal(speeds, curvatures, z1),
+        sum_proximity(points, ego, z2, label.anchor_time),
+    )
 
 
 def _stack(examples: Sequence[TuningExample]) -> np.ndarray:
@@ -182,13 +159,18 @@ def _stack(examples: Sequence[TuningExample]) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _hinge(diffs: np.ndarray, theta: np.ndarray, delta: float) -> Tuple[float, np.ndarray]:
+    """Hinge loss and subgradient over the stacked difference matrix."""
+    margins = diffs @ theta + delta
+    active = margins > 0.0
+    return float(np.sum(margins[active])), diffs[active].sum(axis=0)
+
+
 def hinge_objective(
     examples: Sequence[TuningExample], theta: Sequence[float], delta: float
 ) -> float:
     """Sum over every (anchor, candidate) pair of max(0, C(gt) - C(cand) + delta)."""
-    diffs = _stack(examples)
-    margins = diffs @ np.asarray(theta, dtype=float) + delta
-    return float(np.sum(np.maximum(margins, 0.0)))
+    return _hinge(_stack(examples), np.asarray(theta, dtype=float), delta)[0]
 
 
 def hinge_subgradient(
@@ -196,12 +178,7 @@ def hinge_subgradient(
 ) -> np.ndarray:
     """Subgradient of the hinge objective: the sum of (gt - candidate)
     sub-cost differences over strictly active terms."""
-    diffs = _stack(examples)
-    margins = diffs @ np.asarray(theta, dtype=float) + delta
-    active = margins > 0.0
-    if not np.any(active):
-        return np.zeros(3)
-    return diffs[active].sum(axis=0)
+    return _hinge(_stack(examples), np.asarray(theta, dtype=float), delta)[1]
 
 
 def tune_weights(
@@ -224,16 +201,7 @@ def tune_weights(
     theta = np.asarray(theta_init if theta_init is not None else config.theta_init, dtype=float)
     if theta.shape != (3,):
         raise ValueError(f"theta must have 3 components, got shape {theta.shape}")
-    delta = config.delta
-
-    def loss_and_grad(th):
-        margins = diffs @ th + delta
-        active = margins > 0.0
-        loss = float(np.sum(margins[active]))
-        grad = diffs[active].sum(axis=0) if np.any(active) else np.zeros(3)
-        return loss, grad
-
-    loss, grad = loss_and_grad(theta)
+    loss, grad = _hinge(diffs, theta, config.delta)
     if not math.isfinite(loss):
         raise PipelineError(f"non-finite tuning loss {loss}; inputs are corrupt")
     history = [loss]
@@ -241,7 +209,7 @@ def tune_weights(
         if loss == 0.0:
             break
         theta = np.maximum(theta - config.learning_rate * grad, 0.0)
-        new_loss, grad = loss_and_grad(theta)
+        new_loss, grad = _hinge(diffs, theta, config.delta)
         if not math.isfinite(new_loss):
             raise PipelineError(f"non-finite tuning loss {new_loss}; inputs are corrupt")
         history.append(new_loss)
@@ -264,24 +232,9 @@ def extract_examples(
     label with the same normalizers the predictions carry. Anchors present
     on only one side are skipped and counted; duplicate keys are an error.
     """
-    predictions: Dict[Tuple[str, float], dict] = {}
-    for record in prediction_records:
-        key = (record["obstacle_id"], float(record["anchor_time"]))
-        if key in predictions:
-            raise JoinError(f"duplicate prediction key {key}")
-        predictions[key] = record
-
-    labels: Dict[Tuple[str, float], dict] = {}
-    for record in dataset_records:
-        key = (record["obstacle_id"], float(record["anchor_time"]))
-        if key in labels:
-            raise JoinError(f"duplicate dataset key {key}")
-        labels[key] = record
-
+    joined, skipped = join_on_anchor(prediction_records, dataset_records)
     examples = []
-    for key in sorted(set(predictions) & set(labels)):
-        pred = predictions[key]
-        data = labels[key]
+    for key, pred, data in joined:
         label = TrajectoryLabel(
             obstacle_id=key[0],
             anchor_time=key[1],
@@ -292,12 +245,14 @@ def extract_examples(
             z1, z2 = float(pred["z1"]), float(pred["z2"])
         except KeyError as exc:
             raise JoinError(f"prediction record {key} lacks normalizer {exc}") from exc
-        gt = ground_truth_subcosts(label, ego, z1, z2)
+        try:
+            gt = ground_truth_subcosts(label, ego, z1, z2)
+        except ValueError as exc:
+            raise JoinError(f"anchor {key}: {exc}") from exc
         candidates = tuple(
             (float(c[0]), float(c[1]), float(c[2]))
             for entry in pred["intentions"]
             for c in entry["candidates"]
         )
         examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates, key=key))
-    skipped = (len(predictions) - len(examples)) + (len(labels) - len(examples))
     return examples, skipped

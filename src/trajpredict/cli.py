@@ -13,29 +13,32 @@ Exit codes: 0 success, 1 data/runtime error, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from . import annotation, autotune, costing, evaluation, generation
+from . import annotation, autotune, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, PipelineError
 from .scene import ObstacleTrack, load_ego_plan, load_scene
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
-
-
 def _write_atomic(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a temp file named per process in the same directory,
+    so concurrent runs never share one, then rename it over path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_jsonl(path: str, records) -> None:
-    _write_atomic(path, "".join(_dumps(r) + "\n" for r in records))
+    _write_atomic(path, "".join(jsonio.dumps(r) + "\n" for r in records))
 
 
 def _positive(value: float, name: str) -> float:
@@ -62,7 +65,7 @@ def cmd_annotate(args) -> int:
         min_history=args.min_history,
     )
     _write_jsonl(args.out, records)
-    print(_dumps({"records": len(records), "skipped": skipped, "out": args.out}))
+    print(jsonio.dumps({"records": len(records), "skipped": skipped, "out": args.out}))
     return 0
 
 
@@ -82,13 +85,13 @@ def _candidates_for_anchor(
     ego,
     weights: costing.CostWeights,
     config: generation.GenerationConfig,
-    priors_table: Dict[Tuple[str, float], List[generation.IntentionPrior]],
+    priors_table: Dict[annotation.AnchorKey, List[generation.IntentionPrior]],
     diagnostics: List[str],
 ) -> Optional[costing.PredictionResult]:
     """Generate, cost, and rank candidates for one (obstacle, anchor)."""
     state = track.state_at(anchor)
     history = _history_track(track, anchor)
-    priors = priors_table.get((track.obstacle_id, anchor))
+    priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
     if priors is None:
         if not map_graph.exits:
             diagnostics.append(
@@ -159,7 +162,7 @@ def cmd_predict(args) -> int:
     _write_jsonl(args.out, records)
     for message in diagnostics:
         print(f"predict: {message}", file=sys.stderr)
-    print(_dumps({"predictions": len(records), "skipped": skipped, "out": args.out}))
+    print(jsonio.dumps({"predictions": len(records), "skipped": skipped, "out": args.out}))
     return 0
 
 
@@ -187,9 +190,9 @@ def cmd_tune(args) -> int:
         "final_loss": history[-1],
         "iterations": len(history) - 1,
     }
-    _write_atomic(args.out, _dumps(out) + "\n")
+    _write_atomic(args.out, jsonio.dumps(out) + "\n")
     print(
-        _dumps(
+        jsonio.dumps(
             {
                 "examples": len(examples),
                 "skipped": skipped,
@@ -217,7 +220,7 @@ def cmd_eval(args) -> int:
     predictions = costing.load_prediction_records(args.predictions)
     dataset = annotation.load_dataset_records(args.dataset)
     report = evaluation.evaluate_run(predictions, dataset, horizons)
-    _write_atomic(args.out, _dumps(report) + "\n")
+    _write_atomic(args.out, jsonio.dumps(report) + "\n")
 
     print(f"{'horizon':>8}  {'ade':>10}  {'fde':>10}  {'count':>6}")
     for entry in report["horizons"]:

@@ -13,11 +13,11 @@ with the ego plan pose interpolated at the same absolute timestamp.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import jsonio
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile
 from .geometry import Point2
@@ -53,11 +53,9 @@ class CostWeights:
 
     @classmethod
     def from_file(cls, path: str) -> "CostWeights":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        """All five keys are required; others (a tuned file's final_loss and
+        iterations) are ignored."""
+        doc = jsonio.read_config(path)
         try:
             return cls(
                 theta_acc=float(doc["theta_acc"]),
@@ -87,16 +85,47 @@ class CostBreakdown:
     total: float
 
 
+def sum_squared_accels(accels: Iterable[float]) -> float:
+    """Comfort kernel: the sum of squared longitudinal accelerations."""
+    return math.fsum(a * a for a in accels)
+
+
+def sum_squared_centripetal(speeds: Iterable[float], curvatures: Iterable[float], z1: float) -> float:
+    """Lateral comfort kernel: the sum of squared v^2 * curvature, over z1."""
+    if z1 <= 0.0:
+        raise ValueError(f"z1 must be positive, got {z1}")
+    return math.fsum((v * v * k) ** 2 for v, k in zip(speeds, curvatures)) / z1
+
+
+def sum_proximity(
+    timed_positions: Iterable[Tuple[float, Point2]],
+    ego: Optional[EgoPlan],
+    z2: float,
+    anchor_time: float,
+) -> float:
+    """Safety kernel: the sum of exp(-d^2) over z2, where d is the distance
+    from each (relative time, position) to the ego pose interpolated at the
+    same absolute time. Zero without an ego plan."""
+    if z2 <= 0.0:
+        raise ValueError(f"z2 must be positive, got {z2}")
+    if ego is None or not ego.poses:
+        return 0.0
+    terms = []
+    for t, position in timed_positions:
+        d = position.distance_to(ego.position_at(anchor_time + t))
+        terms.append(math.exp(-d * d))
+    return math.fsum(terms) / z2
+
+
 def cost_acc(trajectory: CandidateTrajectory) -> float:
     """Sum of squared per-point longitudinal accelerations."""
-    return math.fsum(p.accel * p.accel for p in trajectory.points)
+    return sum_squared_accels(p.accel for p in trajectory.points)
 
 
 def cost_centripetal(trajectory: CandidateTrajectory, z1: float) -> float:
     """Sum of squared centripetal accelerations (v^2 * curvature), over z1."""
-    if z1 <= 0.0:
-        raise ValueError(f"z1 must be positive, got {z1}")
-    return math.fsum((p.speed * p.speed * p.curvature) ** 2 for p in trajectory.points) / z1
+    points = trajectory.points
+    return sum_squared_centripetal((p.speed for p in points), (p.curvature for p in points), z1)
 
 
 def cost_collision(
@@ -112,15 +141,7 @@ def cost_collision(
     queries beyond the plan's coverage clamp to its end poses. Without an
     ego plan the cost is zero by convention.
     """
-    if z2 <= 0.0:
-        raise ValueError(f"z2 must be positive, got {z2}")
-    if ego is None or not ego.poses:
-        return 0.0
-    terms = []
-    for p in trajectory.points:
-        d = p.position.distance_to(ego.position_at(anchor_time + p.t))
-        terms.append(math.exp(-d * d))
-    return math.fsum(terms) / z2
+    return sum_proximity(((p.t, p.position) for p in trajectory.points), ego, z2, anchor_time)
 
 
 def weighted_total(
@@ -317,20 +338,17 @@ def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
 
 
 def load_prediction_records(path: str) -> List[dict]:
-    """Parse a JSON-lines prediction file, validating the record shape."""
+    """Parse a JSON-lines prediction file, validating the record shape.
+
+    The normalizers a record carries must be positive: the tuner divides by them.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            for key in ("obstacle_id", "anchor_time", "selected_intention", "intentions"):
-                if key not in record:
-                    raise ParseError(f"{path}:{lineno}: missing key {key!r}")
-            records.append(record)
+    keys = ("obstacle_id", "anchor_time", "selected_intention", "intentions")
+    for lineno, record in jsonio.iter_jsonl(path, keys):
+        for key in ("z1", "z2"):
+            if key in record and jsonio.number(record, key, path, lineno) <= 0.0:
+                raise ParseError(f"{path}:{lineno}: normalizer {key!r} must be positive")
+        records.append(record)
     return records
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .annotation import join_on_anchor
 from .costing import best_points_from_record
-from .errors import CoverageError, JoinError
+from .errors import CoverageError
 from .geometry import Point2
 
 GRID_EPS = 1e-9
@@ -122,28 +123,14 @@ def evaluate_run(
     short for a horizon are excluded from that horizon only. An empty join
     produces a zero-count report rather than an error.
     """
-    predictions: Dict[Tuple[str, float], dict] = {}
-    for record in prediction_records:
-        key = (record["obstacle_id"], float(record["anchor_time"]))
-        if key in predictions:
-            raise JoinError(f"duplicate prediction key {key}")
-        predictions[key] = record
-    labels: Dict[Tuple[str, float], dict] = {}
-    for record in dataset_records:
-        key = (record["obstacle_id"], float(record["anchor_time"]))
-        if key in labels:
-            raise JoinError(f"duplicate dataset key {key}")
-        labels[key] = record
-
-    joined = sorted(set(predictions) & set(labels))
-    skipped = (len(predictions) - len(joined)) + (len(labels) - len(joined))
+    joined, skipped = join_on_anchor(prediction_records, dataset_records)
 
     ade_sums = {h: [] for h in horizons}
     fde_sums = {h: [] for h in horizons}
     mse_values = []
-    for key in joined:
-        pred_points = best_points_from_record(predictions[key])
-        truth_points = _future_points(labels[key])
+    for _, prediction, label in joined:
+        pred_points = best_points_from_record(prediction)
+        truth_points = _future_points(label)
         shared = min(len(pred_points), len(truth_points))
         if shared:
             _check_alignment(pred_points[:shared], truth_points[:shared])

@@ -3,19 +3,19 @@
 For each intention hypothesis (an intersection exit or a lane sequence) the
 generator searches lane paths through the successor graph, samples constant
 acceleration speed profiles within kinematic limits, and realizes each
-(path, profile) pair as a timestamped candidate trajectory. Short paths are
-handled by tangent extrapolation; separately, an already generated
-trajectory can be extended to a longer horizon with a constant turn rate
-and velocity model.
+(path, profile) pair as a timestamped candidate trajectory. A profile that
+runs past the end of its path continues along the path's final tangent, so
+every candidate covers the full horizon.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import jsonio
+from .annotation import AnchorKey, anchor_key
 from .errors import AssociationError, ConfigError, ParseError
 from .geometry import (
     Curve,
@@ -26,10 +26,9 @@ from .geometry import (
     tail_from,
     wrap_angle,
 )
-from .scene import MapGraph, ObstacleState, ObstacleTrack, nearest_lane
+from .scene import DEFAULT_LATERAL_CAPTURE_M, MapGraph, ObstacleState, ObstacleTrack, nearest_lane
 
 LANE_SEQUENCE_SEPARATOR = "->"
-DEFAULT_LATERAL_CAPTURE_M = 2.0
 
 
 @dataclass(frozen=True)
@@ -50,33 +49,27 @@ def normalize_priors(priors: Sequence[IntentionPrior]) -> List[IntentionPrior]:
     return [IntentionPrior(p.intention_id, p.prior / total) for p in priors]
 
 
-def load_priors(path: str) -> Dict[Tuple[str, float], List[IntentionPrior]]:
-    """Parse a JSON-lines priors file keyed by (obstacle_id, anchor_time)."""
-    table: Dict[Tuple[str, float], List[IntentionPrior]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            try:
-                key = (record["obstacle_id"], float(record["anchor_time"]))
-                entries = [
-                    IntentionPrior(item["id"], float(item["prior"]))
-                    for item in record["intentions"]
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed priors record: {exc}") from exc
-            if key in table:
-                raise ParseError(f"{path}:{lineno}: duplicate priors for {key}")
-            if len({p.intention_id for p in entries}) != len(entries):
-                raise ParseError(f"{path}:{lineno}: repeated intention id for {key}")
-            try:
-                table[key] = normalize_priors(entries)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+def load_priors(path: str) -> Dict[AnchorKey, List[IntentionPrior]]:
+    """Parse a JSON-lines priors file keyed by anchor_key(obstacle_id, anchor_time)."""
+    table: Dict[AnchorKey, List[IntentionPrior]] = {}
+    required = ("obstacle_id", "anchor_time", "intentions")
+    for lineno, record in jsonio.iter_jsonl(path, required):
+        key = anchor_key(record["obstacle_id"], jsonio.number(record, "anchor_time", path, lineno))
+        try:
+            entries = [
+                IntentionPrior(item["id"], jsonio.number(item, "prior", path, lineno))
+                for item in record["intentions"]
+            ]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed priors record: {exc}") from exc
+        if key in table:
+            raise ParseError(f"{path}:{lineno}: duplicate priors for {key}")
+        if len({p.intention_id for p in entries}) != len(entries):
+            raise ParseError(f"{path}:{lineno}: repeated intention id for {key}")
+        try:
+            table[key] = normalize_priors(entries)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return table
 
 
@@ -408,51 +401,6 @@ def realize_trajectory(path: PathCandidate, profile: SpeedProfile) -> CandidateT
     )
 
 
-def extend_trajectory(
-    points: Sequence[Tuple[float, Point2]], target_horizon: float, resolution: float
-) -> List[Tuple[float, Point2]]:
-    """Append constant-turn-rate-and-velocity points until target_horizon.
-
-    Turn rate and speed come from the final three points (final two when only
-    two exist, with zero turn rate). Input already reaching the horizon is
-    returned unchanged.
-    """
-    if len(points) < 2:
-        raise ValueError("extension needs at least 2 trajectory points")
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    out = list(points)
-    t_last, p_last = out[-1]
-    if t_last >= target_horizon - 1e-9:
-        return out
-
-    (t1, p1), (t2, p2) = out[-2], out[-1]
-    chord = p1.distance_to(p2)
-    dt_tail = t2 - t1
-    speed = chord / dt_tail
-    heading = math.atan2(p2.y - p1.y, p2.x - p1.x)
-    turn_rate = 0.0
-    if len(out) >= 3:
-        t0, p0 = out[-3]
-        prev_heading = math.atan2(p1.y - p0.y, p1.x - p0.x)
-        # chord headings are tangents at segment midpoints, half a step behind
-        turn_rate = wrap_angle(heading - prev_heading) / (0.5 * (t2 - t0))
-        heading = wrap_angle(heading + 0.5 * turn_rate * dt_tail)
-
-    t, x, y = t_last, p_last.x, p_last.y
-    while t + resolution <= target_horizon + 1e-9:
-        t = t + resolution
-        if abs(turn_rate) > 1e-12:
-            x += speed / turn_rate * (math.sin(heading + turn_rate * resolution) - math.sin(heading))
-            y += speed / turn_rate * (-math.cos(heading + turn_rate * resolution) + math.cos(heading))
-            heading = wrap_angle(heading + turn_rate * resolution)
-        else:
-            x += speed * resolution * math.cos(heading)
-            y += speed * resolution * math.sin(heading)
-        out.append((t, Point2(x, y)))
-    return out
-
-
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs for the candidate generator, loaded from a JSON document."""
@@ -487,21 +435,4 @@ class GenerationConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "GenerationConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: generation config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown generation config keys: {sorted(unknown)}")
-        if "accel_set" in doc:
-            doc = dict(doc)
-            doc["accel_set"] = tuple(float(a) for a in doc["accel_set"])
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return jsonio.load_dataclass(cls, path)

@@ -71,11 +71,6 @@ class Curve:
         return f"Curve({len(self.points)} vertices, length={self.length:.3f})"
 
 
-def curve_length(curve: Curve) -> float:
-    """Total arc length of the polyline."""
-    return curve.cumulative_s[-1]
-
-
 def _segment_index(curve: Curve, s: float) -> int:
     """Index of the segment containing s; a vertex belongs to its outgoing segment."""
     i = bisect_right(curve.cumulative_s, s) - 1

@@ -3,33 +3,23 @@
 Obstacle histories come from a JSON-lines log (one state per line), the lane
 and intersection-exit map from a single JSON document, and the ego vehicle's
 planned trajectory from an optional JSON-lines file. Loaded scenes are
-immutable; concurrent readers need no synchronization.
-
-Also hosts the onboard-style pre-processing classifiers: scenario selection
-(intersection vs regular road) and obstacle prioritization (caution vs
-normal).
+immutable; concurrent readers need no synchronization. Lane association
+(nearest_lane) and its capture distance live here too, because labeling and
+path search both associate positions with lanes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
 from .geometry import Curve, Point2, point_at_s, project_point, wrap_angle
 
 TIME_EPS = 1e-9
-
-SCENARIO_INTERSECTION = "intersection"
-SCENARIO_REGULAR_ROAD = "regular_road"
-PRIORITY_CAUTION = "caution"
-PRIORITY_NORMAL = "normal"
-
-DEFAULT_SCENARIO_BUFFER_M = 2.0
-DEFAULT_CAUTION_THRESHOLD_M = 10.0
 
 
 @dataclass(frozen=True)
@@ -236,45 +226,7 @@ def nearest_lane(
     return best[1] if best else None
 
 
-def _require(record: dict, key: str, path: str, line: int):
-    if key not in record:
-        raise ParseError(f"{path}:{line}: missing key {key!r}")
-    return record[key]
-
-
-def _as_float(value, key: str, path: str, line: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}:{line}: key {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _iter_jsonl(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
-
-
-def state_to_record(state: ObstacleState) -> dict:
-    """Serialize a state back to the obstacle-log row schema."""
-    record = {
-        "obstacle_id": state.obstacle_id,
-        "t": state.timestamp,
-        "x": state.position.x,
-        "y": state.position.y,
-        "heading": state.heading,
-        "speed": state.speed,
-    }
-    if state.polygon is not None:
-        record["polygon"] = [[p.x, p.y] for p in state.polygon]
-    return record
+_STATE_KEYS = ("t", "x", "y", "heading", "speed")
 
 
 def load_obstacle_log(path: str) -> list[ObstacleTrack]:
@@ -284,15 +236,11 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     timestamps within one obstacle are an error.
     """
     states_by_id: Dict[str, list[ObstacleState]] = {}
-    for lineno, record in _iter_jsonl(path):
-        obstacle_id = _require(record, "obstacle_id", path, lineno)
+    for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
+        obstacle_id = record["obstacle_id"]
         if not isinstance(obstacle_id, str):
             raise ParseError(f"{path}:{lineno}: 'obstacle_id' must be a string")
-        t = _as_float(_require(record, "t", path, lineno), "t", path, lineno)
-        x = _as_float(_require(record, "x", path, lineno), "x", path, lineno)
-        y = _as_float(_require(record, "y", path, lineno), "y", path, lineno)
-        heading = _as_float(_require(record, "heading", path, lineno), "heading", path, lineno)
-        speed = _as_float(_require(record, "speed", path, lineno), "speed", path, lineno)
+        t, x, y, heading, speed = (jsonio.number(record, k, path, lineno) for k in _STATE_KEYS)
         polygon = None
         if record.get("polygon") is not None:
             try:
@@ -321,11 +269,7 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
 
 def load_map(path: str) -> MapGraph:
     """Parse the single-document JSON map file into a validated MapGraph."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    doc = jsonio.read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}:1: map file must be a JSON object")
 
@@ -377,10 +321,8 @@ def load_map(path: str) -> MapGraph:
 def load_ego_plan(path: str) -> EgoPlan:
     """Parse a JSON-lines ego plan of {t, x, y} rows."""
     poses = []
-    for lineno, record in _iter_jsonl(path):
-        t = _as_float(_require(record, "t", path, lineno), "t", path, lineno)
-        x = _as_float(_require(record, "x", path, lineno), "x", path, lineno)
-        y = _as_float(_require(record, "y", path, lineno), "y", path, lineno)
+    for lineno, record in jsonio.iter_jsonl(path, ("t", "x", "y")):
+        t, x, y = (jsonio.number(record, k, path, lineno) for k in ("t", "x", "y"))
         poses.append((t, Point2(x, y)))
     if not poses:
         raise ParseError(f"{path}:1: ego plan file is empty")
@@ -396,59 +338,3 @@ def load_scene(
     map_graph = load_map(map_file)
     ego = load_ego_plan(ego_file) if ego_file is not None else None
     return tracks, map_graph, ego
-
-
-def _point_in_polygon(p: Point2, polygon: Sequence[Point2]) -> bool:
-    inside = False
-    n = len(polygon)
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
-                inside = not inside
-    return inside
-
-
-def _distance_to_polygon(p: Point2, polygon: Sequence[Point2]) -> float:
-    best = math.inf
-    n = len(polygon)
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        vx, vy = b.x - a.x, b.y - a.y
-        seg2 = vx * vx + vy * vy
-        if seg2 == 0.0:
-            best = min(best, p.distance_to(a))
-            continue
-        t = min(max(((p.x - a.x) * vx + (p.y - a.y) * vy) / seg2, 0.0), 1.0)
-        best = min(best, math.hypot(p.x - (a.x + t * vx), p.y - (a.y + t * vy)))
-    return best
-
-
-def classify_scenario(
-    track: ObstacleTrack, map_graph: MapGraph, buffer_m: float = DEFAULT_SCENARIO_BUFFER_M
-) -> str:
-    """Intersection if the latest position is inside (or within buffer_m of)
-    the map's intersection polygon; regular road otherwise or when the map
-    has no polygon."""
-    polygon = map_graph.intersection_polygon
-    if not polygon:
-        return SCENARIO_REGULAR_ROAD
-    p = track.latest.position
-    if _point_in_polygon(p, polygon) or _distance_to_polygon(p, polygon) <= buffer_m:
-        return SCENARIO_INTERSECTION
-    return SCENARIO_REGULAR_ROAD
-
-
-def classify_priority(
-    track: ObstacleTrack,
-    ego: Optional[EgoPlan],
-    threshold_m: float = DEFAULT_CAUTION_THRESHOLD_M,
-) -> str:
-    """Caution if the latest position comes strictly closer than threshold_m
-    to any ego planned pose; normal otherwise or without an ego plan."""
-    if ego is None or not ego.poses:
-        return PRIORITY_NORMAL
-    p = track.latest.position
-    min_dist = min(p.distance_to(pose) for _, pose in ego.poses)
-    return PRIORITY_CAUTION if min_dist < threshold_m else PRIORITY_NORMAL

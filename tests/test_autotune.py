@@ -256,6 +256,11 @@ class TestExtractExamples:
         with pytest.raises(JoinError, match="duplicate"):
             extract_examples([fake_prediction_record("veh", 1.0)], dataset)
 
+    def test_nonpositive_normalizer_is_join_error(self):
+        prediction = {**fake_prediction_record("veh", 1.0), "z1": 0.0}
+        with pytest.raises(JoinError, match="z1 must be positive"):
+            extract_examples([prediction], [fake_dataset_record("veh", 1.0)])
+
     def test_gt_subcosts_use_record_normalizers(self):
         examples, _ = extract_examples(
             [fake_prediction_record("veh", 0.0)], [fake_dataset_record("veh", 0.0)]

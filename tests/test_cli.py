@@ -8,10 +8,15 @@ from conftest import write_json, write_jsonl
 from trajpredict.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def golden(name):
+    return os.path.join(GOLDEN, name)
 
 
 def run_annotate(tmp_path, out="dataset.jsonl", **overrides):
@@ -45,6 +50,94 @@ def run_predict(tmp_path, out="predictions.jsonl", **overrides):
     for key, value in args.items():
         argv += [key, value]
     return main(argv), str(tmp_path / out)
+
+
+def run_tune(tmp_path, out="tuned.json", **overrides):
+    """Tune on the golden predictions and dataset of the fixture scene."""
+    args = {
+        "--predictions": golden("predictions.jsonl"),
+        "--dataset": golden("dataset.jsonl"),
+        "--tuner-config": fixture("tunerconfig.json"),
+        "--ego": fixture("ego.jsonl"),
+        "--out": str(tmp_path / out),
+    }
+    args.update(overrides)
+    argv = ["tune"]
+    for key, value in args.items():
+        argv += [key, value]
+    return main(argv), str(tmp_path / out)
+
+
+def edit_document(**changes):
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
+def edit_first_line(**changes):
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        return json.dumps({**json.loads(first), **changes}) + "\n" + rest
+
+    return edit
+
+
+# Each case corrupts one input of one stage. JSON-lines inputs must be
+# reported with their line, JSON documents with their file.
+MALFORMED_INPUTS = [
+    pytest.param(
+        run_predict,
+        "--priors",
+        fixture("priors.jsonl"),
+        edit_first_line(intentions=[{"id": "exit_e", "prior": math.nan}]),
+        1,
+        id="nan_prior",
+    ),
+    pytest.param(
+        run_tune,
+        "--dataset",
+        golden("dataset.jsonl"),
+        lambda text: "5\n" + text,
+        1,
+        id="non_object_dataset_line",
+    ),
+    pytest.param(
+        run_predict,
+        "--config",
+        fixture("genconfig.json"),
+        edit_document(horizon_secs=math.nan),
+        None,
+        id="nan_horizon",
+    ),
+    pytest.param(
+        run_tune,
+        "--tuner-config",
+        fixture("tunerconfig.json"),
+        edit_document(theta_init=["a", 1, 1]),
+        None,
+        id="string_theta_init",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        edit_first_line(z1=0.0),
+        1,
+        id="zero_normalizer",
+    ),
+]
+
+
+@pytest.mark.parametrize("runner, flag, source, edit, line", MALFORMED_INPUTS)
+def test_malformed_input_is_reported_with_its_file(
+    tmp_path, capsys, runner, flag, source, edit, line
+):
+    bad = tmp_path / ("bad_" + os.path.basename(source))
+    with open(source, encoding="utf-8") as fh:
+        bad.write_text(edit(fh.read()), encoding="utf-8")
+    code, out = runner(tmp_path, **{flag: str(bad)})
+    assert code in (1, 2)
+    location = f"{bad}:{line}:" if line else str(bad)
+    assert capsys.readouterr().err.startswith(f"error: {location}")
+    assert not os.path.exists(out)
 
 
 class TestAnnotateCommand:
@@ -181,6 +274,12 @@ class TestTuneCommand:
         }
         assert tuned["z1"] == 5062.5 and tuned["z2"] == 40.0
         assert all(tuned[k] >= 0.0 for k in ("theta_acc", "theta_centripetal", "theta_collision"))
+
+    def test_tuned_weights_feed_predict(self, tmp_path):
+        code, tuned = run_tune(tmp_path)
+        assert code == 0
+        code, _ = run_predict(tmp_path, **{"--weights": tuned})
+        assert code == 0
 
     def test_empty_join_is_data_error(self, tmp_path, capsys):
         predictions, _ = self._predictions_and_dataset(tmp_path)
@@ -344,6 +443,13 @@ class TestCliContract:
         assert code == 0
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+    def test_stale_tmp_directory_does_not_block_output(self, tmp_path):
+        os.mkdir(tmp_path / "dataset.jsonl.tmp")
+        code, out = run_annotate(tmp_path)
+        assert code == 0
+        assert os.path.isfile(out)
+        assert sorted(os.listdir(tmp_path)) == ["dataset.jsonl", "dataset.jsonl.tmp"]
 
     def test_inputs_not_mutated(self, tmp_path):
         before = open(fixture("obstacles.jsonl"), "rb").read()

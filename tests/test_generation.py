@@ -11,7 +11,6 @@ from trajpredict.generation import (
     KinematicLimits,
     PathCandidate,
     SpeedProfile,
-    extend_trajectory,
     heuristic_exit_priors,
     load_priors,
     normalize_priors,
@@ -317,34 +316,6 @@ class TestRealizeTrajectory:
         traj = realize_trajectory(short, profile)
         assert traj.points[-1].position.x == pytest.approx(20.0, abs=1e-9)
         assert traj.points[-1].curvature == 0.0
-
-
-class TestExtendTrajectory:
-    def test_straight_tail_continues_straight(self):
-        points = [(0.1 * k, Point2(2.0 * k, 1.0)) for k in range(1, 11)]
-        extended = extend_trajectory(points, 2.0, 0.1)
-        assert len(extended) == 20
-        assert extended[-1][1].y == pytest.approx(1.0, abs=1e-9)
-        assert extended[-1][1].x == pytest.approx(40.0, abs=1e-9)
-
-    def test_turning_tail_stays_on_circle(self):
-        radius, omega = 20.0, 0.5
-        points = [
-            (0.1 * k, Point2(radius * math.cos(omega * 0.1 * k), radius * math.sin(omega * 0.1 * k)))
-            for k in range(1, 31)
-        ]
-        extended = extend_trajectory(points, 5.0, 0.1)
-        for t, p in extended[30:]:
-            r = math.hypot(p.x, p.y)
-            assert abs(r - radius) <= 0.01 * radius
-
-    def test_no_op_when_horizon_reached(self):
-        points = [(0.1 * k, Point2(k * 1.0, 0.0)) for k in range(1, 11)]
-        assert extend_trajectory(points, 1.0, 0.1) == points
-
-    def test_two_point_minimum(self):
-        with pytest.raises(ValueError):
-            extend_trajectory([(0.1, Point2(0, 0))], 2.0, 0.1)
 
 
 class TestGenerationConfig:

@@ -7,7 +7,6 @@ from trajpredict.geometry import (
     Curve,
     Point2,
     curvature_at_s,
-    curve_length,
     menger_curvature,
     point_at_s,
     project_point,
@@ -39,10 +38,10 @@ def random_polyline(rng, n=None):
 
 class TestCurveConstruction:
     def test_unit_square_path_length(self):
-        assert curve_length(Curve([(0, 0), (1, 0), (1, 1)])) == 2.0
+        assert Curve([(0, 0), (1, 0), (1, 1)]).length == 2.0
 
     def test_three_four_five_segment(self):
-        assert curve_length(Curve([(0, 0), (3, 4)])) == 5.0
+        assert Curve([(0, 0), (3, 4)]).length == 5.0
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

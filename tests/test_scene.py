@@ -3,17 +3,14 @@ import random
 
 import pytest
 
-from conftest import intersection_map_dict, make_track, write_json, write_jsonl
+from conftest import make_track, write_json, write_jsonl
 from trajpredict.errors import ParseError, SceneIntegrityError
 from trajpredict.geometry import Point2
 from trajpredict.scene import (
     EgoPlan,
-    classify_priority,
-    classify_scenario,
     load_map,
     load_obstacle_log,
     load_scene,
-    state_to_record,
 )
 
 
@@ -103,8 +100,7 @@ class TestLoadScene:
         log = write_jsonl(tmp_path / "log.jsonl", [row])
         (track,) = load_obstacle_log(log)
         polygon = track.states[0].polygon
-        assert [(p.x, p.y) for p in polygon] == [(-1.0, -0.5), (1.0, -0.5), (1.0, 0.5), (-1.0, 0.5)]
-        assert state_to_record(track.states[0])["polygon"] == row["polygon"]
+        assert [[p.x, p.y] for p in polygon] == row["polygon"]
 
     def test_deterministic_reload(self, tmp_path):
         rows = [state_row("a", k * 0.1, k * 1.0, 0.5, 0.1, 3.0) for k in range(20)]
@@ -120,7 +116,13 @@ class TestLoadScene:
         ]
         log = write_jsonl(tmp_path / "log.jsonl", rows)
         (track,) = load_obstacle_log(log)
-        rewritten = write_jsonl(tmp_path / "log2.jsonl", [state_to_record(s) for s in track.states])
+        rewritten = write_jsonl(
+            tmp_path / "log2.jsonl",
+            [
+                state_row(s.obstacle_id, s.timestamp, s.position.x, s.position.y, s.heading, s.speed)
+                for s in track.states
+            ],
+        )
         (reloaded,) = load_obstacle_log(rewritten)
         assert reloaded == track
 
@@ -170,67 +172,3 @@ class TestEgoPlan:
     def test_non_monotonic_rejected(self):
         with pytest.raises(SceneIntegrityError):
             EgoPlan(poses=((1.0, Point2(0, 0)), (1.0, Point2(1, 0))))
-
-
-class TestClassifiers:
-    def _map(self, tmp_path):
-        return load_map(write_json(tmp_path / "map.json", intersection_map_dict()))
-
-    def test_inside_polygon_is_intersection(self, tmp_path):
-        track = make_track("a", [(0.0, 0.0, 0.0, 0.0, 1.0)])
-        assert classify_scenario(track, self._map(tmp_path)) == "intersection"
-
-    def test_no_polygon_defaults_to_regular_road(self, tmp_path):
-        doc = {"lanes": [{"id": "l1", "centerline": [[0, 0], [1, 0]], "successors": []}]}
-        map_graph = load_map(write_json(tmp_path / "m.json", doc))
-        track = make_track("a", [(0.0, 0.0, 0.0, 0.0, 1.0)])
-        assert classify_scenario(track, map_graph) == "regular_road"
-
-    def test_buffer_extends_polygon(self, tmp_path):
-        map_graph = self._map(tmp_path)
-        just_outside = make_track("a", [(0.0, 16.0, 0.0, 0.0, 1.0)])
-        assert classify_scenario(just_outside, map_graph, buffer_m=2.0) == "intersection"
-        far_outside = make_track("b", [(0.0, 40.0, 0.0, 0.0, 1.0)])
-        assert classify_scenario(far_outside, map_graph, buffer_m=2.0) == "regular_road"
-
-    def test_buffered_containment_matches_distance_oracle(self, tmp_path):
-        map_graph = self._map(tmp_path)
-        poly = [(-15.0, -15.0), (15.0, -15.0), (15.0, 15.0), (-15.0, 15.0)]
-        rng = random.Random(11)
-        for _ in range(200):
-            x, y = rng.uniform(-30, 30), rng.uniform(-30, 30)
-            inside = -15 <= x <= 15 and -15 <= y <= 15
-            # distance to the rectangle boundary by brute-force edge sampling
-            dist = min(
-                math.hypot(x - (ax + u / 1000 * (bx - ax)), y - (ay + u / 1000 * (by - ay)))
-                for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])
-                for u in range(1001)
-            )
-            expected = "intersection" if inside or dist <= 2.0 + 1e-6 else "regular_road"
-            track = make_track("a", [(0.0, x, y, 0.0, 1.0)])
-            got = classify_scenario(track, map_graph, buffer_m=2.0)
-            if abs(dist - 2.0) > 1e-3:  # skip knife-edge cases the oracle cannot resolve
-                assert got == expected, (x, y, dist)
-
-    def test_close_obstacle_is_caution(self):
-        ego = EgoPlan(poses=tuple((float(t), Point2(t * 1.0, 0.0)) for t in range(10)))
-        track = make_track("a", [(0.0, 4.0, 3.0, 0.0, 1.0)])
-        assert classify_priority(track, ego, threshold_m=10.0) == "caution"
-
-    def test_no_ego_plan_is_normal(self):
-        track = make_track("a", [(0.0, 4.0, 3.0, 0.0, 1.0)])
-        assert classify_priority(track, None) == "normal"
-
-    def test_exactly_at_threshold_is_normal(self):
-        ego = EgoPlan(poses=((0.0, Point2(0, 0)),))
-        track = make_track("a", [(0.0, 10.0, 0.0, 0.0, 1.0)])
-        assert classify_priority(track, ego, threshold_m=10.0) == "normal"
-
-    def test_priority_monotone_in_threshold(self):
-        rng = random.Random(23)
-        ego = EgoPlan(poses=tuple((float(t), Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))) for t in range(5)))
-        for _ in range(50):
-            track = make_track("a", [(0.0, rng.uniform(-20, 20), rng.uniform(-20, 20), 0.0, 1.0)])
-            low = classify_priority(track, ego, threshold_m=5.0)
-            high = classify_priority(track, ego, threshold_m=15.0)
-            assert not (low == "caution" and high == "normal")
