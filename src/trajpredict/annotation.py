@@ -3,19 +3,29 @@
 Derives ground-truth future trajectories and intention labels (intersection
 exit taken, lane sequence followed) from logged obstacle tracks. Labels are
 pure functions of the log: positions are interpolated, never extrapolated,
-so a track that ends before the horizon yields no trajectory label.
+so a track that ends before the horizon yields no trajectory label. Label
+times come from scene.time_grid, the grid candidates are realized on. The
+anchor grid, anchor key, prediction/label join and the reader of their
+[t, x, y, ...] rows live here too, so every stage meets its labels one way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, JoinError
 from .geometry import Point2
-from .scene import DEFAULT_LATERAL_CAPTURE_M, MapGraph, ObstacleTrack, TIME_EPS, nearest_lane
+from .scene import (
+    DEFAULT_LATERAL_CAPTURE_M,
+    TIME_EPS,
+    MapGraph,
+    ObstacleTrack,
+    nearest_lane,
+    time_grid,
+)
 
 DEFAULT_RESOLUTION_S = 0.1
 DEFAULT_HORIZON_S = 8.0
@@ -54,35 +64,27 @@ def label_future_trajectory(
     horizon: float,
     resolution: float = DEFAULT_RESOLUTION_S,
 ) -> TrajectoryLabel:
-    """Sample the track's future at anchor_time + k*resolution, k = 1..horizon/resolution.
+    """Sample the track's future at anchor_time + t for t in time_grid(horizon, resolution).
 
     Raises CoverageError if the track does not cover the full horizon; labels
     are never extrapolated.
     """
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    rels = time_grid(horizon, resolution)
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if anchor_time < track.first_time - TIME_EPS:
         raise CoverageError(
             f"anchor {anchor_time} precedes track {track.obstacle_id!r} start {track.first_time}"
         )
-    steps = int(math.floor(horizon / resolution + TIME_EPS))
-    end = anchor_time + steps * resolution
-    if end > track.last_time + TIME_EPS:
+    if anchor_time + len(rels) * resolution > track.last_time + TIME_EPS:
         raise CoverageError(
             f"track {track.obstacle_id!r} ends at {track.last_time}, "
             f"before the {horizon}s horizon after anchor {anchor_time}"
         )
-    points = []
-    for k in range(1, steps + 1):
-        rel = k * resolution
-        t = min(anchor_time + rel, track.last_time)
-        points.append((rel, track.position_at(t)))
     return TrajectoryLabel(
         obstacle_id=track.obstacle_id,
         anchor_time=anchor_time,
-        future_points=tuple(points),
+        future_points=tuple((rel, track.position_at(anchor_time + rel)) for rel in rels),
         horizon=horizon,
     )
 
@@ -165,17 +167,14 @@ def label_lane_sequence(
 ) -> Optional[LaneSequenceLabel]:
     """Ordered lane ids the future sub-track follows, consecutive duplicates
     collapsed; None when no sample associates with any lane."""
-    end_time = min(anchor_time + horizon, track.last_time)
     sequence: list[str] = []
-    k = 1
-    while True:
-        t = anchor_time + k * resolution
-        if t > end_time + TIME_EPS:
+    for rel in time_grid(horizon, resolution):
+        t = anchor_time + rel
+        if t > track.last_time + TIME_EPS:
             break
-        lane_id = nearest_lane(map_graph, track.position_at(min(t, track.last_time)), lateral_capture)
+        lane_id = nearest_lane(map_graph, track.position_at(t), lateral_capture)
         if lane_id is not None and (not sequence or sequence[-1] != lane_id):
             sequence.append(lane_id)
-        k += 1
     if not sequence:
         return None
     return LaneSequenceLabel(
@@ -229,6 +228,20 @@ def join_on_anchor(
     keys = sorted(predictions.keys() & labels.keys())
     joined = [(key, predictions[key], labels[key]) for key in keys]
     return joined, len(predictions) + len(labels) - 2 * len(joined)
+
+
+def iter_anchor_records(path: str, required: Sequence[str]) -> Iterator[Tuple[int, dict]]:
+    """(line number, record) per line of a JSON-lines file keyed by anchor:
+    every record carries a string obstacle_id and a numeric anchor_time."""
+    for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id", "anchor_time") + tuple(required)):
+        jsonio.string(record, "obstacle_id", path, lineno)
+        jsonio.number(record, "anchor_time", path, lineno)
+        yield lineno, record
+
+
+def timed_points(rows: Iterable[Sequence[float]]) -> List[Tuple[float, Point2]]:
+    """(t, position) per [t, x, y, ...] row of a label's future or a trajectory's points."""
+    return [(row[0], Point2(row[1], row[2])) for row in rows]
 
 
 def build_dataset(
@@ -288,5 +301,5 @@ def build_dataset(
 
 def load_dataset_records(path: str) -> list[dict]:
     """Parse a JSON-lines dataset file, validating the record shape."""
-    keys = ("road_test_id", "obstacle_id", "anchor_time", "history", "future")
-    return [record for _, record in jsonio.iter_jsonl(path, keys)]
+    keys = ("road_test_id", "history", "future")
+    return [record for _, record in iter_anchor_records(path, keys)]

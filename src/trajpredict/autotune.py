@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import jsonio
-from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor
+from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor, timed_points
 from .costing import sum_proximity, sum_squared_accels, sum_squared_centripetal
 from .errors import ConfigError, JoinError, PipelineError
-from .geometry import Point2, menger_curvature
+from .geometry import menger_curvature
 from .scene import EgoPlan
 
 SubCosts = Tuple[float, float, float]
@@ -72,48 +72,16 @@ class TunerConfig:
         return jsonio.load_dataclass(cls, path)
 
 
-def _finite_difference_speeds(points: Sequence[Tuple[float, Point2]]) -> List[float]:
-    """Speed estimates: central differences of the position vectors, with
-    second-order one-sided stencils at the endpoints."""
-    n = len(points)
-    times = [t for t, _ in points]
-    xs = [p.x for _, p in points]
-    ys = [p.y for _, p in points]
-
-    def magnitude(dx, dy, dt):
-        return math.hypot(dx, dy) / dt
-
-    speeds = [
-        magnitude(
-            -3.0 * xs[0] + 4.0 * xs[1] - xs[2],
-            -3.0 * ys[0] + 4.0 * ys[1] - ys[2],
-            times[2] - times[0],
-        )
+def _stencil(times: Sequence[float], values: Sequence[float]) -> List[Tuple[float, float]]:
+    """(numerator, time span) of the derivative estimate at every sample:
+    central differences inside, second-order one-sided stencils at the ends."""
+    pairs = [(-3.0 * values[0] + 4.0 * values[1] - values[2], times[2] - times[0])]
+    pairs += [
+        (values[i + 1] - values[i - 1], times[i + 1] - times[i - 1])
+        for i in range(1, len(values) - 1)
     ]
-    for i in range(1, n - 1):
-        speeds.append(
-            magnitude(xs[i + 1] - xs[i - 1], ys[i + 1] - ys[i - 1], times[i + 1] - times[i - 1])
-        )
-    speeds.append(
-        magnitude(
-            3.0 * xs[-1] - 4.0 * xs[-2] + xs[-3],
-            3.0 * ys[-1] - 4.0 * ys[-2] + ys[-3],
-            times[-1] - times[-3],
-        )
-    )
-    return speeds
-
-
-def _finite_difference_rate(times: Sequence[float], values: Sequence[float]) -> List[float]:
-    """Central differences of a scalar series, second-order at the endpoints."""
-    n = len(values)
-    rates = [
-        (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (times[2] - times[0])
-    ]
-    for i in range(1, n - 1):
-        rates.append((values[i + 1] - values[i - 1]) / (times[i + 1] - times[i - 1]))
-    rates.append((3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (times[-1] - times[-3]))
-    return rates
+    pairs.append((3.0 * values[-1] - 4.0 * values[-2] + values[-3], times[-1] - times[-3]))
+    return pairs
 
 
 def ground_truth_subcosts(
@@ -133,8 +101,10 @@ def ground_truth_subcosts(
             "finite-difference kinematics needs at least 3"
         )
     times = [t for t, _ in points]
-    speeds = _finite_difference_speeds(points)
-    accels = _finite_difference_rate(times, speeds)
+    x_pairs = _stencil(times, [p.x for _, p in points])
+    y_pairs = _stencil(times, [p.y for _, p in points])
+    speeds = [math.hypot(nx, ny) / dt for (nx, dt), (ny, _) in zip(x_pairs, y_pairs)]
+    accels = [n / dt for n, dt in _stencil(times, speeds)]
     interior = [
         menger_curvature(points[i - 1][1], points[i][1], points[i + 1][1])
         for i in range(1, len(points) - 1)
@@ -238,7 +208,7 @@ def extract_examples(
         label = TrajectoryLabel(
             obstacle_id=key[0],
             anchor_time=key[1],
-            future_points=tuple((f[0], Point2(f[1], f[2])) for f in data["future"]),
+            future_points=tuple(timed_points(data["future"])),
             horizon=data["future"][-1][0] if data["future"] else 0.0,
         )
         try:
@@ -249,10 +219,13 @@ def extract_examples(
             gt = ground_truth_subcosts(label, ego, z1, z2)
         except ValueError as exc:
             raise JoinError(f"anchor {key}: {exc}") from exc
-        candidates = tuple(
-            (float(c[0]), float(c[1]), float(c[2]))
-            for entry in pred["intentions"]
-            for c in entry["candidates"]
-        )
-        examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates, key=key))
+        try:
+            candidates = tuple(
+                (float(c[0]), float(c[1]), float(c[2]))
+                for entry in pred["intentions"]
+                for c in entry["candidates"]
+            )
+            examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates, key=key))
+        except ValueError as exc:
+            raise JoinError(f"anchor {key}: {exc}") from exc
     return examples, skipped

@@ -19,8 +19,8 @@ import sys
 from typing import Dict, List, Optional
 
 from . import annotation, autotune, costing, evaluation, generation, jsonio
-from .errors import AssociationError, ConfigError, PipelineError
-from .scene import ObstacleTrack, load_ego_plan, load_scene
+from .errors import AssociationError, ConfigError, JoinError, PipelineError
+from .scene import TIME_EPS, ObstacleTrack, load_ego_plan, load_scene
 
 
 def _write_atomic(path: str, text: str):
@@ -71,7 +71,7 @@ def cmd_annotate(args) -> int:
 
 def _history_track(track: ObstacleTrack, anchor: float) -> ObstacleTrack:
     """The track as known at the anchor: states up to and including it."""
-    states = [st for st in track.states if st.timestamp <= anchor + 1e-9]
+    states = [st for st in track.states if st.timestamp <= anchor + TIME_EPS]
     at_anchor = track.state_at(anchor)
     if not states or states[-1].timestamp < at_anchor.timestamp:
         states.append(at_anchor)
@@ -171,7 +171,10 @@ def cmd_tune(args) -> int:
     dataset = annotation.load_dataset_records(args.dataset)
     config = autotune.TunerConfig.from_file(args.tuner_config)
     ego = load_ego_plan(args.ego) if args.ego else None
-    examples, skipped = autotune.extract_examples(predictions, dataset, ego)
+    try:
+        examples, skipped = autotune.extract_examples(predictions, dataset, ego)
+    except JoinError as exc:
+        raise JoinError(f"{args.predictions}, {args.dataset}: {exc}") from exc
     if not examples:
         raise PipelineError("no tuning examples: prediction and dataset keys do not overlap")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
+from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile
 from .geometry import Point2
@@ -343,8 +344,7 @@ def load_prediction_records(path: str) -> List[dict]:
     The normalizers a record carries must be positive: the tuner divides by them.
     """
     records = []
-    keys = ("obstacle_id", "anchor_time", "selected_intention", "intentions")
-    for lineno, record in jsonio.iter_jsonl(path, keys):
+    for lineno, record in iter_anchor_records(path, ("selected_intention", "intentions")):
         for key in ("z1", "z2"):
             if key in record and jsonio.number(record, key, path, lineno) <= 0.0:
                 raise ParseError(f"{path}:{lineno}: normalizer {key!r} must be positive")
@@ -357,7 +357,7 @@ def best_points_from_record(record: dict) -> List[Tuple[float, Point2]]:
     selected = record["selected_intention"]
     for entry in record["intentions"]:
         if entry["intention_id"] == selected:
-            return [(p[0], Point2(p[1], p[2])) for p in entry["best_trajectory"]["points"]]
+            return timed_points(entry["best_trajectory"]["points"])
     raise ParseError(
         f"prediction record for {record['obstacle_id']!r}@{record['anchor_time']}: "
         f"selected intention {selected!r} not among intentions"

@@ -12,52 +12,48 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .annotation import join_on_anchor
+from .annotation import join_on_anchor, timed_points
 from .costing import best_points_from_record
 from .errors import CoverageError
 from .geometry import Point2
-
-GRID_EPS = 1e-9
+from .scene import TIME_EPS
 
 TimedPoint = Tuple[float, Point2]
 
 
 def _check_alignment(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]):
     for (tp, _), (tt, _) in zip(pred, truth):
-        if abs(tp - tt) > GRID_EPS:
+        if abs(tp - tt) > TIME_EPS:
             raise ValueError(f"time grids differ: {tp} vs {tt}")
 
 
 def _check_coverage(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float):
     if not pred or not truth:
         raise CoverageError("empty trajectory")
-    if pred[-1][0] < horizon - GRID_EPS or truth[-1][0] < horizon - GRID_EPS:
+    if pred[-1][0] < horizon - TIME_EPS or truth[-1][0] < horizon - TIME_EPS:
         raise CoverageError(
             f"sequence ends at {min(pred[-1][0], truth[-1][0])}, before horizon {horizon}"
         )
 
 
-def ade(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float) -> float:
-    """Mean displacement over the points with relative time <= horizon."""
+def _displacements(
+    pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float
+) -> List[float]:
+    """Distances between aligned points with relative time <= horizon."""
     _check_coverage(pred, truth, horizon)
     _check_alignment(pred, truth)
-    distances = [
-        pp.distance_to(tp)
-        for (t, pp), (_, tp) in zip(pred, truth)
-        if t <= horizon + GRID_EPS
-    ]
+    return [pp.distance_to(tp) for (t, pp), (_, tp) in zip(pred, truth) if t <= horizon + TIME_EPS]
+
+
+def ade(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float) -> float:
+    """Mean displacement over the points with relative time <= horizon."""
+    distances = _displacements(pred, truth, horizon)
     return math.fsum(distances) / len(distances)
 
 
 def fde(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float) -> float:
     """Displacement at the last grid point with relative time <= horizon."""
-    _check_coverage(pred, truth, horizon)
-    _check_alignment(pred, truth)
-    pairs = [
-        (pp, tp) for (t, pp), (_, tp) in zip(pred, truth) if t <= horizon + GRID_EPS
-    ]
-    last_pred, last_truth = pairs[-1]
-    return last_pred.distance_to(last_truth)
+    return _displacements(pred, truth, horizon)[-1]
 
 
 def mse(pred: Sequence[Point2], truth: Sequence[Point2]) -> float:
@@ -107,10 +103,6 @@ def gaussian_nll(pred: Sequence[GaussianPoint], truth: Sequence[Point2]) -> floa
     return -math.fsum(g.log_density(p) for g, p in zip(pred, truth)) / len(pred)
 
 
-def _future_points(record: dict) -> List[TimedPoint]:
-    return [(f[0], Point2(f[1], f[2])) for f in record["future"]]
-
-
 def evaluate_run(
     prediction_records: Sequence[dict],
     dataset_records: Sequence[dict],
@@ -130,7 +122,7 @@ def evaluate_run(
     mse_values = []
     for _, prediction, label in joined:
         pred_points = best_points_from_record(prediction)
-        truth_points = _future_points(label)
+        truth_points = timed_points(label["future"])
         shared = min(len(pred_points), len(truth_points))
         if shared:
             _check_alignment(pred_points[:shared], truth_points[:shared])

@@ -3,9 +3,11 @@
 For each intention hypothesis (an intersection exit or a lane sequence) the
 generator searches lane paths through the successor graph, samples constant
 acceleration speed profiles within kinematic limits, and realizes each
-(path, profile) pair as a timestamped candidate trajectory. A profile that
-runs past the end of its path continues along the path's final tangent, so
-every candidate covers the full horizon.
+(path, profile) pair as a timestamped candidate trajectory on the shared
+sample-time grid (scene.time_grid), so a candidate and the label of the same
+horizon and resolution carry the same times. A profile that runs past the end
+of its path continues along the path's final tangent, so every candidate
+covers the full horizon.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .annotation import AnchorKey, anchor_key
+from .annotation import AnchorKey, anchor_key, iter_anchor_records
 from .errors import AssociationError, ConfigError, ParseError
 from .geometry import (
     Curve,
@@ -26,7 +28,14 @@ from .geometry import (
     tail_from,
     wrap_angle,
 )
-from .scene import DEFAULT_LATERAL_CAPTURE_M, MapGraph, ObstacleState, ObstacleTrack, nearest_lane
+from .scene import (
+    DEFAULT_LATERAL_CAPTURE_M,
+    MapGraph,
+    ObstacleState,
+    ObstacleTrack,
+    nearest_lane,
+    time_grid,
+)
 
 LANE_SEQUENCE_SEPARATOR = "->"
 
@@ -52,12 +61,14 @@ def normalize_priors(priors: Sequence[IntentionPrior]) -> List[IntentionPrior]:
 def load_priors(path: str) -> Dict[AnchorKey, List[IntentionPrior]]:
     """Parse a JSON-lines priors file keyed by anchor_key(obstacle_id, anchor_time)."""
     table: Dict[AnchorKey, List[IntentionPrior]] = {}
-    required = ("obstacle_id", "anchor_time", "intentions")
-    for lineno, record in jsonio.iter_jsonl(path, required):
-        key = anchor_key(record["obstacle_id"], jsonio.number(record, "anchor_time", path, lineno))
+    for lineno, record in iter_anchor_records(path, ("intentions",)):
+        key = anchor_key(record["obstacle_id"], record["anchor_time"])
         try:
             entries = [
-                IntentionPrior(item["id"], jsonio.number(item, "prior", path, lineno))
+                IntentionPrior(
+                    jsonio.string(item, "id", path, lineno),
+                    jsonio.number(item, "prior", path, lineno),
+                )
                 for item in record["intentions"]
             ]
         except (KeyError, TypeError) as exc:
@@ -164,12 +175,6 @@ def _enumerate_sequences(
     return results
 
 
-def _curve_distance(curve: Curve, p: Point2) -> float:
-    s, _ = project_point(curve, p)
-    closest, _ = point_at_s(curve, s)
-    return closest.distance_to(p)
-
-
 def _reachable(map_graph: MapGraph, src: str, dst: str) -> bool:
     """True when dst can be reached from src through successor links."""
     frontier = [src]
@@ -217,64 +222,45 @@ def search_paths(
         if all(part in map_graph.lanes for part in parts):
             pinned = parts
 
+    def from_prefix(
+        prefix: List[str], curve: Curve, require: Optional[str] = None
+    ) -> List[Tuple[str, ...]]:
+        """Sequences extending prefix, whose curve must be within the capture
+        distance, that pass through the required lane if one is given."""
+        s0, distance = project_point(curve, start.position)
+        if distance > lateral_capture:
+            raise AssociationError(
+                f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(prefix)!r} "
+                f"are out of reach for obstacle {start.obstacle_id!r}"
+            )
+        sequences = _enumerate_sequences(
+            map_graph, prefix, curve.length - s0, min_length, max_lanes, require
+        )
+        return [seq for seq in sequences if require is None or require in seq]
+
     if pinned is not None:
         for cur, nxt in zip(pinned, pinned[1:]):
             if nxt not in map_graph.lanes[cur].successor_ids:
                 raise AssociationError(
                     f"intention {intention_id!r}: lane {nxt!r} is not a successor of {cur!r}"
                 )
-        base_curve = _concat_centerlines(map_graph, pinned)
-        if _curve_distance(base_curve, start.position) > lateral_capture:
-            raise AssociationError(
-                f"obstacle {start.obstacle_id!r} is more than {lateral_capture} m "
-                f"from the lanes of intention {intention_id!r}"
-            )
-        s0, _ = project_point(base_curve, start.position)
-        sequences = _enumerate_sequences(
-            map_graph, pinned, base_curve.length - s0, min_length, max_lanes, None
-        )
-        return [
-            PathCandidate(
-                intention_id=intention_id,
-                lane_ids=lane_ids,
-                curve=_trimmed_curve(_concat_centerlines(map_graph, lane_ids), start.position),
-            )
-            for lane_ids in sorted(set(sequences))
-        ]
-
-    def reroot_at_required() -> List[Tuple[str, ...]]:
-        req_curve = map_graph.lanes[required_lane].centerline
-        if _curve_distance(req_curve, start.position) > lateral_capture:
-            raise AssociationError(
-                f"intention {intention_id!r}: exit lane {required_lane!r} is out of "
-                f"reach for obstacle {start.obstacle_id!r}"
-            )
-        s_req, _ = project_point(req_curve, start.position)
-        return _enumerate_sequences(
-            map_graph, [required_lane], req_curve.length - s_req, min_length, max_lanes, None
-        )
-
-    root = nearest_lane(map_graph, start.position, lateral_capture)
-    if root is None:
-        if required_lane is None:
+        sequences = from_prefix(pinned, _concat_centerlines(map_graph, pinned))
+    else:
+        root = nearest_lane(map_graph, start.position, lateral_capture)
+        if root is None and required_lane is None:
             raise AssociationError(
                 f"obstacle {start.obstacle_id!r} does not associate with any lane "
                 f"within {lateral_capture} m"
             )
-        sequences = reroot_at_required()
-    else:
-        require = required_lane
-        if require is not None and (root == require or _reachable(map_graph, require, root)):
-            require = None  # the exit's lane is the root or already behind the obstacle
-        root_curve = map_graph.lanes[root].centerline
-        s0, _ = project_point(root_curve, start.position)
-        sequences = _enumerate_sequences(
-            map_graph, [root], root_curve.length - s0, min_length, max_lanes, require
-        )
-        if require is not None:
-            sequences = [seq for seq in sequences if require in seq]
-            if not sequences:
-                sequences = reroot_at_required()
+        sequences = []
+        if root is not None:
+            require = required_lane
+            if require is not None and (root == require or _reachable(map_graph, require, root)):
+                require = None  # the exit's lane is the root or already behind the obstacle
+            # the root passed nearest_lane's capture test, so this cannot raise
+            sequences = from_prefix([root], map_graph.lanes[root].centerline, require)
+        if not sequences:  # no rooted sequence reaches the exit lane: re-root there
+            sequences = from_prefix([required_lane], map_graph.lanes[required_lane].centerline)
     return [
         PathCandidate(
             intention_id=intention_id,
@@ -337,8 +323,7 @@ class SpeedProfile:
         return s, v, effective_a
 
     def sample_times(self) -> List[float]:
-        steps = int(round(self.duration / self.resolution))
-        return [k * self.resolution for k in range(1, steps + 1)]
+        return time_grid(self.duration, self.resolution)
 
 
 def sample_profiles(
@@ -420,6 +405,8 @@ class GenerationConfig:
             raise ConfigError("accel_set must be nonempty")
         if self.horizon_secs <= 0.0 or self.resolution_secs <= 0.0:
             raise ConfigError("horizon_secs and resolution_secs must be positive")
+        if self.horizon_secs < self.resolution_secs:
+            raise ConfigError("horizon_secs must be at least resolution_secs")
         if self.v_max <= 0.0:
             raise ConfigError("v_max must be positive")
         if self.a_min > self.a_max:

@@ -126,32 +126,27 @@ def curvature_at_s(curve: Curve, s: float) -> float:
 
 
 def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
-    """Arc length and signed lateral offset of the closest point on the curve.
+    """Arc length of the closest point on the curve, and the distance to it.
 
-    The lateral offset is the perpendicular component relative to the
-    closest segment's direction, positive on the left of travel. Queries
-    beyond the curve ends clamp to the end vertices; equidistant segments
-    resolve to the smaller arc length.
+    Queries beyond the curve ends clamp to the end vertices; equidistant
+    segments resolve to the smaller arc length.
     """
     best_d2 = math.inf
-    best_s = 0.0
-    best_lateral = 0.0
+    best = (0.0, 0.0)
     pts = curve.points
     cum = curve.cumulative_s
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
         vx, vy = b.x - a.x, b.y - a.y
-        seg2 = vx * vx + vy * vy
-        t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / seg2
+        t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / (vx * vx + vy * vy)
         t = min(max(t, 0.0), 1.0)
         dx = p.x - (a.x + t * vx)
         dy = p.y - (a.y + t * vy)
         d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best_d2 = d2
-            best_s = cum[i] + t * (cum[i + 1] - cum[i])
-            best_lateral = (vx * dy - vy * dx) / math.sqrt(seg2)
-    return best_s, best_lateral
+            best = (cum[i] + t * (cum[i + 1] - cum[i]), math.hypot(dx, dy))
+    return best
 
 
 def tail_from(curve: Curve, s: float) -> Curve:

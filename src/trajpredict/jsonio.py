@@ -1,7 +1,8 @@
 """The JSON envelope shared by every stage: reading, validation, writing.
 
 Every input file is decoded by one decoder that refuses the NaN and
-Infinity literals, so no non-finite number enters the pipeline from a file.
+Infinity literals and any number literal that overflows to infinity (such
+as 1e400), so no non-finite number enters the pipeline from a file.
 Errors name the file and line: ParseError for malformed data, ConfigError
 for configuration documents that do not fit their dataclass.
 """
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence, Tuple
 from .errors import ConfigError, ParseError
 
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
-_CONSTANT = re.compile(r"NaN|Infinity")
+_LITERAL = re.compile(r"NaN|-?(?:Infinity|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
 
 class _NonFinite(ValueError):
@@ -28,7 +29,14 @@ def _reject_constant(name: str):
     raise _NonFinite(name)
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise _NonFinite(literal)
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def _decode(text: str, path: str, first_line: int):
@@ -38,9 +46,11 @@ def _decode(text: str, path: str, first_line: int):
     except json.JSONDecodeError as exc:
         line, message = exc.lineno, exc.msg
     except _NonFinite as exc:
-        # the literal's offset, with string contents blanked so they cannot match
+        # decoding stopped at the first token spelled like the refused literal;
+        # string contents are blanked so that they cannot match
         masked = _STRING.sub(lambda m: " " * len(m.group()), text)
-        line = masked.count("\n", 0, _CONSTANT.search(masked).start()) + 1
+        start = next(m.start() for m in _LITERAL.finditer(masked) if m.group() == str(exc))
+        line = masked.count("\n", 0, start) + 1
         message = f"non-finite number {exc}"
     raise ParseError(f"{path}:{first_line + line - 1}: invalid JSON: {message}")
 
@@ -91,6 +101,14 @@ def number(record: dict, key: str, path: str, lineno: int) -> float:
     if not _is_number(value):
         raise ParseError(f"{path}:{lineno}: key {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def string(record: dict, key: str, path: str, lineno: int) -> str:
+    """record[key], which must be a string."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise ParseError(f"{path}:{lineno}: key {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _config_value(path: str, key: str, value, default):

@@ -3,9 +3,10 @@
 Obstacle histories come from a JSON-lines log (one state per line), the lane
 and intersection-exit map from a single JSON document, and the ego vehicle's
 planned trajectory from an optional JSON-lines file. Loaded scenes are
-immutable; concurrent readers need no synchronization. Lane association
-(nearest_lane) and its capture distance live here too, because labeling and
-path search both associate positions with lanes.
+immutable; concurrent readers need no synchronization. Three decisions
+that labeling, generation and evaluation share live here too: the sample-time
+grid (time_grid, TIME_EPS), time interpolation of tracks and the ego plan,
+and lane association (nearest_lane) with its capture distance.
 """
 
 from __future__ import annotations
@@ -17,9 +18,31 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
-from .geometry import Curve, Point2, point_at_s, project_point, wrap_angle
+from .geometry import Curve, Point2, project_point, wrap_angle
 
 TIME_EPS = 1e-9
+
+
+def time_grid(span: float, step: float) -> list[float]:
+    """Sample times k*step for k = 1..floor(span/step + TIME_EPS): the grid of
+    labels and candidates alike, never past span beyond rounding."""
+    if step <= 0.0:
+        raise ValueError(f"time step must be positive, got {step}")
+    return [k * step for k in range(1, int(math.floor(span / step + TIME_EPS)) + 1)]
+
+
+def _bracket(times: Sequence[float], t: float) -> Tuple[int, float]:
+    """Index i and fraction u in [0, 1] placing t between times[i] and times[i + 1],
+    clamped to the first and last interval; (0, 0.0) for a single time."""
+    if len(times) == 1:
+        return 0, 0.0
+    i = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
+    u = (t - times[i]) / (times[i + 1] - times[i])
+    return i, min(max(u, 0.0), 1.0)
+
+
+def _lerp(a: Point2, b: Point2, u: float) -> Point2:
+    return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
 
 
 @dataclass(frozen=True)
@@ -50,6 +73,7 @@ class ObstacleTrack:
 
     obstacle_id: str
     states: Tuple[ObstacleState, ...]
+    times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.states:
@@ -59,7 +83,8 @@ class ObstacleTrack:
                 raise ValueError(
                     f"track {self.obstacle_id!r} contains state of {st.obstacle_id!r}"
                 )
-        times = [st.timestamp for st in self.states]
+        times = tuple(st.timestamp for st in self.states)
+        object.__setattr__(self, "times", times)
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise SceneIntegrityError(
                 f"non-monotonic timestamps within obstacle {self.obstacle_id!r}"
@@ -80,47 +105,29 @@ class ObstacleTrack:
     def covers(self, t: float) -> bool:
         return self.first_time - TIME_EPS <= t <= self.last_time + TIME_EPS
 
-    def _bracket(self, t: float) -> Tuple[ObstacleState, ObstacleState, float]:
-        times = [st.timestamp for st in self.states]
-        i = bisect_right(times, t) - 1
-        i = min(max(i, 0), len(times) - 2) if len(times) > 1 else 0
-        a = self.states[i]
-        b = self.states[min(i + 1, len(self.states) - 1)]
-        if b.timestamp == a.timestamp:
-            return a, b, 0.0
-        u = (t - a.timestamp) / (b.timestamp - a.timestamp)
-        return a, b, min(max(u, 0.0), 1.0)
+    def _interval(self, t: float) -> Tuple[ObstacleState, ObstacleState, float]:
+        if not self.covers(t):
+            raise CoverageError(
+                f"time {t} outside track {self.obstacle_id!r} span "
+                f"[{self.first_time}, {self.last_time}]"
+            )
+        i, u = _bracket(self.times, t)
+        return self.states[i], self.states[min(i + 1, len(self.states) - 1)], u
 
     def position_at(self, t: float) -> Point2:
         """Linearly interpolated position; t must be within the track span."""
-        if not self.covers(t):
-            raise CoverageError(
-                f"time {t} outside track {self.obstacle_id!r} span "
-                f"[{self.first_time}, {self.last_time}]"
-            )
-        a, b, u = self._bracket(t)
-        return Point2(
-            a.position.x + u * (b.position.x - a.position.x),
-            a.position.y + u * (b.position.y - a.position.y),
-        )
+        a, b, u = self._interval(t)
+        return _lerp(a.position, b.position, u)
 
     def state_at(self, t: float) -> ObstacleState:
         """Interpolated state at t: linear position/speed, shortest-path heading."""
-        if not self.covers(t):
-            raise CoverageError(
-                f"time {t} outside track {self.obstacle_id!r} span "
-                f"[{self.first_time}, {self.last_time}]"
-            )
-        a, b, u = self._bracket(t)
+        a, b, u = self._interval(t)
         if u == 0.0:
             return a
         heading = wrap_angle(a.heading + u * wrap_angle(b.heading - a.heading))
         return ObstacleState(
             timestamp=t,
-            position=Point2(
-                a.position.x + u * (b.position.x - a.position.x),
-                a.position.y + u * (b.position.y - a.position.y),
-            ),
+            position=_lerp(a.position, b.position, u),
             heading=heading,
             speed=a.speed + u * (b.speed - a.speed),
             obstacle_id=self.obstacle_id,
@@ -132,25 +139,25 @@ class EgoPlan:
     """The ego vehicle's previously planned trajectory."""
 
     poses: Tuple[Tuple[float, Point2], ...]
+    times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.poses:
             raise ValueError("ego plan has no poses")
-        times = [t for t, _ in self.poses]
+        times = tuple(t for t, _ in self.poses)
+        object.__setattr__(self, "times", times)
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise SceneIntegrityError("non-monotonic timestamps in ego plan")
 
     def position_at(self, t: float) -> Point2:
-        """Linearly interpolated pose; queries beyond coverage clamp to the ends."""
-        times = [tt for tt, _ in self.poses]
-        if t <= times[0]:
+        """Linearly interpolated pose; queries beyond coverage return the end
+        poses themselves, which a lerp at u = 1 would not reproduce exactly."""
+        if t <= self.times[0]:
             return self.poses[0][1]
-        if t >= times[-1]:
+        if t >= self.times[-1]:
             return self.poses[-1][1]
-        i = bisect_right(times, t) - 1
-        (t0, p0), (t1, p1) = self.poses[i], self.poses[i + 1]
-        u = (t - t0) / (t1 - t0)
-        return Point2(p0.x + u * (p1.x - p0.x), p0.y + u * (p1.y - p0.y))
+        i, u = _bracket(self.times, t)
+        return _lerp(self.poses[i][1], self.poses[i + 1][1], u)
 
 
 @dataclass(frozen=True)
@@ -210,15 +217,12 @@ def nearest_lane(
     """Lane whose centerline is nearest to position within the capture
     distance; ties resolve to the smaller lane id.
 
-    Distance is to the closest on-curve point, which equals the absolute
-    lateral offset for interior projections but, unlike it, does not treat a
-    lane as infinitely extended past its endpoints.
+    Distance is to the closest on-curve point, so a lane does not capture
+    positions beyond its endpoints along its extended line.
     """
     best: Optional[Tuple[float, str]] = None
     for lane in map_graph.sorted_lanes():
-        s, _ = project_point(lane.centerline, position)
-        closest, _ = point_at_s(lane.centerline, s)
-        distance = closest.distance_to(position)
+        _, distance = project_point(lane.centerline, position)
         if distance > lateral_capture:
             continue
         if best is None or distance < best[0]:
@@ -237,9 +241,7 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     """
     states_by_id: Dict[str, list[ObstacleState]] = {}
     for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
-        obstacle_id = record["obstacle_id"]
-        if not isinstance(obstacle_id, str):
-            raise ParseError(f"{path}:{lineno}: 'obstacle_id' must be a string")
+        obstacle_id = jsonio.string(record, "obstacle_id", path, lineno)
         t, x, y, heading, speed = (jsonio.number(record, k, path, lineno) for k in _STATE_KEYS)
         polygon = None
         if record.get("polygon") is not None:

@@ -123,6 +123,54 @@ MALFORMED_INPUTS = [
         1,
         id="zero_normalizer",
     ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        lambda text: text.replace('"z1": 5062.5', '"z1": 1e400'),
+        5,
+        id="overflowing_normalizer",
+    ),
+    pytest.param(
+        run_predict,
+        "--priors",
+        fixture("priors.jsonl"),
+        edit_first_line(obstacle_id=["x"]),
+        1,
+        id="list_prior_obstacle_id",
+    ),
+    pytest.param(
+        run_predict,
+        "--priors",
+        fixture("priors.jsonl"),
+        edit_first_line(intentions=[{"id": 5, "prior": 1.0}]),
+        1,
+        id="numeric_intention_id",
+    ),
+    pytest.param(
+        run_tune,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(anchor_time=None),
+        1,
+        id="null_dataset_anchor_time",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        edit_first_line(obstacle_id=5),
+        1,
+        id="numeric_prediction_obstacle_id",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"candidates":[[', '"candidates":[[-1.0,', 1),
+        None,
+        id="negative_candidate_subcost",
+    ),
 ]
 
 

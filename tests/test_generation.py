@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import intersection_map_dict, straight_track, write_json, write_jsonl
-from trajpredict.errors import AssociationError
+from trajpredict.annotation import label_future_trajectory
+from trajpredict.errors import AssociationError, ConfigError
 from trajpredict.generation import (
     GenerationConfig,
     IntentionPrior,
@@ -219,6 +222,22 @@ class TestSampleProfiles:
                 assert v == pytest.approx(min(v_max, max(0.0, v0 + a * t)), abs=1e-12)
 
 
+class TestSampleTimes:
+    def test_grid_stops_at_the_duration(self):
+        profile = SpeedProfile(v0=10.0, a=0.0, duration=0.38, resolution=0.1)
+        assert profile.sample_times()[-1] <= 0.38
+
+    @settings(max_examples=200, deadline=None)
+    @given(resolution=st.floats(0.01, 1.0), steps=st.floats(1.0, 50.0))
+    def test_candidate_times_equal_label_times(self, resolution, steps):
+        horizon = resolution * steps
+        path = PathCandidate("go", ("l",), Curve([(0, 0), (500, 0)]))
+        profile = SpeedProfile(v0=10.0, a=0.0, duration=horizon, resolution=resolution)
+        candidate = realize_trajectory(path, profile)
+        label = label_future_trajectory(straight_track(n=2, dt=horizon + 1.0), 0.0, horizon, resolution)
+        assert [p.t for p in candidate.points] == [t for t, _ in label.future_points]
+
+
 class TestRealizeTrajectory:
     def _straight_path(self, length=500.0, intention="go"):
         return PathCandidate(
@@ -279,9 +298,9 @@ class TestRealizeTrajectory:
             for profile in profiles:
                 traj = realize_trajectory(path, profile)
                 for p in traj.points:
-                    s, lateral = project_point(path.curve, p.position)
+                    s, distance = project_point(path.curve, p.position)
                     if s < path.curve.length - 1e-6:
-                        assert abs(lateral) <= 1e-6
+                        assert distance <= 1e-6
 
     def test_spacing_bounded_by_limits(self, imap):
         limits = KinematicLimits(a_min=-4.0, a_max=3.0, v_max=15.0)
@@ -335,9 +354,11 @@ class TestGenerationConfig:
         assert config.accel_set == (-2.0, 0.0, 1.0)
         assert config.limits == KinematicLimits(a_min=-6.0, a_max=4.0, v_max=25.0)
 
-    def test_unknown_keys_rejected(self, tmp_path):
-        from trajpredict.errors import ConfigError
+    def test_horizon_shorter_than_resolution_rejected(self):
+        with pytest.raises(ConfigError, match="horizon_secs"):
+            GenerationConfig(horizon_secs=0.05, resolution_secs=0.1)
 
+    def test_unknown_keys_rejected(self, tmp_path):
         path = write_json(tmp_path / "gen.json", {"acel_set": [1]})
         with pytest.raises(ConfigError, match="acel_set"):
             GenerationConfig.from_file(path)

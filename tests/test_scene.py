@@ -4,13 +4,14 @@ import random
 import pytest
 
 from conftest import make_track, write_json, write_jsonl
-from trajpredict.errors import ParseError, SceneIntegrityError
+from trajpredict.errors import CoverageError, ParseError, SceneIntegrityError
 from trajpredict.geometry import Point2
 from trajpredict.scene import (
     EgoPlan,
     load_map,
     load_obstacle_log,
     load_scene,
+    time_grid,
 )
 
 
@@ -127,7 +128,31 @@ class TestLoadScene:
         assert reloaded == track
 
 
+class TestTimeGrid:
+    def test_stops_at_the_span(self):
+        assert time_grid(0.38, 0.1) == [0.1, 2 * 0.1, 3 * 0.1]
+
+    def test_rounding_below_a_multiple_keeps_the_last_step(self):
+        assert 0.3 / 0.1 < 3.0
+        assert len(time_grid(0.3, 0.1)) == 3
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError):
+            time_grid(1.0, 0.0)
+
+
 class TestTrackInterpolation:
+    def test_outside_span_is_coverage_error(self):
+        track = make_track("a", [(0.0, 0.0, 0.0, 0.0, 5.0), (1.0, 5.0, 0.0, 0.0, 5.0)])
+        for lookup in (track.position_at, track.state_at):
+            with pytest.raises(CoverageError):
+                lookup(1.5)
+
+    def test_single_state_track_answers_at_its_time(self):
+        track = make_track("a", [(2.0, 3.0, 4.0, 0.0, 5.0)])
+        assert track.position_at(2.0) == Point2(3.0, 4.0)
+        assert track.state_at(2.0) is track.states[0]
+
     def test_state_at_exact_timestamp(self):
         track = make_track("a", [(0.0, 0.0, 0.0, 0.0, 5.0), (1.0, 5.0, 0.0, 0.0, 5.0)])
         st = track.state_at(1.0)
@@ -168,6 +193,14 @@ class TestEgoPlan:
         assert ego.position_at(1.0).x == pytest.approx(2.0)
         assert ego.position_at(-5.0).x == 0.0
         assert ego.position_at(99.0).x == 4.0
+
+    def test_end_poses_are_returned_exactly(self):
+        # a lerp at u = 1 gives 0.2 + (0.9 - 0.2) = 0.8999999999999999, not 0.9
+        first, last = Point2(0.2, 0.0), Point2(0.9, 0.0)
+        ego = EgoPlan(poses=((0.0, first), (1.0, last)))
+        assert ego.position_at(1.0) == last
+        assert ego.position_at(5.0) == last
+        assert ego.position_at(0.0) == first
 
     def test_non_monotonic_rejected(self):
         with pytest.raises(SceneIntegrityError):
