@@ -41,7 +41,6 @@ class TrajectoryLabel:
     obstacle_id: str
     anchor_time: float
     future_points: Tuple[Tuple[float, Point2], ...]
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,6 @@ def label_future_trajectory(
         obstacle_id=track.obstacle_id,
         anchor_time=anchor_time,
         future_points=tuple((rel, track.position_at(anchor_time + rel)) for rel in rels),
-        horizon=horizon,
     )
 
 
@@ -253,8 +251,6 @@ def build_dataset(
     horizon: float = DEFAULT_HORIZON_S,
     resolution: float = DEFAULT_RESOLUTION_S,
     min_history: float = 0.0,
-    exit_capture: float = DEFAULT_EXIT_CAPTURE_M,
-    lateral_capture: float = DEFAULT_LATERAL_CAPTURE_M,
 ) -> Tuple[list[dict], int]:
     """One labeled record per (obstacle, anchor) with enough future coverage.
 
@@ -270,10 +266,8 @@ def build_dataset(
             except CoverageError:
                 skipped += 1
                 continue
-            exit_label = label_exit_taken(track, anchor, map_graph, horizon, exit_capture)
-            lane_label = label_lane_sequence(
-                track, anchor, map_graph, horizon, resolution, lateral_capture
-            )
+            exit_label = label_exit_taken(track, anchor, map_graph, horizon)
+            lane_label = label_lane_sequence(track, anchor, map_graph, horizon, resolution)
             history = [
                 {
                     "t": st.timestamp,
@@ -300,6 +294,10 @@ def build_dataset(
 
 
 def load_dataset_records(path: str) -> list[dict]:
-    """Parse a JSON-lines dataset file, validating the record shape."""
-    keys = ("road_test_id", "history", "future")
-    return [record for _, record in iter_anchor_records(path, keys)]
+    """Parse a JSON-lines dataset file, validating the record shape: every
+    future row is [t, x, y]."""
+    records = []
+    for lineno, record in iter_anchor_records(path, ("road_test_id", "history", "future")):
+        jsonio.rows(record, "future", 3, path, lineno)
+        records.append(record)
+    return records

@@ -154,23 +154,21 @@ def hinge_subgradient(
 def tune_weights(
     examples: Sequence[TuningExample],
     config: TunerConfig,
-    theta_init: Optional[Sequence[float]] = None,
 ) -> Tuple[np.ndarray, List[float]]:
     """Projected subgradient descent on the hinge objective.
 
-    Steps theta against the subgradient, clamping componentwise at zero, and
-    stops at max_iters, at zero loss, or when the loss change over a full
-    pass drops below convergence_tol. Returns the final weights and the
-    per-iteration loss history (the first entry is the initial loss). The
-    procedure is deterministic for fixed inputs and configuration.
+    Starts at config.theta_init, steps theta against the subgradient,
+    clamping componentwise at zero, and stops at max_iters, at zero loss,
+    or when the loss change over a full pass drops below convergence_tol.
+    Returns the final weights and the per-iteration loss history (the first
+    entry is the initial loss). The procedure is deterministic for fixed
+    inputs and configuration.
     """
     if not examples:
         raise ValueError("cannot tune on an empty example list")
     ordered = sorted(examples, key=lambda ex: (ex.key is None, ex.key))
     diffs = _stack(ordered)
-    theta = np.asarray(theta_init if theta_init is not None else config.theta_init, dtype=float)
-    if theta.shape != (3,):
-        raise ValueError(f"theta must have 3 components, got shape {theta.shape}")
+    theta = np.asarray(config.theta_init, dtype=float)
     loss, grad = _hinge(diffs, theta, config.delta)
     if not math.isfinite(loss):
         raise PipelineError(f"non-finite tuning loss {loss}; inputs are corrupt")
@@ -205,21 +203,9 @@ def extract_examples(
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
     examples = []
     for key, pred, data in joined:
-        label = TrajectoryLabel(
-            obstacle_id=key[0],
-            anchor_time=key[1],
-            future_points=tuple(timed_points(data["future"])),
-            horizon=data["future"][-1][0] if data["future"] else 0.0,
-        )
+        label = TrajectoryLabel(key[0], key[1], tuple(timed_points(data["future"])))
         try:
-            z1, z2 = float(pred["z1"]), float(pred["z2"])
-        except KeyError as exc:
-            raise JoinError(f"prediction record {key} lacks normalizer {exc}") from exc
-        try:
-            gt = ground_truth_subcosts(label, ego, z1, z2)
-        except ValueError as exc:
-            raise JoinError(f"anchor {key}: {exc}") from exc
-        try:
+            gt = ground_truth_subcosts(label, ego, float(pred["z1"]), float(pred["z2"]))
             candidates = tuple(
                 (float(c[0]), float(c[1]), float(c[2]))
                 for entry in pred["intentions"]

@@ -53,7 +53,7 @@ def cmd_annotate(args) -> int:
     _positive(args.resolution, "resolution")
     if args.min_history < 0.0:
         raise ConfigError(f"--min-history must be nonnegative, got {args.min_history}")
-    tracks, map_graph, _ = load_scene(args.log, args.map, args.ego)
+    tracks, map_graph, _ = load_scene(args.log, args.map)
     road_test_id = args.road_test_id or os.path.splitext(os.path.basename(args.log))[0]
     records, skipped = annotation.build_dataset(
         tracks,
@@ -178,21 +178,14 @@ def cmd_tune(args) -> int:
     if not examples:
         raise PipelineError("no tuning examples: prediction and dataset keys do not overlap")
 
-    normalizers = {(float(r["z1"]), float(r["z2"])) for r in predictions if "z1" in r}
+    normalizers = {(float(r["z1"]), float(r["z2"])) for r in predictions}
     if len(normalizers) != 1:
         raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
     z1, z2 = next(iter(normalizers))
 
     theta, history = autotune.tune_weights(examples, config)
-    out = {
-        "theta_acc": float(theta[0]),
-        "theta_centripetal": float(theta[1]),
-        "theta_collision": float(theta[2]),
-        "z1": z1,
-        "z2": z2,
-        "final_loss": history[-1],
-        "iterations": len(history) - 1,
-    }
+    weights = costing.CostWeights(*(float(v) for v in theta), z1=z1, z2=z2)
+    out = {**weights.to_dict(), "final_loss": history[-1], "iterations": len(history) - 1}
     _write_atomic(args.out, jsonio.dumps(out) + "\n")
     print(
         jsonio.dumps(
@@ -244,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="label logged tracks into a ground-truth dataset")
     p.add_argument("--log", required=True, help="obstacle log (JSON-lines)")
     p.add_argument("--map", required=True, help="lane/exit map (JSON)")
-    p.add_argument("--ego", default=None, help="ego plan (JSON-lines), optional")
     p.add_argument("--horizon", type=float, required=True, help="label horizon, seconds")
     p.add_argument("--stride", type=float, required=True, help="anchor stride, seconds")
     p.add_argument("--resolution", type=float, default=0.1, help="label resolution, seconds")

@@ -14,13 +14,13 @@ with the ego plan pose interpolated at the same absolute timestamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
 from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
-from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile
+from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
 from .geometry import Point2
 from .scene import EgoPlan
 
@@ -58,24 +58,13 @@ class CostWeights:
         iterations) are ignored."""
         doc = jsonio.read_config(path)
         try:
-            return cls(
-                theta_acc=float(doc["theta_acc"]),
-                theta_centripetal=float(doc["theta_centripetal"]),
-                theta_collision=float(doc["theta_collision"]),
-                z1=float(doc["z1"]),
-                z2=float(doc["z2"]),
-            )
+            return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: invalid weights file: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "theta_acc": self.theta_acc,
-            "theta_centripetal": self.theta_centripetal,
-            "theta_collision": self.theta_collision,
-            "z1": self.z1,
-            "z2": self.z2,
-        }
+        """The weights-file document: the five fields in declaration order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ def sum_proximity(
     same absolute time. Zero without an ego plan."""
     if z2 <= 0.0:
         raise ValueError(f"z2 must be positive, got {z2}")
-    if ego is None or not ego.poses:
+    if ego is None:
         return 0.0
     terms = []
     for t, position in timed_positions:
@@ -191,7 +180,6 @@ class IntentionRanking:
     likelihood: float
     posterior: float
     best_trajectory: CandidateTrajectory
-    best_breakdown: CostBreakdown
     candidate_breakdowns: Tuple[CostBreakdown, ...]
 
 
@@ -220,70 +208,44 @@ def rank_intentions(
 
     Posteriors are invariant to a constant shift of every min cost, so they
     are normalized relative to the cheapest intention; this keeps Z strictly
-    positive even when the raw exp(-C) likelihoods underflow to zero.
+    positive even when the raw exp(-C) likelihoods underflow to zero. The
+    priors are renormalized by normalize_priors, which refuses empty,
+    negative or zero-mass priors with ValueError.
     """
-    if not priors:
-        raise ValueError("no intention priors supplied")
-    total_prior = math.fsum(p.prior for p in priors)
-    if any(p.prior < 0.0 for p in priors) or total_prior <= 0.0:
-        raise ValueError("priors must be nonnegative with positive total mass")
-
-    scored = []
-    for p in sorted(priors, key=lambda item: item.intention_id):
+    costed = []
+    for p in normalize_priors(sorted(priors, key=lambda item: item.intention_id)):
         candidates = candidates_by_intention.get(p.intention_id)
         if not candidates:
             raise ValueError(
                 f"intention {p.intention_id!r} has a prior but no candidate trajectories"
             )
-        breakdowns = [total_cost(c, ego, weights, anchor_time) for c in candidates]
-        best_idx = min(
+        breakdowns = tuple(total_cost(c, ego, weights, anchor_time) for c in candidates)
+        best = min(
             range(len(candidates)),
-            key=lambda i: (
-                breakdowns[i].total,
-                abs(candidates[i].source_profile.a),
-                i,
-            ),
+            key=lambda i: (breakdowns[i].total, abs(candidates[i].source_profile.a), i),
         )
-        min_cost = breakdowns[best_idx].total
-        scored.append(
-            {
-                "intention_id": p.intention_id,
-                "prior": p.prior / total_prior,
-                "min_cost": min_cost,
-                "likelihood": likelihood(min_cost),
-                "best_idx": best_idx,
-                "candidates": candidates,
-                "breakdowns": breakdowns,
-            }
-        )
+        costed.append((p, candidates[best], breakdowns[best].total, breakdowns))
 
-    cheapest = min(item["min_cost"] for item in scored)
-    masses = [item["prior"] * math.exp(cheapest - item["min_cost"]) for item in scored]
+    cheapest = min(min_cost for _, _, min_cost, _ in costed)
+    masses = [p.prior * math.exp(cheapest - min_cost) for p, _, min_cost, _ in costed]
     z = math.fsum(masses)
-    rankings = []
-    selected = None
-    for item, mass in zip(scored, masses):
-        posterior = mass / z
-        rankings.append(
-            IntentionRanking(
-                intention_id=item["intention_id"],
-                prior=item["prior"],
-                min_cost=item["min_cost"],
-                likelihood=item["likelihood"],
-                posterior=posterior,
-                best_trajectory=item["candidates"][item["best_idx"]],
-                best_breakdown=item["breakdowns"][item["best_idx"]],
-                candidate_breakdowns=tuple(item["breakdowns"]),
-            )
+    rankings = tuple(
+        IntentionRanking(
+            intention_id=p.intention_id,
+            prior=p.prior,
+            min_cost=min_cost,
+            likelihood=likelihood(min_cost),
+            posterior=mass / z,
+            best_trajectory=best_trajectory,
+            candidate_breakdowns=breakdowns,
         )
-        if selected is None or posterior > selected[0]:
-            selected = (posterior, item["intention_id"])
-
+        for (p, best_trajectory, min_cost, breakdowns), mass in zip(costed, masses)
+    )
     return PredictionResult(
         obstacle_id=obstacle_id,
         anchor_time=anchor_time,
-        intentions=tuple(rankings),
-        selected_intention=selected[1],
+        intentions=rankings,
+        selected_intention=max(rankings, key=lambda r: r.posterior).intention_id,
     )
 
 
@@ -341,13 +303,24 @@ def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
 def load_prediction_records(path: str) -> List[dict]:
     """Parse a JSON-lines prediction file, validating the record shape.
 
-    The normalizers a record carries must be positive: the tuner divides by them.
+    Every record carries positive normalizers z1 and z2 (the tuner divides
+    by them) and a list of intentions whose best-trajectory points are
+    [t, x, y, v, kappa, a] rows and whose candidates are sub-cost rows.
     """
     records = []
-    for lineno, record in iter_anchor_records(path, ("selected_intention", "intentions")):
+    keys = ("selected_intention", "intentions", "z1", "z2")
+    for lineno, record in iter_anchor_records(path, keys):
         for key in ("z1", "z2"):
-            if key in record and jsonio.number(record, key, path, lineno) <= 0.0:
+            if jsonio.number(record, key, path, lineno) <= 0.0:
                 raise ParseError(f"{path}:{lineno}: normalizer {key!r} must be positive")
+        intentions = record["intentions"]
+        if not isinstance(intentions, list) or not all(
+            isinstance(entry, dict) and "intention_id" in entry for entry in intentions
+        ):
+            raise ParseError(f"{path}:{lineno}: 'intentions' must be a list of intention objects")
+        for entry in intentions:
+            jsonio.rows(entry.get("best_trajectory"), "points", 6, path, lineno)
+            jsonio.rows(entry, "candidates", 4, path, lineno)
         records.append(record)
     return records
 

@@ -101,9 +101,9 @@ def heuristic_exit_priors(
         misalignment = abs(wrap_angle(bearing - state.heading))
         scores.append((ex.exit_id, -misalignment / temperature))
     peak = max(score for _, score in scores)
-    weights = [(exit_id, math.exp(score - peak)) for exit_id, score in scores]
-    total = math.fsum(w for _, w in weights)
-    return [IntentionPrior(exit_id, w / total) for exit_id, w in weights]
+    return normalize_priors(
+        [IntentionPrior(exit_id, math.exp(score - peak)) for exit_id, score in scores]
+    )
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,6 @@ def search_paths(
     map_graph: MapGraph,
     min_length: float,
     max_lanes: int,
-    lateral_capture: float = DEFAULT_LATERAL_CAPTURE_M,
 ) -> List[PathCandidate]:
     """Lane-sequence search for one intention from the obstacle's position.
 
@@ -228,7 +227,7 @@ def search_paths(
         """Sequences extending prefix, whose curve must be within the capture
         distance, that pass through the required lane if one is given."""
         s0, distance = project_point(curve, start.position)
-        if distance > lateral_capture:
+        if distance > DEFAULT_LATERAL_CAPTURE_M:
             raise AssociationError(
                 f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(prefix)!r} "
                 f"are out of reach for obstacle {start.obstacle_id!r}"
@@ -246,11 +245,11 @@ def search_paths(
                 )
         sequences = from_prefix(pinned, _concat_centerlines(map_graph, pinned))
     else:
-        root = nearest_lane(map_graph, start.position, lateral_capture)
+        root = nearest_lane(map_graph, start.position)
         if root is None and required_lane is None:
             raise AssociationError(
                 f"obstacle {start.obstacle_id!r} does not associate with any lane "
-                f"within {lateral_capture} m"
+                f"within {DEFAULT_LATERAL_CAPTURE_M} m"
             )
         sequences = []
         if root is not None:

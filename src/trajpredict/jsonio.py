@@ -111,6 +111,17 @@ def string(record: dict, key: str, path: str, lineno: int) -> str:
     return value
 
 
+def rows(record, key: str, width: int, path: str, lineno: int) -> list:
+    """record[key] as a list of lists of at least width entries each; only
+    the shape is checked, not the entries."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, list) or any(
+        not isinstance(row, list) or len(row) < width for row in value
+    ):
+        raise ParseError(f"{path}:{lineno}: {key!r} must be a list of rows of {width}+ numbers")
+    return value
+
+
 def _config_value(path: str, key: str, value, default):
     """value checked against the type of the field's default. Lists become
     tuples of floats where the default is a tuple; ints pass for floats."""

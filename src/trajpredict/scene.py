@@ -2,7 +2,8 @@
 
 Obstacle histories come from a JSON-lines log (one state per line), the lane
 and intersection-exit map from a single JSON document, and the ego vehicle's
-planned trajectory from an optional JSON-lines file. Loaded scenes are
+planned trajectory from an optional JSON-lines file. The loaders read only
+the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Three decisions
 that labeling, generation and evaluation share live here too: the sample-time
 grid (time_grid, TIME_EPS), time interpolation of tracks and the ego plan,
@@ -54,7 +55,6 @@ class ObstacleState:
     heading: float
     speed: float
     obstacle_id: str
-    polygon: Optional[Tuple[Point2, ...]] = None
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp):
@@ -165,7 +165,6 @@ class Lane:
     lane_id: str
     centerline: Curve
     successor_ids: Tuple[str, ...] = ()
-    speed_limit: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,10 @@ class IntersectionExit:
 
 @dataclass(frozen=True)
 class MapGraph:
-    """Lane graph plus intersection exits and optional intersection polygon."""
+    """Lane graph plus intersection exits."""
 
     lanes: Dict[str, Lane] = field(default_factory=dict)
     exits: Dict[str, IntersectionExit] = field(default_factory=dict)
-    intersection_polygon: Optional[Tuple[Point2, ...]] = None
 
     def __post_init__(self):
         for lane in self.lanes.values():
@@ -243,12 +241,6 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
         obstacle_id = jsonio.string(record, "obstacle_id", path, lineno)
         t, x, y, heading, speed = (jsonio.number(record, k, path, lineno) for k in _STATE_KEYS)
-        polygon = None
-        if record.get("polygon") is not None:
-            try:
-                polygon = tuple(Point2(float(px), float(py)) for px, py in record["polygon"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed 'polygon'") from exc
         try:
             state = ObstacleState(
                 timestamp=t,
@@ -256,7 +248,6 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
                 heading=wrap_angle(heading),
                 speed=speed,
                 obstacle_id=obstacle_id,
-                polygon=polygon,
             )
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
@@ -269,6 +260,13 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     return tracks
 
 
+def _map_entries(doc: dict, key: str, path: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"{path}: {key!r} must be a list of objects")
+    return entries
+
+
 def load_map(path: str) -> MapGraph:
     """Parse the single-document JSON map file into a validated MapGraph."""
     doc = jsonio.read_json(path)
@@ -276,7 +274,7 @@ def load_map(path: str) -> MapGraph:
         raise ParseError(f"{path}:1: map file must be a JSON object")
 
     lanes: Dict[str, Lane] = {}
-    for entry in doc.get("lanes", []):
+    for entry in _map_entries(doc, "lanes", path):
         lane_id = entry.get("id")
         if not isinstance(lane_id, str):
             raise ParseError(f"{path}: lane entry without a string 'id'")
@@ -286,20 +284,20 @@ def load_map(path: str) -> MapGraph:
             centerline = Curve(entry["centerline"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: lane {lane_id!r}: bad centerline: {exc}") from exc
-        lanes[lane_id] = Lane(
-            lane_id=lane_id,
-            centerline=centerline,
-            successor_ids=tuple(entry.get("successors", [])),
-            speed_limit=entry.get("speed_limit"),
-        )
+        successors = entry.get("successors", [])
+        if not isinstance(successors, list) or not all(isinstance(s, str) for s in successors):
+            raise ParseError(f"{path}: lane {lane_id!r}: 'successors' must be a list of lane ids")
+        lanes[lane_id] = Lane(lane_id, centerline, tuple(successors))
 
     exits: Dict[str, IntersectionExit] = {}
-    for entry in doc.get("exits", []):
+    for entry in _map_entries(doc, "exits", path):
         exit_id = entry.get("id")
         if not isinstance(exit_id, str):
             raise ParseError(f"{path}: exit entry without a string 'id'")
         if exit_id in exits:
             raise SceneIntegrityError(f"duplicate exit id {exit_id!r}")
+        if not isinstance(entry.get("lane_id"), str):
+            raise ParseError(f"{path}: exit {exit_id!r}: 'lane_id' must be a string")
         try:
             exits[exit_id] = IntersectionExit(
                 exit_id=exit_id,
@@ -310,14 +308,7 @@ def load_map(path: str) -> MapGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: exit {exit_id!r}: {exc}") from exc
 
-    polygon = None
-    if doc.get("intersection_polygon") is not None:
-        try:
-            polygon = tuple(Point2(float(x), float(y)) for x, y in doc["intersection_polygon"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed 'intersection_polygon'") from exc
-
-    return MapGraph(lanes=lanes, exits=exits, intersection_polygon=polygon)
+    return MapGraph(lanes=lanes, exits=exits)
 
 
 def load_ego_plan(path: str) -> EgoPlan:

@@ -185,9 +185,13 @@ def test_criterion_4_planted_weights_recovery():
         train = planted_examples(rng, 200)
         held_out = planted_examples(rng, 100)
         config = TunerConfig(
-            delta=0.1, learning_rate=0.002, max_iters=5000, convergence_tol=0.0
+            delta=0.1,
+            learning_rate=0.002,
+            max_iters=5000,
+            convergence_tol=0.0,
+            theta_init=(1.0, 1.0, 1.0),
         )
-        theta, history = tune_weights(train, config, theta_init=(1.0, 1.0, 1.0))
+        theta, history = tune_weights(train, config)
         assert history[-1] < 1e-6
 
         wins = 0

@@ -27,7 +27,6 @@ def label_from_points(points, obstacle_id="veh", anchor=0.0):
         obstacle_id=obstacle_id,
         anchor_time=anchor,
         future_points=tuple(points),
-        horizon=points[-1][0],
     )
 
 

@@ -68,6 +68,20 @@ def run_tune(tmp_path, out="tuned.json", **overrides):
     return main(argv), str(tmp_path / out)
 
 
+def run_eval(tmp_path, out="report.json", **overrides):
+    """Evaluate the golden predictions against the golden dataset."""
+    args = {
+        "--predictions": golden("predictions.jsonl"),
+        "--dataset": golden("dataset.jsonl"),
+        "--out": str(tmp_path / out),
+    }
+    args.update(overrides)
+    argv = ["eval"]
+    for key, value in args.items():
+        argv += [key, value]
+    return main(argv), str(tmp_path / out)
+
+
 def edit_document(**changes):
     return lambda text: json.dumps({**json.loads(text), **changes})
 
@@ -76,6 +90,15 @@ def edit_first_line(**changes):
     def edit(text):
         first, rest = text.split("\n", 1)
         return json.dumps({**json.loads(first), **changes}) + "\n" + rest
+
+    return edit
+
+
+def edit_first_map_entry(kind, **changes):
+    def edit(text):
+        doc = json.loads(text)
+        doc[kind][0].update(changes)
+        return json.dumps(doc)
 
     return edit
 
@@ -171,6 +194,78 @@ MALFORMED_INPUTS = [
         None,
         id="negative_candidate_subcost",
     ),
+    pytest.param(
+        run_tune,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, 1.0]]),
+        1,
+        id="short_future_row_tune",
+    ),
+    pytest.param(
+        run_eval,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, 1.0]]),
+        1,
+        id="short_future_row_eval",
+    ),
+    pytest.param(
+        run_eval,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"points":[[', '"points":[[0.1,1.0],[', 1),
+        1,
+        id="short_point_row",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"candidates":[[', '"candidates":[[1.0],[', 1),
+        1,
+        id="short_candidate_row",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        edit_first_line(intentions=5),
+        1,
+        id="numeric_intentions_tune",
+    ),
+    pytest.param(
+        run_eval,
+        "--predictions",
+        golden("predictions.jsonl"),
+        edit_first_line(intentions=5),
+        1,
+        id="numeric_intentions_eval",
+    ),
+    pytest.param(
+        run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_document(lanes=5),
+        None,
+        id="numeric_map_lanes",
+    ),
+    pytest.param(
+        run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("exits", lane_id=["x"]),
+        None,
+        id="list_exit_lane_id",
+    ),
+    pytest.param(
+        run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("lanes", successors=5),
+        None,
+        id="numeric_lane_successors",
+    ),
 ]
 
 
@@ -198,6 +293,10 @@ class TestAnnotateCommand:
 
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert main(["annotate", "--map", fixture("map.json")]) == 2
+
+    def test_ego_flag_is_usage_error(self, tmp_path):
+        code, out = run_annotate(tmp_path, **{"--ego": fixture("ego.jsonl")})
+        assert code == 2 and not os.path.exists(out)
 
     def test_zero_horizon_is_usage_error(self, tmp_path):
         code, _ = run_annotate(tmp_path, **{"--horizon": "0"})

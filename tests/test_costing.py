@@ -286,6 +286,19 @@ class TestRankIntentions:
                 weights,
             )
 
+    @pytest.mark.parametrize(
+        "priors",
+        [[], [Prior("go", -0.5), Prior("stop", 1.0)], [Prior("go", 0.0), Prior("stop", 0.0)]],
+        ids=["empty", "negative", "zero_mass"],
+    )
+    def test_invalid_priors_are_refused(self, priors):
+        candidates = {
+            "go": [trajectory_with_cost(1.0, intention="go")],
+            "stop": [trajectory_with_cost(1.0, intention="stop")],
+        }
+        with pytest.raises(ValueError, match="priors"):
+            rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
+
     def test_best_candidate_is_argmin_with_profile_tiebreak(self):
         weights = CostWeights(0.0, 1.0, 1.0, 1.0, 1.0)  # accel ignored: all totals zero
         fast = trajectory_with_cost(4.0, intention="go", a_mag=2.0)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,22 +273,16 @@ class TestRealizeTrajectory:
             a = rng.uniform(-5.0, 4.0)
             v_max = rng.uniform(4.0, 25.0)
             profile = SpeedProfile(v0=v0, a=a, duration=4.0, resolution=0.1, v_max=v_max)
-            # midpoint-rule oracle at 1e-5 s steps
+            # midpoint-rule oracle at 1e-5 s steps; each 0.1 s chunk is summed
+            # exactly once and the distance at 0.1*k is the sum of k chunk sums
             h = 1e-5
-            s_oracle = 0.0
-            checkpoints = {}
             steps = int(round(4.0 / h))
-            acc = []
-            for i in range(steps):
-                tm = (i + 0.5) * h
-                acc.append(min(v_max, max(0.0, v0 + a * tm)))
-                t_now = (i + 1) * h
-                k = round(t_now / 0.1)
-                if abs(t_now - k * 0.1) < h / 2 and k >= 1:
-                    checkpoints[k] = math.fsum(acc) * h
+            midpoints = (np.arange(steps) + 0.5) * h
+            speeds = np.minimum(v_max, np.maximum(0.0, v0 + a * midpoints))
+            chunk_sums = [math.fsum(chunk) for chunk in speeds.reshape(40, -1).tolist()]
             traj = realize_trajectory(self._straight_path(), profile)
             for k, p in enumerate(traj.points, start=1):
-                assert abs(p.position.x - checkpoints[k]) < 1e-8
+                assert abs(p.position.x - math.fsum(chunk_sums[:k]) * h) < 1e-8
 
     def test_point_positions_stay_on_path(self, imap):
         profiles = sample_profiles(

@@ -95,13 +95,15 @@ class TestLoadScene:
         (track,) = load_obstacle_log(log)
         assert track.states[0].heading == pytest.approx(math.pi)
 
-    def test_optional_polygon_roundtrips(self, tmp_path):
+    def test_unread_keys_are_ignored(self, tmp_path):
         row = state_row("a", 0.0, 0.0, 0.0)
-        row["polygon"] = [[-1.0, -0.5], [1.0, -0.5], [1.0, 0.5], [-1.0, 0.5]]
-        log = write_jsonl(tmp_path / "log.jsonl", [row])
-        (track,) = load_obstacle_log(log)
-        polygon = track.states[0].polygon
-        assert [[p.x, p.y] for p in polygon] == row["polygon"]
+        log = write_jsonl(tmp_path / "plain.jsonl", [row])
+        extra = write_jsonl(tmp_path / "extra.jsonl", [{**row, "polygon": "not a polygon"}])
+        assert load_obstacle_log(extra) == load_obstacle_log(log)
+        lane = {"id": "l1", "centerline": [[0, 0], [1, 0]], "speed_limit": "fast"}
+        doc = {"lanes": [lane], "intersection_polygon": 5}
+        map_graph = load_map(write_json(tmp_path / "map.json", doc))
+        assert list(map_graph.lanes) == ["l1"]
 
     def test_deterministic_reload(self, tmp_path):
         rows = [state_row("a", k * 0.1, k * 1.0, 0.5, 0.1, 3.0) for k in range(20)]
