@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .errors import CoverageError, JoinError
+from .errors import CoverageError, JoinError, ParseError
 from .geometry import Point2
 from .scene import (
     DEFAULT_LATERAL_CAPTURE_M,
     TIME_EPS,
     MapGraph,
     ObstacleTrack,
+    TimedPoint,
     nearest_lane,
     time_grid,
 )
@@ -40,7 +41,7 @@ class TrajectoryLabel:
 
     obstacle_id: str
     anchor_time: float
-    future_points: Tuple[Tuple[float, Point2], ...]
+    future_points: Tuple[TimedPoint, ...]
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def label_future_trajectory(
 
 def _future_polyline(
     track: ObstacleTrack, anchor_time: float, horizon: float
-) -> list[Tuple[float, Point2]]:
+) -> list[TimedPoint]:
     """Timestamped vertices of the future sub-track, clipped to the horizon."""
     end_time = min(anchor_time + horizon, track.last_time)
     if end_time <= anchor_time + TIME_EPS:
@@ -103,7 +104,7 @@ def _future_polyline(
 
 
 def _earliest_capture_time(
-    polyline: Sequence[Tuple[float, Point2]], target: Point2, radius: float
+    polyline: Sequence[TimedPoint], target: Point2, radius: float
 ) -> Optional[float]:
     """Earliest time at which the piecewise-linear path enters the capture disk."""
     r2 = radius * radius
@@ -237,7 +238,7 @@ def iter_anchor_records(path: str, required: Sequence[str]) -> Iterator[Tuple[in
         yield lineno, record
 
 
-def timed_points(rows: Iterable[Sequence[float]]) -> List[Tuple[float, Point2]]:
+def timed_points(rows: Iterable[Sequence[float]]) -> List[TimedPoint]:
     """(t, position) per [t, x, y, ...] row of a label's future or a trajectory's points."""
     return [(row[0], Point2(row[1], row[2])) for row in rows]
 
@@ -295,9 +296,12 @@ def build_dataset(
 
 def load_dataset_records(path: str) -> list[dict]:
     """Parse a JSON-lines dataset file, validating the record shape: every
-    future row is [t, x, y]."""
+    future row is [t, x, y], with strictly increasing times (the tuner
+    differences positions over them)."""
     records = []
-    for lineno, record in iter_anchor_records(path, ("road_test_id", "history", "future")):
-        jsonio.rows(record, "future", 3, path, lineno)
+    for lineno, record in iter_anchor_records(path, ("future",)):
+        future = jsonio.rows(record, "future", 3, path, lineno)
+        if any(b[0] <= a[0] for a, b in zip(future, future[1:])):
+            raise ParseError(f"{path}:{lineno}: 'future' times must strictly increase")
         records.append(record)
     return records

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import jsonio
 from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor, timed_points
-from .costing import sum_proximity, sum_squared_accels, sum_squared_centripetal
+from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
 from .geometry import menger_curvature
-from .scene import EgoPlan
+from .scene import EgoPlan, Trajectory
 
 SubCosts = Tuple[float, float, float]
 
@@ -92,7 +92,8 @@ def ground_truth_subcosts(
     Speeds come from central finite differences of the label positions,
     accelerations from central differences of the speeds, and curvature from
     the circumradius of consecutive point triples, so the result is directly
-    comparable with candidate sub-costs computed from exact profiles.
+    comparable with candidate sub-costs computed from exact profiles: both
+    are costed as a Trajectory by the same three functions.
     """
     points = label.future_points
     if len(points) < 3:
@@ -111,11 +112,11 @@ def ground_truth_subcosts(
     ]
     # endpoints have no bracketing triple; copy the nearest interior estimate
     curvatures = [interior[0]] + interior + [interior[-1]]
-
+    truth = Trajectory(points, tuple(speeds), tuple(curvatures), tuple(accels))
     return (
-        sum_squared_accels(accels),
-        sum_squared_centripetal(speeds, curvatures, z1),
-        sum_proximity(points, ego, z2, label.anchor_time),
+        cost_acc(truth),
+        cost_centripetal(truth, z1),
+        cost_collision(truth, ego, z2, label.anchor_time),
     )
 
 
@@ -207,11 +208,9 @@ def extract_examples(
         try:
             gt = ground_truth_subcosts(label, ego, float(pred["z1"]), float(pred["z2"]))
             candidates = tuple(
-                (float(c[0]), float(c[1]), float(c[2]))
-                for entry in pred["intentions"]
-                for c in entry["candidates"]
+                tuple(c[:3]) for entry in pred["intentions"] for c in entry["candidates"]
             )
             examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates, key=key))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise JoinError(f"anchor {key}: {exc}") from exc
     return examples, skipped

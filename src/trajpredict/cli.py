@@ -215,7 +215,10 @@ def cmd_eval(args) -> int:
     horizons = _parse_horizons(args.horizons)
     predictions = costing.load_prediction_records(args.predictions)
     dataset = annotation.load_dataset_records(args.dataset)
-    report = evaluation.evaluate_run(predictions, dataset, horizons)
+    try:
+        report = evaluation.evaluate_run(predictions, dataset, horizons)
+    except ValueError as exc:  # a prediction and its label on different time grids
+        raise PipelineError(f"{args.predictions}, {args.dataset}: {exc}") from exc
     _write_atomic(args.out, jsonio.dumps(report) + "\n")
 
     print(f"{'horizon':>8}  {'ade':>10}  {'fde':>10}  {'count':>6}")

@@ -1,10 +1,11 @@
 """Trajectory costing, likelihood, and posterior ranking.
 
-Each candidate trajectory is scored by three penalties: squared longitudinal
-acceleration (comfort), squared centripetal acceleration (lateral comfort),
-and an exponential proximity kernel against the ego vehicle's planned
-trajectory (safety). The weighted total maps to a likelihood exp(-C), and
-per-intention likelihoods reweight the intention priors into posteriors.
+Every trajectory, a sampled candidate or a labeled ground truth, is scored
+by three penalties: squared longitudinal acceleration (comfort), squared
+centripetal acceleration (lateral comfort), and an exponential proximity
+kernel against the ego vehicle's planned trajectory (safety). The weighted
+total maps to a likelihood exp(-C), and per-intention likelihoods reweight
+the intention priors into posteriors.
 
 The exponential collision kernel exp(-d^2) decays with distance, so closer
 encounters cost more; the per-point distance d aligns the candidate point
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
 from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
-from .geometry import Point2
-from .scene import EgoPlan
+from .scene import EgoPlan, TimedPoint, Trajectory
 
 REFERENCE_SPEED = 15.0  # m/s, renders centripetal sub-costs O(1)
 REFERENCE_CURVATURE = 0.05  # 1/m
@@ -75,51 +75,21 @@ class CostBreakdown:
     total: float
 
 
-def sum_squared_accels(accels: Iterable[float]) -> float:
-    """Comfort kernel: the sum of squared longitudinal accelerations."""
-    return math.fsum(a * a for a in accels)
+def cost_acc(trajectory: Trajectory) -> float:
+    """Sum of squared per-point longitudinal accelerations."""
+    return math.fsum(a * a for a in trajectory.accels)
 
 
-def sum_squared_centripetal(speeds: Iterable[float], curvatures: Iterable[float], z1: float) -> float:
-    """Lateral comfort kernel: the sum of squared v^2 * curvature, over z1."""
+def cost_centripetal(trajectory: Trajectory, z1: float) -> float:
+    """Sum of squared centripetal accelerations (v^2 * curvature), over z1."""
     if z1 <= 0.0:
         raise ValueError(f"z1 must be positive, got {z1}")
-    return math.fsum((v * v * k) ** 2 for v, k in zip(speeds, curvatures)) / z1
-
-
-def sum_proximity(
-    timed_positions: Iterable[Tuple[float, Point2]],
-    ego: Optional[EgoPlan],
-    z2: float,
-    anchor_time: float,
-) -> float:
-    """Safety kernel: the sum of exp(-d^2) over z2, where d is the distance
-    from each (relative time, position) to the ego pose interpolated at the
-    same absolute time. Zero without an ego plan."""
-    if z2 <= 0.0:
-        raise ValueError(f"z2 must be positive, got {z2}")
-    if ego is None:
-        return 0.0
-    terms = []
-    for t, position in timed_positions:
-        d = position.distance_to(ego.position_at(anchor_time + t))
-        terms.append(math.exp(-d * d))
-    return math.fsum(terms) / z2
-
-
-def cost_acc(trajectory: CandidateTrajectory) -> float:
-    """Sum of squared per-point longitudinal accelerations."""
-    return sum_squared_accels(p.accel for p in trajectory.points)
-
-
-def cost_centripetal(trajectory: CandidateTrajectory, z1: float) -> float:
-    """Sum of squared centripetal accelerations (v^2 * curvature), over z1."""
-    points = trajectory.points
-    return sum_squared_centripetal((p.speed for p in points), (p.curvature for p in points), z1)
+    terms = ((v * v * k) ** 2 for v, k in zip(trajectory.speeds, trajectory.curvatures))
+    return math.fsum(terms) / z1
 
 
 def cost_collision(
-    trajectory: CandidateTrajectory,
+    trajectory: Trajectory,
     ego: Optional[EgoPlan],
     z2: float,
     anchor_time: float = 0.0,
@@ -131,7 +101,15 @@ def cost_collision(
     queries beyond the plan's coverage clamp to its end poses. Without an
     ego plan the cost is zero by convention.
     """
-    return sum_proximity(((p.t, p.position) for p in trajectory.points), ego, z2, anchor_time)
+    if z2 <= 0.0:
+        raise ValueError(f"z2 must be positive, got {z2}")
+    if ego is None:
+        return 0.0
+    terms = []
+    for t, position in trajectory.points:
+        d = position.distance_to(ego.position_at(anchor_time + t))
+        terms.append(math.exp(-d * d))
+    return math.fsum(terms) / z2
 
 
 def weighted_total(
@@ -263,8 +241,10 @@ def _trajectory_to_dict(trajectory: CandidateTrajectory) -> dict:
     return {
         "profile": _profile_to_dict(trajectory.source_profile),
         "points": [
-            [p.t, p.position.x, p.position.y, p.speed, p.curvature, p.accel]
-            for p in trajectory.points
+            [t, p.x, p.y, v, k, a]
+            for (t, p), v, k, a in zip(
+                trajectory.points, trajectory.speeds, trajectory.curvatures, trajectory.accels
+            )
         ],
     }
 
@@ -325,7 +305,7 @@ def load_prediction_records(path: str) -> List[dict]:
     return records
 
 
-def best_points_from_record(record: dict) -> List[Tuple[float, Point2]]:
+def best_points_from_record(record: dict) -> List[TimedPoint]:
     """Timestamped positions of the selected intention's best trajectory."""
     selected = record["selected_intention"]
     for entry in record["intentions"]:

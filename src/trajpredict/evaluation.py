@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .annotation import join_on_anchor, timed_points
 from .costing import best_points_from_record
 from .errors import CoverageError
 from .geometry import Point2
-from .scene import TIME_EPS
-
-TimedPoint = Tuple[float, Point2]
+from .scene import TIME_EPS, TimedPoint
 
 
 def _check_alignment(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]):
@@ -56,14 +54,16 @@ def fde(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float)
     return _displacements(pred, truth, horizon)[-1]
 
 
-def mse(pred: Sequence[Point2], truth: Sequence[Point2]) -> float:
-    """Mean of squared x plus squared y displacements over equal-length sequences."""
+def mse(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]) -> float:
+    """Mean of squared x plus squared y displacements over equal-length
+    sequences on the same time grid."""
     if len(pred) != len(truth):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(truth)}")
     if not pred:
         raise ValueError("empty sequences")
+    _check_alignment(pred, truth)
     return math.fsum(
-        (pp.x - tp.x) ** 2 + (pp.y - tp.y) ** 2 for pp, tp in zip(pred, truth)
+        (pp.x - tp.x) ** 2 + (pp.y - tp.y) ** 2 for (_, pp), (_, tp) in zip(pred, truth)
     ) / len(pred)
 
 
@@ -125,13 +125,7 @@ def evaluate_run(
         truth_points = timed_points(label["future"])
         shared = min(len(pred_points), len(truth_points))
         if shared:
-            _check_alignment(pred_points[:shared], truth_points[:shared])
-            mse_values.append(
-                mse(
-                    [p for _, p in pred_points[:shared]],
-                    [p for _, p in truth_points[:shared]],
-                )
-            )
+            mse_values.append(mse(pred_points[:shared], truth_points[:shared]))
         for h in horizons:
             try:
                 ade_value = ade(pred_points, truth_points, h)

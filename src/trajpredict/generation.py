@@ -33,6 +33,7 @@ from .scene import (
     MapGraph,
     ObstacleState,
     ObstacleTrack,
+    Trajectory,
     nearest_lane,
     time_grid,
 )
@@ -111,7 +112,6 @@ class PathCandidate:
     """A successor-linked lane sequence realized as one concatenated curve,
     trimmed to start at the obstacle's projection point."""
 
-    intention_id: str
     lane_ids: Tuple[str, ...]
     curve: Curve
 
@@ -262,7 +262,6 @@ def search_paths(
             sequences = from_prefix([required_lane], map_graph.lanes[required_lane].centerline)
     return [
         PathCandidate(
-            intention_id=intention_id,
             lane_ids=lane_ids,
             curve=_trimmed_curve(_concat_centerlines(map_graph, lane_ids), start.position),
         )
@@ -344,20 +343,9 @@ def sample_profiles(
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    position: Point2
-    speed: float
-    curvature: float
-    accel: float
+class CandidateTrajectory(Trajectory):
+    """A (path, speed profile) pair realized as a trajectory."""
 
-
-@dataclass(frozen=True)
-class CandidateTrajectory:
-    """A (path, speed profile) pair realized as timestamped poses."""
-
-    intention_id: str
-    points: Tuple[TrajectoryPoint, ...]
     source_profile: SpeedProfile
 
 
@@ -367,21 +355,16 @@ def realize_trajectory(path: PathCandidate, profile: SpeedProfile) -> CandidateT
     Points beyond the curve end follow the final segment's tangent; their
     curvature is zero on the straight extension.
     """
-    points = []
+    points, speeds, curvatures, accels = [], [], [], []
     for t in profile.sample_times():
         s, v, a_eff = profile.state_at(t)
         position, _ = point_at_s(path.curve, s)
-        points.append(
-            TrajectoryPoint(
-                t=t,
-                position=position,
-                speed=v,
-                curvature=curvature_at_s(path.curve, s),
-                accel=a_eff,
-            )
-        )
+        points.append((t, position))
+        speeds.append(v)
+        curvatures.append(curvature_at_s(path.curve, s))
+        accels.append(a_eff)
     return CandidateTrajectory(
-        intention_id=path.intention_id, points=tuple(points), source_profile=profile
+        tuple(points), tuple(speeds), tuple(curvatures), tuple(accels), source_profile=profile
     )
 
 

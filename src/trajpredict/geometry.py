@@ -64,9 +64,6 @@ class Curve:
     def length(self) -> float:
         return self.cumulative_s[-1]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def __repr__(self) -> str:
         return f"Curve({len(self.points)} vertices, length={self.length:.3f})"
 

@@ -111,15 +111,31 @@ def string(record: dict, key: str, path: str, lineno: int) -> str:
     return value
 
 
+# Row entries are times, positions, kinematics and sub-costs. Bounding their
+# size keeps their squares, and the squared distances between positions,
+# finite; quotients by a time step (the tuner's finite differences) are not
+# bounded by it.
+MAX_ROW_NORM = 1e100
+
+
 def rows(record, key: str, width: int, path: str, lineno: int) -> list:
-    """record[key] as a list of lists of at least width entries each; only
-    the shape is checked, not the entries."""
+    """record[key] as a list of lists whose first width entries are numbers
+    with a Euclidean norm of at most MAX_ROW_NORM; later entries are not read
+    and not checked."""
     value = record.get(key) if isinstance(record, dict) else None
-    if not isinstance(value, list) or any(
-        not isinstance(row, list) or len(row) < width for row in value
-    ):
-        raise ParseError(f"{path}:{lineno}: {key!r} must be a list of rows of {width}+ numbers")
-    return value
+    try:
+        # one C call per row refuses non-numbers and ints beyond the float range
+        if isinstance(value, list) and all(
+            isinstance(row, list) and len(row) >= width and math.hypot(*row[:width]) <= MAX_ROW_NORM
+            for row in value
+        ):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ParseError(
+        f"{path}:{lineno}: {key!r} must be a list of rows of {width}+ numbers "
+        f"of norm at most {MAX_ROW_NORM}"
+    )
 
 
 def _config_value(path: str, key: str, value, default):

@@ -4,10 +4,11 @@ Obstacle histories come from a JSON-lines log (one state per line), the lane
 and intersection-exit map from a single JSON document, and the ego vehicle's
 planned trajectory from an optional JSON-lines file. The loaders read only
 the keys some stage uses and ignore all others. Loaded scenes are
-immutable; concurrent readers need no synchronization. Three decisions
-that labeling, generation and evaluation share live here too: the sample-time
-grid (time_grid, TIME_EPS), time interpolation of tracks and the ego plan,
-and lane association (nearest_lane) with its capture distance.
+immutable; concurrent readers need no synchronization. Four decisions
+that labeling, generation, costing and evaluation share live here too: the
+trajectory shape (TimedPoint, Trajectory), the sample-time grid (time_grid,
+TIME_EPS), time interpolation of tracks and the ego plan, and lane
+association (nearest_lane) with its capture distance.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ from .errors import CoverageError, ParseError, SceneIntegrityError
 from .geometry import Curve, Point2, project_point, wrap_angle
 
 TIME_EPS = 1e-9
+
+TimedPoint = Tuple[float, Point2]
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Timed positions plus the per-point kinematics the sub-costs read:
+    speed (m/s), path curvature (1/m) and longitudinal acceleration (m/s^2).
+    Candidates and ground-truth labels alike are costed in this shape."""
+
+    points: Tuple[TimedPoint, ...]
+    speeds: Tuple[float, ...]
+    curvatures: Tuple[float, ...]
+    accels: Tuple[float, ...]
 
 
 def time_grid(span: float, step: float) -> list[float]:
@@ -138,7 +153,7 @@ class ObstacleTrack:
 class EgoPlan:
     """The ego vehicle's previously planned trajectory."""
 
-    poses: Tuple[Tuple[float, Point2], ...]
+    poses: Tuple[TimedPoint, ...]
     times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,12 +186,7 @@ class Lane:
 class IntersectionExit:
     exit_id: str
     position: Point2
-    heading: float
     associated_lane_id: str
-
-    def __post_init__(self):
-        if not -math.pi < self.heading <= math.pi:
-            raise ValueError(f"exit {self.exit_id!r} heading {self.heading} out of (-pi, pi]")
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,6 @@ def load_map(path: str) -> MapGraph:
             exits[exit_id] = IntersectionExit(
                 exit_id=exit_id,
                 position=Point2(float(entry["x"]), float(entry["y"])),
-                heading=wrap_angle(float(entry["heading"])),
                 associated_lane_id=entry["lane_id"],
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -43,7 +43,6 @@ from trajpredict.generation import (
     CandidateTrajectory,
     PathCandidate,
     SpeedProfile,
-    TrajectoryPoint,
     realize_trajectory,
 )
 from trajpredict.geometry import Curve, Point2
@@ -70,13 +69,11 @@ class _budget:
         return False
 
 
-def synth_candidate(rows, a=0.0, intention="go"):
-    points = tuple(
-        TrajectoryPoint(t=t, position=Point2(x, y), speed=v, curvature=k, accel=acc)
-        for t, x, y, v, k, acc in rows
-    )
+def synth_candidate(rows, a=0.0):
+    t, x, y, v, k, acc = zip(*rows)
+    points = tuple((ti, Point2(xi, yi)) for ti, xi, yi in zip(t, x, y))
     profile = SpeedProfile(v0=rows[0][3], a=a, duration=rows[-1][0], resolution=rows[0][0])
-    return CandidateTrajectory(intention_id=intention, points=points, source_profile=profile)
+    return CandidateTrajectory(points, v, k, acc, source_profile=profile)
 
 
 class Prior:
@@ -90,7 +87,7 @@ def test_criterion_1_posterior_contract():
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         rows = [(0.1 * (k + 1), k * 1.0, 0.0, 10.0, 0.01, 0.5) for k in range(30)]
         candidates = {
-            name: [synth_candidate(rows, intention=name)]
+            name: [synth_candidate(rows)]
             for name in ("exit_e", "exit_n", "exit_s")
         }
         priors = [Prior("exit_e", 0.4), Prior("exit_n", 0.4), Prior("exit_s", 0.2)]
@@ -206,9 +203,7 @@ def test_criterion_4_planted_weights_recovery():
 def test_criterion_5_sampling_exactness():
     with _budget("5 closed-form sampling vs fine-step integration", 10.0):
         rng = random.Random(99)
-        path = PathCandidate(
-            intention_id="go", lane_ids=("l",), curve=Curve([(0, 0), (1000, 0)])
-        )
+        path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (1000, 0)]))
         h = 1e-5
         for _ in range(20):
             v0 = rng.uniform(0.0, 20.0)
@@ -217,11 +212,11 @@ def test_criterion_5_sampling_exactness():
             profile = SpeedProfile(v0=v0, a=a, duration=8.0, resolution=0.1, v_max=v_max)
             traj = realize_trajectory(path, profile)
             s_oracle = 0.0
-            for k, point in enumerate(traj.points, start=1):
+            for k, (_, position) in enumerate(traj.points, start=1):
                 mids = (k - 1) * 0.1 + (np.arange(10000) + 0.5) * h
                 block = np.minimum(v_max, np.maximum(0.0, v0 + a * mids))
                 s_oracle += float(block.sum()) * h
-                assert abs(point.position.x - s_oracle) < 1e-9
+                assert abs(position.x - s_oracle) < 1e-9
 
 
 def test_criterion_6_cost_formula_oracles():
@@ -265,7 +260,7 @@ def test_criterion_6_cost_formula_oracles():
             (radius * math.cos(2 * math.pi * k / 36), radius * math.sin(2 * math.pi * k / 36))
             for k in range(36)
         ]
-        circle = PathCandidate(intention_id="turn", lane_ids=("l",), curve=Curve(pts))
+        circle = PathCandidate(lane_ids=("l",), curve=Curve(pts))
         profile = SpeedProfile(v0=10.0, a=0.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(circle, profile)
         analytic = 30 * (10.0**2 / radius) ** 2
@@ -293,7 +288,7 @@ def test_criterion_7_metric_correctness():
             mse_oracle = math.fsum(
                 (p.x - q.x) ** 2 + (p.y - q.y) ** 2 for (_, p), (_, q) in zip(pred, truth)
             ) / n
-            got = mse([p for _, p in pred], [q for _, q in truth])
+            got = mse(pred, truth)
             assert abs(got - mse_oracle) <= 1e-10 * max(1.0, mse_oracle)
 
         g = GaussianPoint(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, rho=0.0)

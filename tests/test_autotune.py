@@ -44,10 +44,10 @@ class TestGroundTruthSubcosts:
             ground_truth_subcosts(label_from_points(points), None, 1.0, 1.0)
 
     def test_accelerating_label_matches_profile_cost(self):
-        path = PathCandidate(intention_id="go", lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
+        path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
         profile = SpeedProfile(v0=5.0, a=1.0, duration=4.0, resolution=0.1, v_max=1e9)
         traj = realize_trajectory(path, profile)
-        label = label_from_points([(p.t, p.position) for p in traj.points])
+        label = label_from_points(traj.points)
         c_acc_fd, _, _ = ground_truth_subcosts(label, None, 1.0, 1.0)
         assert c_acc_fd == pytest.approx(cost_acc(traj), rel=0.05)
 
@@ -210,7 +210,7 @@ def fake_prediction_record(obstacle_id, anchor, n_points=12):
             self.intention_id = intention_id
             self.prior = prior
 
-    path = PathCandidate(intention_id="go", lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
+    path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
     profile = SpeedProfile(v0=5.0, a=1.0, duration=n_points * 0.1, resolution=0.1, v_max=30.0)
     traj = realize_trajectory(path, profile)
     weights = CostWeights(1.0, 1.0, 1.0, 2.0, 3.0)

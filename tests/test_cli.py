@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_json, write_jsonl
 from trajpredict.cli import main
@@ -228,6 +232,86 @@ MALFORMED_INPUTS = [
     ),
     pytest.param(
         run_tune,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, "x", 0.0]]),
+        1,
+        id="string_future_entry_tune",
+    ),
+    pytest.param(
+        run_eval,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, "x", 0.0]]),
+        1,
+        id="string_future_entry_eval",
+    ),
+    pytest.param(
+        run_tune,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, 10**400, 0.0]]),
+        1,
+        id="huge_int_future_entry_tune",
+    ),
+    pytest.param(
+        run_eval,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, 10**400, 0.0]]),
+        1,
+        id="huge_int_future_entry_eval",
+    ),
+    pytest.param(
+        run_eval,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.1, 1e200, 0.0]]),
+        1,
+        id="huge_float_future_entry",
+    ),
+    pytest.param(
+        run_eval,
+        "--dataset",
+        golden("dataset.jsonl"),
+        edit_first_line(future=[[0.2, 1.0, 0.0], [0.1, 2.0, 0.0]]),
+        1,
+        id="unordered_future_times",
+    ),
+    pytest.param(
+        run_eval,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"points":[[0.1,', '"points":[[0.15,', 1),
+        None,
+        id="misaligned_best_trajectory_time",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"candidates":[[', '"candidates":[[null,', 1),
+        1,
+        id="null_candidate_entry",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"candidates":[[', '"candidates":[["1.5",', 1),
+        1,
+        id="string_candidate_entry",
+    ),
+    pytest.param(
+        run_eval,
+        "--predictions",
+        golden("predictions.jsonl"),
+        lambda text: text.replace('"points":[[', '"points":[[null,', 1),
+        1,
+        id="null_selected_point_entry",
+    ),
+    pytest.param(
+        run_tune,
         "--predictions",
         golden("predictions.jsonl"),
         edit_first_line(intentions=5),
@@ -280,6 +364,103 @@ def test_malformed_input_is_reported_with_its_file(
     assert code in (1, 2)
     location = f"{bad}:{line}:" if line else str(bad)
     assert capsys.readouterr().err.startswith(f"error: {location}")
+    assert not os.path.exists(out)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_row_entry_is_read_or_reported(tmp_path_factory, data):
+    """One entry of one row of a golden tune/eval input becomes any JSON value."""
+    name = data.draw(st.sampled_from(["dataset.jsonl", "predictions.jsonl"]))
+    with open(golden(name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    row_lists = [record.get("future")] + [
+        rows
+        for entry in record.get("intentions", [])
+        for rows in (entry["best_trajectory"]["points"], entry["candidates"])
+    ]
+    row = data.draw(st.sampled_from([row for rows in row_lists if rows for row in rows]))
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(JSON_VALUES)
+    lines[index] = json.dumps(record)
+
+    tmp = tmp_path_factory.mktemp("fuzz")
+    bad = tmp / name
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flag = "--dataset" if name == "dataset.jsonl" else "--predictions"
+    # a short descent keeps each example fast; the loaders are what is fuzzed
+    short_tuner = write_json(tmp / "tuner.json", {"max_iters": 10})
+    inputs = {"--predictions": golden("predictions.jsonl"), "--dataset": golden("dataset.jsonl")}
+    inputs[flag] = str(bad)
+    for runner, extra in ((run_tune, {"--tuner-config": short_tuner}), (run_eval, {})):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code, _ = runner(tmp, **inputs, **extra)
+        assert code in (0, 1, 2)
+        if code:
+            # a loader names the line; a refused join names both files
+            loader = f"error: {bad}:{index + 1}:"
+            join = f"error: {inputs['--predictions']}, {inputs['--dataset']}: "
+            assert err.getvalue().startswith((loader, join))
+
+
+def test_dataset_without_unread_keys_tunes_and_evaluates(tmp_path):
+    with open(golden("dataset.jsonl"), encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for record in records:
+        del record["road_test_id"], record["history"]
+    lean = write_jsonl(tmp_path / "lean.jsonl", records)
+    for runner, name in ((run_tune, "tuned.json"), (run_eval, "report.json")):
+        code, out = runner(tmp_path, **{"--dataset": lean})
+        assert code == 0
+        assert open(out, "rb").read() == open(golden(name), "rb").read()
+
+
+def rewrite_times(name, tmp_path, edit):
+    """A copy of a golden file with edit applied to every row time."""
+    with open(golden(name), encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for record in records:
+        row_lists = [record.get("future")] + [
+            entry["best_trajectory"]["points"] for entry in record.get("intentions", [])
+        ]
+        for rows in filter(None, row_lists):
+            for row in rows:
+                row[0] = edit(row[0])
+    return write_jsonl(tmp_path / name, records)
+
+
+def test_rounded_times_tune_and_evaluate(tmp_path):
+    """Times written rounded (0.3 for 0.30000000000000004) stay aligned."""
+    inputs = {
+        flag: rewrite_times(name, tmp_path, lambda t: round(t, 6))
+        for flag, name in (("--predictions", "predictions.jsonl"), ("--dataset", "dataset.jsonl"))
+    }
+    assert run_tune(tmp_path, **inputs)[0] == 0
+    code, out = run_eval(tmp_path, **inputs)
+    assert code == 0
+    assert open(out, "rb").read() == open(golden("report.json"), "rb").read()
+
+
+def test_overflowing_ground_truth_is_refused_at_the_join(tmp_path, capsys):
+    # a bent path sampled every 1e-120 s: speeds of 1e120 overflow the sub-costs
+    future = [[1e-120, 0.0, 0.0], [2e-120, 1.0, 0.0], [3e-120, 1.0, 1.0], [4e-120, 2.0, 1.0]]
+    bad = tmp_path / "bad_dataset.jsonl"
+    with open(golden("dataset.jsonl"), encoding="utf-8") as fh:
+        bad.write_text(edit_first_line(future=future)(fh.read()), encoding="utf-8")
+    code, out = run_tune(tmp_path, **{"--dataset": str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {golden('predictions.jsonl')}, {bad}: anchor ('veh_1', 0.0):"
+    )
     assert not os.path.exists(out)
 
 

@@ -20,21 +20,18 @@ from trajpredict.generation import (
     CandidateTrajectory,
     PathCandidate,
     SpeedProfile,
-    TrajectoryPoint,
     realize_trajectory,
 )
 from trajpredict.geometry import Curve, Point2
 from trajpredict.scene import EgoPlan
 
 
-def synth_trajectory(rows, a=0.0, v0=10.0, intention="go"):
+def synth_trajectory(rows, a=0.0, v0=10.0):
     """Candidate with prescribed per-point (t, x, y, speed, curvature, accel)."""
-    points = tuple(
-        TrajectoryPoint(t=t, position=Point2(x, y), speed=v, curvature=k, accel=acc)
-        for t, x, y, v, k, acc in rows
-    )
-    profile = SpeedProfile(v0=v0, a=a, duration=max(r[0] for r in rows), resolution=rows[0][0])
-    return CandidateTrajectory(intention_id=intention, points=points, source_profile=profile)
+    t, x, y, v, k, acc = zip(*rows)
+    points = tuple((ti, Point2(xi, yi)) for ti, xi, yi in zip(t, x, y))
+    profile = SpeedProfile(v0=v0, a=a, duration=max(t), resolution=rows[0][0])
+    return CandidateTrajectory(points, v, k, acc, source_profile=profile)
 
 
 def constant_rows(n=30, accel=0.0, speed=10.0, curvature=0.0, x_far=0.0):
@@ -64,7 +61,7 @@ class TestSubCosts:
             assert cost_acc(traj) == pytest.approx(expected, abs=1e-10)
 
     def test_clamped_profile_counts_only_preclamp_points(self):
-        path = PathCandidate(intention_id="go", lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
+        path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
         profile = SpeedProfile(v0=10.0, a=2.0, duration=3.0, resolution=0.1, v_max=12.0)
         traj = realize_trajectory(path, profile)
         # clamp hits at t=1.0; accel applies to the 9 strictly pre-clamp points
@@ -83,7 +80,7 @@ class TestSubCosts:
             (radius * math.cos(2 * math.pi * k / 36), radius * math.sin(2 * math.pi * k / 36))
             for k in range(36)
         ]
-        path = PathCandidate(intention_id="turn", lane_ids=("l",), curve=Curve(pts))
+        path = PathCandidate(lane_ids=("l",), curve=Curve(pts))
         profile = SpeedProfile(v0=10.0, a=0.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(path, profile)
         analytic = 30 * (10.0**2 / radius) ** 2
@@ -225,20 +222,20 @@ class Prior:
         self.prior = prior
 
 
-def trajectory_with_cost(total, n=10, intention="i", a_mag=None):
+def trajectory_with_cost(total, n=10, a_mag=None):
     """All cost in the acceleration term: accel = sqrt(total / n) per point."""
     accel = math.sqrt(total / n)
     rows = [(0.1 * (k + 1), 1000.0 + k, 0.0, 5.0, 0.0, accel) for k in range(n)]
-    return synth_trajectory(rows, a=a_mag if a_mag is not None else accel, intention=intention)
+    return synth_trajectory(rows, a=a_mag if a_mag is not None else accel)
 
 
 class TestRankIntentions:
     def test_equal_costs_reproduce_priors(self):
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         candidates = {
-            "right": [trajectory_with_cost(2.0, intention="right")],
-            "straight": [trajectory_with_cost(2.0, intention="straight")],
-            "left": [trajectory_with_cost(2.0, intention="left")],
+            "right": [trajectory_with_cost(2.0)],
+            "straight": [trajectory_with_cost(2.0)],
+            "left": [trajectory_with_cost(2.0)],
         }
         priors = [Prior("right", 0.2), Prior("straight", 0.4), Prior("left", 0.4)]
         result = rank_intentions("veh", 0.0, candidates, priors, None, weights)
@@ -251,8 +248,8 @@ class TestRankIntentions:
     def test_cost_gap_reweights_priors(self):
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         candidates = {
-            "a": [trajectory_with_cost(0.0, intention="a")],
-            "b": [trajectory_with_cost(math.log(3.0), intention="b")],
+            "a": [trajectory_with_cost(0.0)],
+            "b": [trajectory_with_cost(math.log(3.0))],
         }
         result = rank_intentions(
             "veh", 0.0, candidates, [Prior("a", 0.5), Prior("b", 0.5)], None, weights
@@ -267,7 +264,7 @@ class TestRankIntentions:
         result = rank_intentions(
             "veh",
             0.0,
-            {"only": [trajectory_with_cost(7.0, intention="only")]},
+            {"only": [trajectory_with_cost(7.0)]},
             [Prior("only", 1.0)],
             None,
             weights,
@@ -293,16 +290,16 @@ class TestRankIntentions:
     )
     def test_invalid_priors_are_refused(self, priors):
         candidates = {
-            "go": [trajectory_with_cost(1.0, intention="go")],
-            "stop": [trajectory_with_cost(1.0, intention="stop")],
+            "go": [trajectory_with_cost(1.0)],
+            "stop": [trajectory_with_cost(1.0)],
         }
         with pytest.raises(ValueError, match="priors"):
             rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
 
     def test_best_candidate_is_argmin_with_profile_tiebreak(self):
         weights = CostWeights(0.0, 1.0, 1.0, 1.0, 1.0)  # accel ignored: all totals zero
-        fast = trajectory_with_cost(4.0, intention="go", a_mag=2.0)
-        slow = trajectory_with_cost(9.0, intention="go", a_mag=1.0)
+        fast = trajectory_with_cost(4.0, a_mag=2.0)
+        slow = trajectory_with_cost(9.0, a_mag=1.0)
         result = rank_intentions(
             "veh", 0.0, {"go": [fast, slow]}, [Prior("go", 1.0)], None, weights
         )
@@ -330,7 +327,6 @@ class TestRankIntentions:
                         for k in range(10)
                     ],
                     a=rng.uniform(-2, 2),
-                    intention=name,
                 )
                 for _ in range(4)
             ]
@@ -346,8 +342,8 @@ class TestRankIntentions:
 
         def posteriors(shift):
             candidates = {
-                "a": [trajectory_with_cost(1.0 + shift, intention="a")],
-                "b": [trajectory_with_cost(2.5 + shift, intention="b")],
+                "a": [trajectory_with_cost(1.0 + shift)],
+                "b": [trajectory_with_cost(2.5 + shift)],
             }
             result = rank_intentions(
                 "veh", 0.0, candidates, [Prior("a", 0.3), Prior("b", 0.7)], None, weights
@@ -360,8 +356,8 @@ class TestRankIntentions:
         # exp(-C) underflows to 0 beyond C ~ 745; posteriors must survive
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         candidates = {
-            "a": [trajectory_with_cost(2000.0, intention="a")],
-            "b": [trajectory_with_cost(2000.0 + math.log(3.0), intention="b")],
+            "a": [trajectory_with_cost(2000.0)],
+            "b": [trajectory_with_cost(2000.0 + math.log(3.0))],
         }
         result = rank_intentions(
             "veh", 0.0, candidates, [Prior("a", 0.5), Prior("b", 0.5)], None, weights
@@ -381,7 +377,7 @@ class TestRankIntentions:
             for i in range(n_intentions):
                 name = f"i{i}"
                 candidates[name] = [
-                    trajectory_with_cost(rng.uniform(0, 8), intention=name)
+                    trajectory_with_cost(rng.uniform(0, 8))
                     for _ in range(rng.randint(1, 3))
                 ]
                 priors.append(Prior(name, rng.uniform(0.05, 1.0)))
@@ -397,8 +393,8 @@ class TestSerialization:
     def test_record_roundtrip(self):
         weights = CostWeights(1.0, 2.0, 3.0, 4.0, 5.0)
         candidates = {
-            "a": [trajectory_with_cost(1.0, intention="a")],
-            "b": [trajectory_with_cost(2.0, intention="b")],
+            "a": [trajectory_with_cost(1.0)],
+            "b": [trajectory_with_cost(2.0)],
         }
         result = rank_intentions(
             "veh", 1.5, candidates, [Prior("a", 0.6), Prior("b", 0.4)], None, weights

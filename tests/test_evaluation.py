@@ -104,27 +104,31 @@ class TestFde:
 
 class TestMse:
     def test_identical(self):
-        pts = [Point2(1, 2), Point2(3, 4)]
+        pts = timed([(0.1, 1, 2), (0.2, 3, 4)])
         assert mse(pts, list(pts)) == 0.0
 
     def test_single_offset_point(self):
-        assert mse([Point2(0, 0)], [Point2(3, 4)]) == 25.0
+        assert mse(timed([(0.1, 0, 0)]), timed([(0.1, 3, 4)])) == 25.0
 
     def test_two_point_average(self):
-        pred = [Point2(1, 0), Point2(0, 0)]
-        truth = [Point2(0, 0), Point2(0, 2)]
+        pred = timed([(0.1, 1, 0), (0.2, 0, 0)])
+        truth = timed([(0.1, 0, 0), (0.2, 0, 2)])
         assert mse(pred, truth) == pytest.approx(2.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            mse([Point2(0, 0)], [Point2(0, 0), Point2(1, 1)])
+            mse(timed([(0.1, 0, 0)]), timed([(0.1, 0, 0), (0.2, 1, 1)]))
+
+    def test_misaligned_grids_rejected(self):
+        with pytest.raises(ValueError, match="time grids differ"):
+            mse(timed([(0.1, 0, 0)]), timed([(0.2, 0, 0)]))
 
     def test_nonnegative_on_random_inputs(self):
         rng = random.Random(31)
         for _ in range(50):
             n = rng.randint(1, 20)
-            pred = [Point2(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(n)]
-            truth = [Point2(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(n)]
+            pred = grid(lambda t: rng.uniform(-9, 9), lambda t: rng.uniform(-9, 9), n=n)
+            truth = grid(lambda t: rng.uniform(-9, 9), lambda t: rng.uniform(-9, 9), n=n)
             assert mse(pred, truth) >= 0.0
 
 

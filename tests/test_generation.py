@@ -232,39 +232,37 @@ class TestSampleTimes:
     @given(resolution=st.floats(0.01, 1.0), steps=st.floats(1.0, 50.0))
     def test_candidate_times_equal_label_times(self, resolution, steps):
         horizon = resolution * steps
-        path = PathCandidate("go", ("l",), Curve([(0, 0), (500, 0)]))
+        path = PathCandidate(("l",), Curve([(0, 0), (500, 0)]))
         profile = SpeedProfile(v0=10.0, a=0.0, duration=horizon, resolution=resolution)
         candidate = realize_trajectory(path, profile)
         label = label_future_trajectory(straight_track(n=2, dt=horizon + 1.0), 0.0, horizon, resolution)
-        assert [p.t for p in candidate.points] == [t for t, _ in label.future_points]
+        assert [t for t, _ in candidate.points] == [t for t, _ in label.future_points]
 
 
 class TestRealizeTrajectory:
-    def _straight_path(self, length=500.0, intention="go"):
-        return PathCandidate(
-            intention_id=intention, lane_ids=("l",), curve=Curve([(0, 0), (length, 0)])
-        )
+    def _straight_path(self, length=500.0):
+        return PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (length, 0)]))
 
     def test_uniform_motion_spacing(self):
         profile = SpeedProfile(v0=10.0, a=0.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(self._straight_path(), profile)
         assert len(traj.points) == 30
-        for k, p in enumerate(traj.points, start=1):
-            assert p.position.x == pytest.approx(1.0 * k, abs=1e-9)
-            assert p.curvature == 0.0
-            assert p.accel == 0.0
+        for k, (_, position) in enumerate(traj.points, start=1):
+            assert position.x == pytest.approx(1.0 * k, abs=1e-9)
+        assert set(traj.curvatures) == {0.0}
+        assert set(traj.accels) == {0.0}
 
     def test_constant_acceleration_closed_form(self):
         profile = SpeedProfile(v0=5.0, a=2.0, duration=3.0, resolution=0.1, v_max=1e9)
         traj = realize_trajectory(self._straight_path(), profile)
-        assert traj.points[-1].position.x == pytest.approx(24.0, abs=1e-9)
+        assert traj.points[-1][1].x == pytest.approx(24.0, abs=1e-9)
 
     def test_stops_and_saturates(self):
         profile = SpeedProfile(v0=2.0, a=-2.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(self._straight_path(), profile)
-        assert traj.points[-1].position.x == pytest.approx(1.0, abs=1e-12)
-        assert traj.points[-1].speed == 0.0
-        assert traj.points[-1].accel == 0.0
+        assert traj.points[-1][1].x == pytest.approx(1.0, abs=1e-12)
+        assert traj.speeds[-1] == 0.0
+        assert traj.accels[-1] == 0.0
 
     def test_arc_length_matches_fine_step_integration(self):
         rng = random.Random(41)
@@ -281,8 +279,8 @@ class TestRealizeTrajectory:
             speeds = np.minimum(v_max, np.maximum(0.0, v0 + a * midpoints))
             chunk_sums = [math.fsum(chunk) for chunk in speeds.reshape(40, -1).tolist()]
             traj = realize_trajectory(self._straight_path(), profile)
-            for k, p in enumerate(traj.points, start=1):
-                assert abs(p.position.x - math.fsum(chunk_sums[:k]) * h) < 1e-8
+            for k, (_, position) in enumerate(traj.points, start=1):
+                assert abs(position.x - math.fsum(chunk_sums[:k]) * h) < 1e-8
 
     def test_point_positions_stay_on_path(self, imap):
         profiles = sample_profiles(
@@ -292,8 +290,8 @@ class TestRealizeTrajectory:
         for path in paths:
             for profile in profiles:
                 traj = realize_trajectory(path, profile)
-                for p in traj.points:
-                    s, distance = project_point(path.curve, p.position)
+                for _, position in traj.points:
+                    s, distance = project_point(path.curve, position)
                     if s < path.curve.length - 1e-6:
                         assert distance <= 1e-6
 
@@ -305,9 +303,9 @@ class TestRealizeTrajectory:
         for profile in profiles:
             traj = realize_trajectory(path, profile)
             prev = Point2(0.0, 0.0)
-            for p in traj.points:
-                assert prev.distance_to(p.position) <= bound + 1e-9
-                prev = p.position
+            for _, position in traj.points:
+                assert prev.distance_to(position) <= bound + 1e-9
+                prev = position
 
     def test_candidate_count_is_paths_times_profiles(self, imap):
         profiles = sample_profiles(
@@ -323,13 +321,11 @@ class TestRealizeTrajectory:
         assert total == 12
 
     def test_overrun_extrapolates_past_path_end(self):
-        short = PathCandidate(
-            intention_id="go", lane_ids=("l",), curve=Curve([(0, 0), (5, 0)])
-        )
+        short = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (5, 0)]))
         profile = SpeedProfile(v0=10.0, a=0.0, duration=2.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(short, profile)
-        assert traj.points[-1].position.x == pytest.approx(20.0, abs=1e-9)
-        assert traj.points[-1].curvature == 0.0
+        assert traj.points[-1][1].x == pytest.approx(20.0, abs=1e-9)
+        assert traj.curvatures[-1] == 0.0
 
 
 class TestGenerationConfig:

@@ -101,9 +101,14 @@ class TestLoadScene:
         extra = write_jsonl(tmp_path / "extra.jsonl", [{**row, "polygon": "not a polygon"}])
         assert load_obstacle_log(extra) == load_obstacle_log(log)
         lane = {"id": "l1", "centerline": [[0, 0], [1, 0]], "speed_limit": "fast"}
-        doc = {"lanes": [lane], "intersection_polygon": 5}
+        exits = [
+            {"id": "e1", "x": 1, "y": 0, "lane_id": "l1"},
+            {"id": "e2", "x": 1, "y": 0, "lane_id": "l1", "heading": "east"},
+        ]
+        doc = {"lanes": [lane], "exits": exits, "intersection_polygon": 5}
         map_graph = load_map(write_json(tmp_path / "map.json", doc))
         assert list(map_graph.lanes) == ["l1"]
+        assert sorted(map_graph.exits) == ["e1", "e2"]
 
     def test_deterministic_reload(self, tmp_path):
         rows = [state_row("a", k * 0.1, k * 1.0, 0.5, 0.1, 3.0) for k in range(20)]
