@@ -229,13 +229,13 @@ def join_on_anchor(
     return joined, len(predictions) + len(labels) - 2 * len(joined)
 
 
-def iter_anchor_records(path: str, required: Sequence[str]) -> Iterator[Tuple[int, dict]]:
-    """(line number, record) per line of a JSON-lines file keyed by anchor:
+def iter_anchor_records(path: str, required: Sequence[str]) -> Iterator[Tuple[str, dict]]:
+    """("path:line", record) per line of a JSON-lines file keyed by anchor:
     every record carries a string obstacle_id and a numeric anchor_time."""
-    for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id", "anchor_time") + tuple(required)):
-        jsonio.string(record, "obstacle_id", path, lineno)
-        jsonio.number(record, "anchor_time", path, lineno)
-        yield lineno, record
+    for where, record in jsonio.iter_jsonl(path, ("obstacle_id", "anchor_time") + tuple(required)):
+        jsonio.string(record, "obstacle_id", where)
+        jsonio.number(record, "anchor_time", where)
+        yield where, record
 
 
 def timed_points(rows: Iterable[Sequence[float]]) -> List[TimedPoint]:
@@ -299,9 +299,9 @@ def load_dataset_records(path: str) -> list[dict]:
     future row is [t, x, y], with strictly increasing times (the tuner
     differences positions over them)."""
     records = []
-    for lineno, record in iter_anchor_records(path, ("future",)):
-        future = jsonio.rows(record, "future", 3, path, lineno)
+    for where, record in iter_anchor_records(path, ("future",)):
+        future = jsonio.rows(record, "future", 3, where)
         if any(b[0] <= a[0] for a, b in zip(future, future[1:])):
-            raise ParseError(f"{path}:{lineno}: 'future' times must strictly increase")
+            raise ParseError(f"{where}: 'future' times must strictly increase")
         records.append(record)
     return records

@@ -45,14 +45,12 @@ class TuningExample:
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Descent hyperparameters. The batch descent is deterministic, so the
-    seed only matters to stochastic variants; it is accepted and recorded."""
+    """Descent hyperparameters; the batch descent is deterministic."""
 
     delta: float = 0.1
     learning_rate: float = 0.01
     max_iters: int = 1000
     convergence_tol: float = 1e-8
-    seed: int = 0
     theta_init: Tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):

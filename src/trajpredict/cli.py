@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from typing import Dict, List, Optional
 
-from . import annotation, autotune, costing, evaluation, generation, jsonio
+from . import annotation, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError
 from .scene import TIME_EPS, ObstacleTrack, load_ego_plan, load_scene
 
@@ -42,8 +43,8 @@ def _write_jsonl(path: str, records) -> None:
 
 
 def _positive(value: float, name: str) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"--{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"--{name} must be positive and finite, got {value}")
     return value
 
 
@@ -51,8 +52,8 @@ def cmd_annotate(args) -> int:
     _positive(args.horizon, "horizon")
     _positive(args.stride, "stride")
     _positive(args.resolution, "resolution")
-    if args.min_history < 0.0:
-        raise ConfigError(f"--min-history must be nonnegative, got {args.min_history}")
+    if not 0.0 <= args.min_history < math.inf:
+        raise ConfigError(f"--min-history must be nonnegative and finite, got {args.min_history}")
     tracks, map_graph, _ = load_scene(args.log, args.map)
     road_test_id = args.road_test_id or os.path.splitext(os.path.basename(args.log))[0]
     records, skipped = annotation.build_dataset(
@@ -167,6 +168,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import autotune  # numpy loads here, so the other stages never pay for it
+
     predictions = costing.load_prediction_records(args.predictions)
     dataset = annotation.load_dataset_records(args.dataset)
     config = autotune.TunerConfig.from_file(args.tuner_config)
@@ -206,8 +209,8 @@ def _parse_horizons(raw: str) -> List[float]:
         horizons = [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--horizons must be comma-separated numbers, got {raw!r}") from exc
-    if not horizons or any(h <= 0.0 for h in horizons):
-        raise ConfigError(f"--horizons must be positive, got {raw!r}")
+    if not all(0.0 < h < math.inf for h in horizons):
+        raise ConfigError(f"--horizons must be positive and finite, got {raw!r}")
     return horizons
 
 

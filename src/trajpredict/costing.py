@@ -289,18 +289,18 @@ def load_prediction_records(path: str) -> List[dict]:
     """
     records = []
     keys = ("selected_intention", "intentions", "z1", "z2")
-    for lineno, record in iter_anchor_records(path, keys):
+    for where, record in iter_anchor_records(path, keys):
         for key in ("z1", "z2"):
-            if jsonio.number(record, key, path, lineno) <= 0.0:
-                raise ParseError(f"{path}:{lineno}: normalizer {key!r} must be positive")
+            if jsonio.number(record, key, where) <= 0.0:
+                raise ParseError(f"{where}: normalizer {key!r} must be positive")
         intentions = record["intentions"]
         if not isinstance(intentions, list) or not all(
             isinstance(entry, dict) and "intention_id" in entry for entry in intentions
         ):
-            raise ParseError(f"{path}:{lineno}: 'intentions' must be a list of intention objects")
+            raise ParseError(f"{where}: 'intentions' must be a list of intention objects")
         for entry in intentions:
-            jsonio.rows(entry.get("best_trajectory"), "points", 6, path, lineno)
-            jsonio.rows(entry, "candidates", 4, path, lineno)
+            jsonio.rows(entry.get("best_trajectory"), "points", 6, where)
+            jsonio.rows(entry, "candidates", 4, where)
         records.append(record)
     return records
 

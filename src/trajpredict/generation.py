@@ -62,26 +62,26 @@ def normalize_priors(priors: Sequence[IntentionPrior]) -> List[IntentionPrior]:
 def load_priors(path: str) -> Dict[AnchorKey, List[IntentionPrior]]:
     """Parse a JSON-lines priors file keyed by anchor_key(obstacle_id, anchor_time)."""
     table: Dict[AnchorKey, List[IntentionPrior]] = {}
-    for lineno, record in iter_anchor_records(path, ("intentions",)):
+    for where, record in iter_anchor_records(path, ("intentions",)):
         key = anchor_key(record["obstacle_id"], record["anchor_time"])
         try:
             entries = [
                 IntentionPrior(
-                    jsonio.string(item, "id", path, lineno),
-                    jsonio.number(item, "prior", path, lineno),
+                    jsonio.string(item, "id", where),
+                    jsonio.number(item, "prior", where),
                 )
                 for item in record["intentions"]
             ]
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}:{lineno}: malformed priors record: {exc}") from exc
+            raise ParseError(f"{where}: malformed priors record: {exc}") from exc
         if key in table:
-            raise ParseError(f"{path}:{lineno}: duplicate priors for {key}")
+            raise ParseError(f"{where}: duplicate priors for {key}")
         if len({p.intention_id for p in entries}) != len(entries):
-            raise ParseError(f"{path}:{lineno}: repeated intention id for {key}")
+            raise ParseError(f"{where}: repeated intention id for {key}")
         try:
             table[key] = normalize_priors(entries)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ParseError(f"{where}: {exc}") from exc
     return table
 
 

@@ -41,8 +41,8 @@ class Curve:
     """Piecewise-linear curve through at least two vertices.
 
     cumulative_s[k] is the arc length from the first vertex to vertex k;
-    consecutive duplicate vertices are rejected so every segment has
-    positive length.
+    a vertex that leaves it unchanged (a consecutive duplicate, or a segment
+    lost to rounding) is rejected so every segment has positive length.
     """
 
     __slots__ = ("points", "cumulative_s")
@@ -53,10 +53,10 @@ class Curve:
             raise ValueError("a curve needs at least 2 vertices")
         cum = [0.0]
         for a, b in zip(pts, pts[1:]):
-            d = a.distance_to(b)
-            if d == 0.0:
-                raise ValueError(f"consecutive duplicate vertex at ({b.x}, {b.y})")
-            cum.append(cum[-1] + d)
+            s = cum[-1] + a.distance_to(b)
+            if s == cum[-1]:
+                raise ValueError(f"vertex ({b.x}, {b.y}) is a duplicate or adds no arc length")
+            cum.append(s)
         self.points = pts
         self.cumulative_s = tuple(cum)
 

@@ -55,20 +55,22 @@ def _decode(text: str, path: str, first_line: int):
     raise ParseError(f"{path}:{first_line + line - 1}: invalid JSON: {message}")
 
 
-def iter_jsonl(path: str, required: Sequence[str] = ()) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) per non-blank line of a JSON-lines file; every
-    line must be an object carrying the required keys."""
+def iter_jsonl(path: str, required: Sequence[str] = ()) -> Iterator[Tuple[str, dict]]:
+    """(location, object) per non-blank line of a JSON-lines file, where the
+    location "path:line" starts every error about that line; every line must
+    be an object carrying the required keys."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
             record = _decode(raw, path, lineno)
+            where = f"{path}:{lineno}"
             if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
+                raise ParseError(f"{where}: expected a JSON object")
             for key in required:
                 if key not in record:
-                    raise ParseError(f"{path}:{lineno}: missing key {key!r}")
-            yield lineno, record
+                    raise ParseError(f"{where}: missing key {key!r}")
+            yield where, record
 
 
 def read_json(path: str):
@@ -95,19 +97,19 @@ def _is_number(value) -> bool:
         return False
 
 
-def number(record: dict, key: str, path: str, lineno: int) -> float:
-    """record[key] as a finite float."""
+def number(record: dict, key: str, where: str) -> float:
+    """record[key] as a finite float; where locates the record in errors."""
     value = record[key]
     if not _is_number(value):
-        raise ParseError(f"{path}:{lineno}: key {key!r} must be a finite number, got {value!r}")
+        raise ParseError(f"{where}: key {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
-def string(record: dict, key: str, path: str, lineno: int) -> str:
+def string(record: dict, key: str, where: str) -> str:
     """record[key], which must be a string."""
     value = record[key]
     if not isinstance(value, str):
-        raise ParseError(f"{path}:{lineno}: key {key!r} must be a string, got {value!r}")
+        raise ParseError(f"{where}: key {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -118,7 +120,7 @@ def string(record: dict, key: str, path: str, lineno: int) -> str:
 MAX_ROW_NORM = 1e100
 
 
-def rows(record, key: str, width: int, path: str, lineno: int) -> list:
+def rows(record, key: str, width: int, where: str) -> list:
     """record[key] as a list of lists whose first width entries are numbers
     with a Euclidean norm of at most MAX_ROW_NORM; later entries are not read
     and not checked."""
@@ -133,7 +135,7 @@ def rows(record, key: str, width: int, path: str, lineno: int) -> list:
     except (TypeError, OverflowError):
         pass
     raise ParseError(
-        f"{path}:{lineno}: {key!r} must be a list of rows of {width}+ numbers "
+        f"{where}: {key!r} must be a list of rows of {width}+ numbers "
         f"of norm at most {MAX_ROW_NORM}"
     )
 

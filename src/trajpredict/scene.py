@@ -248,9 +248,9 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     timestamps within one obstacle are an error.
     """
     states_by_id: Dict[str, list[ObstacleState]] = {}
-    for lineno, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
-        obstacle_id = jsonio.string(record, "obstacle_id", path, lineno)
-        t, x, y, heading, speed = (jsonio.number(record, k, path, lineno) for k in _STATE_KEYS)
+    for where, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
+        obstacle_id = jsonio.string(record, "obstacle_id", where)
+        t, x, y, heading, speed = (jsonio.number(record, k, where) for k in _STATE_KEYS)
         try:
             state = ObstacleState(
                 timestamp=t,
@@ -260,13 +260,16 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
                 obstacle_id=obstacle_id,
             )
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ParseError(f"{where}: {exc}") from exc
         states_by_id.setdefault(obstacle_id, []).append(state)
 
     tracks = []
     for obstacle_id in sorted(states_by_id):
         states = sorted(states_by_id[obstacle_id], key=lambda st: st.timestamp)
-        tracks.append(ObstacleTrack(obstacle_id=obstacle_id, states=tuple(states)))
+        try:
+            tracks.append(ObstacleTrack(obstacle_id=obstacle_id, states=tuple(states)))
+        except SceneIntegrityError as exc:
+            raise SceneIntegrityError(f"{path}: {exc}") from exc
     return tracks
 
 
@@ -289,14 +292,15 @@ def load_map(path: str) -> MapGraph:
         if not isinstance(lane_id, str):
             raise ParseError(f"{path}: lane entry without a string 'id'")
         if lane_id in lanes:
-            raise SceneIntegrityError(f"duplicate lane id {lane_id!r}")
+            raise SceneIntegrityError(f"{path}: duplicate lane id {lane_id!r}")
+        where = f"{path}: lane {lane_id!r}"
         try:
-            centerline = Curve(entry["centerline"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: lane {lane_id!r}: bad centerline: {exc}") from exc
+            centerline = Curve(jsonio.rows(entry, "centerline", 2, where))
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad centerline: {exc}") from exc
         successors = entry.get("successors", [])
         if not isinstance(successors, list) or not all(isinstance(s, str) for s in successors):
-            raise ParseError(f"{path}: lane {lane_id!r}: 'successors' must be a list of lane ids")
+            raise ParseError(f"{where}: 'successors' must be a list of lane ids")
         lanes[lane_id] = Lane(lane_id, centerline, tuple(successors))
 
     exits: Dict[str, IntersectionExit] = {}
@@ -305,31 +309,34 @@ def load_map(path: str) -> MapGraph:
         if not isinstance(exit_id, str):
             raise ParseError(f"{path}: exit entry without a string 'id'")
         if exit_id in exits:
-            raise SceneIntegrityError(f"duplicate exit id {exit_id!r}")
-        if not isinstance(entry.get("lane_id"), str):
-            raise ParseError(f"{path}: exit {exit_id!r}: 'lane_id' must be a string")
+            raise SceneIntegrityError(f"{path}: duplicate exit id {exit_id!r}")
+        where = f"{path}: exit {exit_id!r}"
         try:
-            exits[exit_id] = IntersectionExit(
-                exit_id=exit_id,
-                position=Point2(float(entry["x"]), float(entry["y"])),
-                associated_lane_id=entry["lane_id"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: exit {exit_id!r}: {exc}") from exc
+            x, y = (jsonio.number(entry, k, where) for k in ("x", "y"))
+            lane_id = jsonio.string(entry, "lane_id", where)
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing key {exc}") from exc
+        exits[exit_id] = IntersectionExit(exit_id, Point2(x, y), lane_id)
 
-    return MapGraph(lanes=lanes, exits=exits)
+    try:
+        return MapGraph(lanes=lanes, exits=exits)
+    except SceneIntegrityError as exc:
+        raise SceneIntegrityError(f"{path}: {exc}") from exc
 
 
 def load_ego_plan(path: str) -> EgoPlan:
     """Parse a JSON-lines ego plan of {t, x, y} rows."""
     poses = []
-    for lineno, record in jsonio.iter_jsonl(path, ("t", "x", "y")):
-        t, x, y = (jsonio.number(record, k, path, lineno) for k in ("t", "x", "y"))
+    for where, record in jsonio.iter_jsonl(path, ("t", "x", "y")):
+        t, x, y = (jsonio.number(record, k, where) for k in ("t", "x", "y"))
         poses.append((t, Point2(x, y)))
     if not poses:
         raise ParseError(f"{path}:1: ego plan file is empty")
     poses.sort(key=lambda pair: pair[0])
-    return EgoPlan(poses=tuple(poses))
+    try:
+        return EgoPlan(poses=tuple(poses))
+    except SceneIntegrityError as exc:
+        raise SceneIntegrityError(f"{path}: {exc}") from exc
 
 
 def load_scene(

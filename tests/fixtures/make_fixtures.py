@@ -105,7 +105,6 @@ def main():
         "learning_rate": 0.002,
         "max_iters": 2000,
         "convergence_tol": 0.0,
-        "seed": 7,
         "theta_init": [1.0, 1.0, 1.0],
     }
 

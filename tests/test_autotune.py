@@ -278,7 +278,6 @@ class TestTunerConfigFile:
             "learning_rate": 0.005,
             "max_iters": 300,
             "convergence_tol": 1e-9,
-            "seed": 7,
             "theta_init": [1, 1, 1],
         }
         config = TunerConfig.from_file(write_json(tmp_path / "tuner.json", doc))

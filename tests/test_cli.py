@@ -1,13 +1,18 @@
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajpredict
 from conftest import write_json, write_jsonl
 from trajpredict.cli import main
 
@@ -350,6 +355,38 @@ MALFORMED_INPUTS = [
         None,
         id="numeric_lane_successors",
     ),
+    pytest.param(
+        run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("exits", x=10**400),
+        None,
+        id="huge_int_exit_x",
+    ),
+    pytest.param(
+        run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("lanes", centerline=[[10**400, 0.0], [0.0, 0.0]]),
+        None,
+        id="huge_int_centerline_coordinate",
+    ),
+    pytest.param(
+        run_annotate,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("exits", x="1.5"),
+        None,
+        id="string_exit_x",
+    ),
+    pytest.param(
+        run_annotate,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("exits", y=True),
+        None,
+        id="boolean_exit_y",
+    ),
 ]
 
 
@@ -364,6 +401,27 @@ def test_malformed_input_is_reported_with_its_file(
     assert code in (1, 2)
     location = f"{bad}:{line}:" if line else str(bad)
     assert capsys.readouterr().err.startswith(f"error: {location}")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "runner, flag, value",
+    [
+        (run_annotate, "--stride", "nan"),
+        (run_annotate, "--min-history", "nan"),
+        (run_annotate, "--horizon", "nan"),
+        (run_annotate, "--resolution", "nan"),
+        (run_annotate, "--resolution", "inf"),
+        (run_predict, "--stride", "nan"),
+        (run_eval, "--horizons", "nan"),
+        (run_eval, "--horizons", "1,nan"),
+        (run_eval, "--horizons", "inf"),
+    ],
+)
+def test_non_finite_number_is_usage_error(tmp_path, capsys, runner, flag, value):
+    code, out = runner(tmp_path, **{flag: value})
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
     assert not os.path.exists(out)
 
 
@@ -410,6 +468,48 @@ def test_any_row_entry_is_read_or_reported(tmp_path_factory, data):
             loader = f"error: {bad}:{index + 1}:"
             join = f"error: {inputs['--predictions']}, {inputs['--dataset']}: "
             assert err.getvalue().startswith((loader, join))
+
+
+PREDICT_INPUTS = {
+    "--map": fixture("map.json"),
+    "--scene": fixture("obstacles.jsonl"),
+    "--ego": fixture("ego.jsonl"),
+    "--priors": fixture("priors.jsonl"),
+}
+
+
+def entry_paths(value, path=()):
+    """The key path of every entry nested in value, at any depth."""
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield path + (key,)
+            yield from entry_paths(entry, path + (key,))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_predict_input_entry_is_read_or_reported(tmp_path_factory, data):
+    """One entry, at any depth, of one document of a predict input becomes any JSON value."""
+    flag = data.draw(st.sampled_from(sorted(PREDICT_INPUTS)))
+    with open(PREDICT_INPUTS[flag], encoding="utf-8") as fh:
+        text = fh.read()
+    jsonl = PREDICT_INPUTS[flag].endswith(".jsonl")
+    docs = [json.loads(line) for line in text.splitlines()] if jsonl else [json.loads(text)]
+    doc = docs[data.draw(st.integers(0, len(docs) - 1))]
+    path = data.draw(st.sampled_from(list(entry_paths(doc))))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = data.draw(JSON_VALUES)
+
+    bad = tmp_path_factory.mktemp("fuzz") / os.path.basename(PREDICT_INPUTS[flag])
+    bad.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code, _ = run_predict(bad.parent, **{flag: str(bad), "--stride": "2.0"})
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(f"error: {bad}")
 
 
 def test_dataset_without_unread_keys_tunes_and_evaluates(tmp_path):
@@ -760,6 +860,27 @@ class TestEvalCommand:
 
 
 class TestCliContract:
+    def test_annotate_and_eval_do_not_import_numpy(self, tmp_path):
+        """Only tune does array math, so only tune may pay for numpy's import."""
+        annotate = ["annotate", "--log", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
+        annotate += ["--horizon", "3.0", "--stride", "1.0", "--out", str(tmp_path / "d.jsonl")]
+        evaluate = ["eval", "--predictions", golden("predictions.jsonl")]
+        evaluate += ["--dataset", golden("dataset.jsonl"), "--out", str(tmp_path / "r.json")]
+        script = (
+            "import sys, trajpredict, trajpredict.cli\n"
+            f"codes = [trajpredict.cli.main({annotate!r}), trajpredict.cli.main({evaluate!r})]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout.endswith("[0, 0] False\n"), result.stderr
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
