@@ -4,9 +4,10 @@ Derives ground-truth future trajectories and intention labels (intersection
 exit taken, lane sequence followed) from logged obstacle tracks. Labels are
 pure functions of the log: positions are interpolated, never extrapolated,
 so a track that ends before the horizon yields no trajectory label. Label
-times come from scene.time_grid, the grid candidates are realized on. The
-anchor grid, anchor key, prediction/label join and the reader of their
-[t, x, y, ...] rows live here too, so every stage meets its labels one way.
+times come from scene.time_grid, the grid candidates are realized on, and
+the anchor grid is the first anchor followed by the same time_grid. The
+anchor key, prediction/label join and the reader of their [t, x, y, ...]
+rows live here too, so every stage meets its labels one way.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .errors import CoverageError, JoinError, ParseError
+from .errors import CoverageError, JoinError, ParseError, SceneIntegrityError
 from .geometry import Point2
 from .scene import (
     DEFAULT_LATERAL_CAPTURE_M,
@@ -182,23 +183,22 @@ def label_lane_sequence(
 
 
 def anchor_times(track: ObstacleTrack, stride: float, min_history: float = 0.0) -> list[float]:
-    """Anchor grid for a track: first_time + min_history + k*stride within the span.
+    """Anchor grid for a track: first_time + min_history, then scene.time_grid's
+    steps of stride after it, within the span.
 
     Shared by the dataset builder and the prediction driver so that both
-    sides of a keyed join compute bit-identical anchor timestamps.
+    sides of a keyed join compute bit-identical anchor timestamps. A grid
+    that time_grid refuses is a SceneIntegrityError naming the obstacle.
     """
     if stride <= 0.0:
         raise ValueError(f"stride must be positive, got {stride}")
     start = track.first_time + min_history
-    anchors = []
-    k = 0
-    while True:
-        t = start + k * stride
-        if t > track.last_time + TIME_EPS:
-            break
-        anchors.append(t)
-        k += 1
-    return anchors
+    if start > track.last_time + TIME_EPS:
+        return []
+    try:
+        return [start] + time_grid(track.last_time, stride, start)
+    except ValueError as exc:
+        raise SceneIntegrityError(f"obstacle {track.obstacle_id!r}: anchors: {exc}") from exc
 
 
 def anchor_key(obstacle_id: str, t: float) -> AnchorKey:

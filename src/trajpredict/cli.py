@@ -20,8 +20,8 @@ import sys
 from typing import Dict, List, Optional
 
 from . import annotation, costing, evaluation, generation, jsonio
-from .errors import AssociationError, ConfigError, JoinError, PipelineError
-from .scene import TIME_EPS, ObstacleTrack, load_ego_plan, load_scene
+from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
+from .scene import TIME_EPS, ObstacleTrack, load_ego_plan, load_scene, time_grid
 
 
 def _write_atomic(path: str, text: str):
@@ -54,17 +54,24 @@ def cmd_annotate(args) -> int:
     _positive(args.resolution, "resolution")
     if not 0.0 <= args.min_history < math.inf:
         raise ConfigError(f"--min-history must be nonnegative and finite, got {args.min_history}")
+    try:
+        time_grid(args.horizon, args.resolution)
+    except ValueError as exc:
+        raise ConfigError(f"--horizon/--resolution: {exc}") from exc
     tracks, map_graph, _ = load_scene(args.log, args.map)
     road_test_id = args.road_test_id or os.path.splitext(os.path.basename(args.log))[0]
-    records, skipped = annotation.build_dataset(
-        tracks,
-        map_graph,
-        road_test_id=road_test_id,
-        stride=args.stride,
-        horizon=args.horizon,
-        resolution=args.resolution,
-        min_history=args.min_history,
-    )
+    try:
+        records, skipped = annotation.build_dataset(
+            tracks,
+            map_graph,
+            road_test_id=road_test_id,
+            stride=args.stride,
+            horizon=args.horizon,
+            resolution=args.resolution,
+            min_history=args.min_history,
+        )
+    except SceneIntegrityError as exc:  # an obstacle's anchor grid
+        raise SceneIntegrityError(f"{args.log}: {exc}") from exc
     _write_jsonl(args.out, records)
     print(jsonio.dumps({"records": len(records), "skipped": skipped, "out": args.out}))
     return 0
@@ -152,13 +159,23 @@ def cmd_predict(args) -> int:
     skipped = 0
     diagnostics: List[str] = []
     for track in tracks:
-        for anchor in annotation.anchor_times(track, args.stride):
+        try:
+            anchors = annotation.anchor_times(track, args.stride)
+        except SceneIntegrityError as exc:
+            raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
+        for anchor in anchors:
             result = _candidates_for_anchor(
                 track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
             )
             if result is None:
                 skipped += 1
                 continue
+            totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
+            if not all(map(math.isfinite, totals)):  # a sub-cost or its weighting overflowed
+                raise ConfigError(
+                    f"{args.weights}: the weights give non-finite costs for obstacle "
+                    f"{track.obstacle_id!r} at anchor {anchor}"
+                )
             records.append(costing.result_to_record(result, weights))
     _write_jsonl(args.out, records)
     for message in diagnostics:

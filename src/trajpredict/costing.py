@@ -9,7 +9,9 @@ the intention priors into posteriors.
 
 The exponential collision kernel exp(-d^2) decays with distance, so closer
 encounters cost more; the per-point distance d aligns the candidate point
-with the ego plan pose interpolated at the same absolute timestamp.
+with the ego plan pose interpolated at the same absolute timestamp. The
+weights and normalizers come from a weights file (CostWeights) whose five
+entries are finite numbers.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
 from .scene import EgoPlan, TimedPoint, Trajectory
-
-REFERENCE_SPEED = 15.0  # m/s, renders centripetal sub-costs O(1)
-REFERENCE_CURVATURE = 0.05  # 1/m
 
 
 @dataclass(frozen=True)
@@ -46,20 +45,13 @@ class CostWeights:
             raise ValueError(f"normalizers must be positive, got z1={self.z1}, z2={self.z2}")
 
     @classmethod
-    def defaults(cls, n_points: int) -> "CostWeights":
-        """Unit weights with normalizers scaled so sub-costs are O(1) for a
-        trajectory of n_points samples."""
-        z1 = n_points * (REFERENCE_SPEED**2 * REFERENCE_CURVATURE) ** 2
-        return cls(z1=z1, z2=float(n_points))
-
-    @classmethod
     def from_file(cls, path: str) -> "CostWeights":
-        """All five keys are required; others (a tuned file's final_loss and
-        iterations) are ignored."""
+        """All five keys are required and must be numbers; others (a tuned
+        file's final_loss and iterations) are ignored."""
         doc = jsonio.read_config(path)
         try:
-            return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{f.name: jsonio.number(doc, f.name, path) for f in fields(cls)})
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: invalid weights file: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -185,10 +177,10 @@ def rank_intentions(
     posterior argmax, ties to the smaller intention id.
 
     Posteriors are invariant to a constant shift of every min cost, so they
-    are normalized relative to the cheapest intention; this keeps Z strictly
-    positive even when the raw exp(-C) likelihoods underflow to zero. The
-    priors are renormalized by normalize_priors, which refuses empty,
-    negative or zero-mass priors with ValueError.
+    are normalized relative to the cheapest intention with a positive prior;
+    this keeps Z strictly positive even when the raw exp(-C) likelihoods
+    underflow to zero. The priors are renormalized by normalize_priors, which
+    refuses empty, negative or zero-mass priors with ValueError.
     """
     costed = []
     for p in normalize_priors(sorted(priors, key=lambda item: item.intention_id)):
@@ -204,8 +196,11 @@ def rank_intentions(
         )
         costed.append((p, candidates[best], breakdowns[best].total, breakdowns))
 
-    cheapest = min(min_cost for _, _, min_cost, _ in costed)
-    masses = [p.prior * math.exp(cheapest - min_cost) for p, _, min_cost, _ in costed]
+    cheapest = min(min_cost for p, _, min_cost, _ in costed if p.prior > 0.0)
+    masses = [
+        p.prior * math.exp(cheapest - min_cost) if p.prior > 0.0 else 0.0
+        for p, _, min_cost, _ in costed
+    ]
     z = math.fsum(masses)
     rankings = tuple(
         IntentionRanking(

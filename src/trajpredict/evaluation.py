@@ -2,20 +2,18 @@
 
 ADE and FDE compare predicted against actual future trajectories on a shared
 time grid (no resampling: misaligned grids are an error, not silently
-interpolated). MSE and the bivariate-Gaussian negative log likelihood are
-available as loss-style metrics for point and distributional predictions.
+interpolated), and MSE is the loss-style metric over the shared prefix. All
+three score point predictions, the only kind any stage produces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from .annotation import join_on_anchor, timed_points
 from .costing import best_points_from_record
 from .errors import CoverageError
-from .geometry import Point2
 from .scene import TIME_EPS, TimedPoint
 
 
@@ -67,42 +65,6 @@ def mse(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]) -> float:
     ) / len(pred)
 
 
-@dataclass(frozen=True)
-class GaussianPoint:
-    """A bivariate normal over one predicted position."""
-
-    mu_x: float
-    mu_y: float
-    sigma_x: float
-    sigma_y: float
-    rho: float
-
-    def __post_init__(self):
-        if self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
-            raise ValueError(f"sigmas must be positive, got ({self.sigma_x}, {self.sigma_y})")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"correlation must lie in (-1, 1), got {self.rho}")
-
-    def log_density(self, p: Point2) -> float:
-        one_minus_rho2 = 1.0 - self.rho * self.rho
-        zx = (p.x - self.mu_x) / self.sigma_x
-        zy = (p.y - self.mu_y) / self.sigma_y
-        quad = (zx * zx - 2.0 * self.rho * zx * zy + zy * zy) / one_minus_rho2
-        log_norm = math.log(
-            2.0 * math.pi * self.sigma_x * self.sigma_y * math.sqrt(one_minus_rho2)
-        )
-        return -log_norm - 0.5 * quad
-
-
-def gaussian_nll(pred: Sequence[GaussianPoint], truth: Sequence[Point2]) -> float:
-    """Mean negative log density of the truth under the predicted Gaussians."""
-    if len(pred) != len(truth):
-        raise ValueError(f"length mismatch: {len(pred)} vs {len(truth)}")
-    if not pred:
-        raise ValueError("empty sequences")
-    return -math.fsum(g.log_density(p) for g, p in zip(pred, truth)) / len(pred)
-
-
 def evaluate_run(
     prediction_records: Sequence[dict],
     dataset_records: Sequence[dict],
@@ -149,6 +111,5 @@ def evaluate_run(
     return {
         "horizons": horizon_entries,
         "mse": math.fsum(mse_values) / len(mse_values) if mse_values else None,
-        "nll": None,
         "skipped": skipped,
     }

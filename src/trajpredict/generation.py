@@ -206,8 +206,8 @@ def search_paths(
     there provided the obstacle lies within the capture distance of it. An
     intention id naming lanes joined by '->' pins the sequence prefix
     explicitly. AssociationError means the intention is not realizable from
-    the obstacle's position: off-map with no pinned lanes, or an exit whose
-    lane is out of reach.
+    the obstacle's position: off-map with no pinned lanes, an exit whose
+    lane is out of reach, or a lane path whose curve cannot be built.
     """
     if max_lanes < 1:
         raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
@@ -220,6 +220,18 @@ def search_paths(
         parts = intention_id.split(LANE_SEQUENCE_SEPARATOR)
         if all(part in map_graph.lanes for part in parts):
             pinned = parts
+
+    def path_curve(lane_ids: Sequence[str], trim: bool) -> Curve:
+        """The lanes' joined centerline, cut at the obstacle if trim; lanes that
+        each load can still join at a vertex lost to rounding."""
+        try:
+            curve = _concat_centerlines(map_graph, lane_ids)
+            return _trimmed_curve(curve, start.position) if trim else curve
+        except ValueError as exc:
+            raise AssociationError(
+                f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(lane_ids)!r} "
+                f"do not form one curve: {exc}"
+            ) from exc
 
     def from_prefix(
         prefix: List[str], curve: Curve, require: Optional[str] = None
@@ -243,7 +255,7 @@ def search_paths(
                 raise AssociationError(
                     f"intention {intention_id!r}: lane {nxt!r} is not a successor of {cur!r}"
                 )
-        sequences = from_prefix(pinned, _concat_centerlines(map_graph, pinned))
+        sequences = from_prefix(pinned, path_curve(pinned, trim=False))
     else:
         root = nearest_lane(map_graph, start.position)
         if root is None and required_lane is None:
@@ -261,10 +273,7 @@ def search_paths(
         if not sequences:  # no rooted sequence reaches the exit lane: re-root there
             sequences = from_prefix([required_lane], map_graph.lanes[required_lane].centerline)
     return [
-        PathCandidate(
-            lane_ids=lane_ids,
-            curve=_trimmed_curve(_concat_centerlines(map_graph, lane_ids), start.position),
-        )
+        PathCandidate(lane_ids=lane_ids, curve=path_curve(lane_ids, trim=True))
         for lane_ids in sorted(set(sequences))
     ]
 
@@ -385,18 +394,20 @@ class GenerationConfig:
     def __post_init__(self):
         if not self.accel_set:
             raise ConfigError("accel_set must be nonempty")
-        if self.horizon_secs <= 0.0 or self.resolution_secs <= 0.0:
-            raise ConfigError("horizon_secs and resolution_secs must be positive")
-        if self.horizon_secs < self.resolution_secs:
-            raise ConfigError("horizon_secs must be at least resolution_secs")
+        try:
+            if not time_grid(self.horizon_secs, self.resolution_secs):
+                raise ValueError("horizon_secs must be at least resolution_secs")
+        except ValueError as exc:
+            raise ConfigError(f"horizon_secs/resolution_secs: {exc}") from exc
         if self.v_max <= 0.0:
             raise ConfigError("v_max must be positive")
         if self.a_min > self.a_max:
             raise ConfigError("a_min must not exceed a_max")
         if self.max_lanes < 1:
             raise ConfigError("max_lanes must be >= 1")
-        if self.temperature <= 0.0:
-            raise ConfigError("temperature must be positive")
+        # heading misalignments reach pi, so a finite pi / temperature keeps the exit priors finite
+        if not (self.temperature > 0.0 and math.pi / self.temperature < math.inf):
+            raise ConfigError("temperature must be positive, with pi / temperature finite")
 
     @property
     def limits(self) -> KinematicLimits:

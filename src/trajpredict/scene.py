@@ -6,9 +6,10 @@ planned trajectory from an optional JSON-lines file. The loaders read only
 the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
-trajectory shape (TimedPoint, Trajectory), the sample-time grid (time_grid,
-TIME_EPS), time interpolation of tracks and the ego plan, and lane
-association (nearest_lane) with its capture distance.
+trajectory shape (TimedPoint, Trajectory), the one time grid of anchors,
+labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
+and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
+plan, and lane association (nearest_lane) with its capture distance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import CoverageError, ParseError, SceneIntegrityError
 from .geometry import Curve, Point2, project_point, wrap_angle
 
 TIME_EPS = 1e-9
+MAX_GRID_TIMES = 10**6
 
 TimedPoint = Tuple[float, Point2]
 
@@ -39,12 +41,27 @@ class Trajectory:
     accels: Tuple[float, ...]
 
 
-def time_grid(span: float, step: float) -> list[float]:
-    """Sample times k*step for k = 1..floor(span/step + TIME_EPS): the grid of
-    labels and candidates alike, never past span beyond rounding."""
-    if step <= 0.0:
+def time_grid(stop: float, step: float, start: float = 0.0) -> list[float]:
+    """Times start + k*step for k = 1, 2, ... while start + k*step <= stop + TIME_EPS:
+    the one grid of anchors, labels and candidates. ValueError refuses a step
+    that is not positive, a step lost to rounding at the grid's times (times
+    would repeat) and a grid of more than MAX_GRID_TIMES times."""
+    if not step > 0.0:
         raise ValueError(f"time step must be positive, got {step}")
-    return [k * step for k in range(1, int(math.floor(span / step + TIME_EPS)) + 1)]
+    limit = stop + TIME_EPS
+    if start + step > limit:
+        return []
+    magnitude = max(abs(start), abs(limit))
+    if not step > 2.0 * math.ulp(magnitude):
+        raise ValueError(f"time step {step} is lost to rounding at time {magnitude}")
+    # with the step above twice the rounding of any time, the count is at most
+    # two above the estimate's floor, and the loop runs a few times at most
+    n = int(min((limit - start) / step, MAX_GRID_TIMES + 1)) + 2
+    while start + n * step > limit:
+        n -= 1
+    if n > MAX_GRID_TIMES:
+        raise ValueError(f"grid of more than {MAX_GRID_TIMES} times from {start} to {stop} by {step}")
+    return [start + k * step for k in range(1, n + 1)]
 
 
 def _bracket(times: Sequence[float], t: float) -> Tuple[int, float]:

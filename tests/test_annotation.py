@@ -12,7 +12,7 @@ from trajpredict.annotation import (
     label_future_trajectory,
     label_lane_sequence,
 )
-from trajpredict.errors import CoverageError
+from trajpredict.errors import CoverageError, SceneIntegrityError
 from trajpredict.scene import load_map
 
 
@@ -247,3 +247,34 @@ class TestAnchorTimes:
         track = straight_track(n=10)
         with pytest.raises(ValueError):
             anchor_times(track, 0.0)
+
+    def test_matches_the_anchor_loop_on_random_tracks(self):
+        def loop_oracle(first, last, stride, min_history):
+            """The anchor loop that anchor_times replaced."""
+            start = first + min_history
+            anchors, k = [], 0
+            while start + k * stride <= last + 1e-9:
+                anchors.append(start + k * stride)
+                k += 1
+            return anchors
+
+        rng = random.Random(7)
+        for _ in range(10_000):
+            stride = 10 ** rng.uniform(-3, 1)
+            first = rng.uniform(-100.0, 100.0)
+            min_history = rng.choice([0.0, rng.uniform(0.0, 5.0)])
+            # spans of up to 200 strides, most within rounding of the tolerance's edge
+            steps = rng.randint(0, 200)
+            last = first + min_history + steps * stride
+            last += rng.choice([-1e-9, -1e-9, 0.0, 2e-9, -2e-9, rng.uniform(0, stride)])
+            if last <= first:
+                last = first + stride
+            track = make_track("v", [(first, 0.0, 0.0, 0.0, 1.0), (last, 1.0, 0.0, 0.0, 1.0)])
+            assert anchor_times(track, stride, min_history) == loop_oracle(
+                first, last, stride, min_history
+            )
+
+    def test_stride_lost_to_rounding_is_refused_naming_the_obstacle(self):
+        track = make_track("lone", [(1e20, 0.0, 0.0, 0.0, 1.0)])
+        with pytest.raises(SceneIntegrityError, match="'lone'.*lost to rounding"):
+            anchor_times(track, 1.0)

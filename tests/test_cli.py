@@ -112,6 +112,11 @@ def edit_first_map_entry(kind, **changes):
     return edit
 
 
+def append_state(**changes):
+    """Append a copy of the log's first state with changes applied."""
+    return lambda text: text + json.dumps({**json.loads(text.split("\n", 1)[0]), **changes}) + "\n"
+
+
 # Each case corrupts one input of one stage. JSON-lines inputs must be
 # reported with their line, JSON documents with their file.
 MALFORMED_INPUTS = [
@@ -387,6 +392,94 @@ MALFORMED_INPUTS = [
         None,
         id="boolean_exit_y",
     ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        edit_document(theta_acc=10**400),
+        None,
+        id="huge_int_weight",
+    ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        edit_document(z1="5062.5"),
+        None,
+        id="string_normalizer",
+    ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        edit_document(theta_acc=True),
+        None,
+        id="boolean_weight",
+    ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        edit_document(theta_acc=1e308),
+        None,
+        id="weight_overflowing_the_cost",
+    ),
+    pytest.param(
+        run_predict,
+        "--weights",
+        fixture("weights.json"),
+        edit_document(z1=1e-308),
+        None,
+        id="normalizer_overflowing_the_cost",
+    ),
+    pytest.param(
+        run_predict,
+        "--config",
+        fixture("genconfig.json"),
+        edit_document(temperature=5e-324),
+        None,
+        id="temperature_giving_nan_priors",
+    ),
+    pytest.param(
+        run_predict,
+        "--config",
+        fixture("genconfig.json"),
+        edit_document(horizon_secs=1e12),
+        None,
+        id="candidate_grid_beyond_the_ceiling",
+    ),
+    pytest.param(
+        run_annotate,
+        "--log",
+        fixture("obstacles.jsonl"),
+        append_state(t=1e100),
+        None,
+        id="huge_timestamp_annotate",
+    ),
+    pytest.param(
+        run_predict,
+        "--scene",
+        fixture("obstacles.jsonl"),
+        append_state(t=1e100),
+        None,
+        id="huge_timestamp_predict",
+    ),
+    pytest.param(
+        run_annotate,
+        "--log",
+        fixture("obstacles.jsonl"),
+        append_state(obstacle_id="lone", t=1e20),
+        None,
+        id="stride_lost_to_rounding_annotate",
+    ),
+    pytest.param(
+        run_predict,
+        "--scene",
+        fixture("obstacles.jsonl"),
+        append_state(obstacle_id="lone", t=1e20),
+        None,
+        id="stride_lost_to_rounding_predict",
+    ),
 ]
 
 
@@ -475,6 +568,8 @@ PREDICT_INPUTS = {
     "--scene": fixture("obstacles.jsonl"),
     "--ego": fixture("ego.jsonl"),
     "--priors": fixture("priors.jsonl"),
+    "--weights": fixture("weights.json"),
+    "--config": fixture("genconfig.json"),
 }
 
 
@@ -488,7 +583,7 @@ def entry_paths(value, path=()):
             yield from entry_paths(entry, path + (key,))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_any_predict_input_entry_is_read_or_reported(tmp_path_factory, data):
     """One entry, at any depth, of one document of a predict input becomes any JSON value."""
@@ -583,6 +678,11 @@ class TestAnnotateCommand:
         code, _ = run_annotate(tmp_path, **{"--horizon": "0"})
         assert code == 2
 
+    def test_label_grid_beyond_the_ceiling_is_usage_error(self, tmp_path, capsys):
+        code, out = run_annotate(tmp_path, **{"--horizon": "1e12"})
+        assert code == 2 and not os.path.exists(out)
+        assert capsys.readouterr().err.startswith("error: --horizon/--resolution: ")
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [
@@ -663,6 +763,15 @@ class TestPredictCommand:
         captured = capsys.readouterr()
         assert "lost" in captured.err
         assert json.loads(captured.out)["skipped"] == 3
+
+
+    def test_lanes_that_do_not_join_skip_the_intention(self, tmp_path, capsys):
+        # each lane loads, but the joined curve loses a vertex to rounding after 1e50
+        doc = json.loads(open(fixture("map.json"), encoding="utf-8").read())
+        doc["lanes"][2]["centerline"][11][1] = 1e50
+        code, out = run_predict(tmp_path, **{"--map": write_json(tmp_path / "map.json", doc)})
+        assert code == 0 and os.path.exists(out)
+        assert "do not form one curve" in capsys.readouterr().err
 
 
 class TestTuneCommand:

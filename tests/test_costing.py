@@ -191,11 +191,6 @@ class TestTotalCost:
             recomposed = weighted_total(w, b.c_acc, b.c_centripetal, b.c_collision)
             assert b.total == pytest.approx(recomposed, abs=1e-12)
 
-    def test_defaults_scale_with_points(self):
-        w = CostWeights.defaults(80)
-        assert w.z2 == 80.0
-        assert w.z1 == pytest.approx(80 * (15.0**2 * 0.05) ** 2)
-
 
 class TestLikelihood:
     def test_zero_cost_is_certain(self):
@@ -366,6 +361,18 @@ class TestRankIntentions:
         assert by_id["a"].likelihood == 0.0  # raw likelihood does underflow
         assert by_id["a"].posterior == pytest.approx(0.75, abs=1e-9)
         assert by_id["b"].posterior == pytest.approx(0.25, abs=1e-9)
+
+    def test_zero_prior_on_the_cheapest_intention_gets_no_mass(self):
+        # "a" is cheaper by far more than exp can span; its zero prior leaves
+        # all the mass to "b" instead of a zero normalizer
+        weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
+        candidates = {"a": [trajectory_with_cost(0.0)], "b": [trajectory_with_cost(2000.0)]}
+        result = rank_intentions(
+            "veh", 0.0, candidates, [Prior("a", 0.0), Prior("b", 1.0)], None, weights
+        )
+        by_id = {r.intention_id: r for r in result.intentions}
+        assert (by_id["a"].posterior, by_id["b"].posterior) == (0.0, 1.0)
+        assert result.selected_intention == "b"
 
     def test_posteriors_always_sum_to_one(self):
         rng = random.Random(33)

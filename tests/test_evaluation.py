@@ -4,7 +4,7 @@ import random
 import pytest
 
 from trajpredict.errors import CoverageError
-from trajpredict.evaluation import GaussianPoint, ade, evaluate_run, fde, gaussian_nll, mse
+from trajpredict.evaluation import ade, evaluate_run, fde, mse
 from trajpredict.geometry import Point2
 
 
@@ -130,57 +130,6 @@ class TestMse:
             pred = grid(lambda t: rng.uniform(-9, 9), lambda t: rng.uniform(-9, 9), n=n)
             truth = grid(lambda t: rng.uniform(-9, 9), lambda t: rng.uniform(-9, 9), n=n)
             assert mse(pred, truth) >= 0.0
-
-
-class TestGaussianNll:
-    def test_truth_at_mean_unit_covariance(self):
-        g = GaussianPoint(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, rho=0.0)
-        assert gaussian_nll([g], [Point2(0, 0)]) == pytest.approx(math.log(2 * math.pi), abs=1e-12)
-
-    def test_one_sigma_offset_adds_half(self):
-        g = GaussianPoint(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, rho=0.0)
-        assert gaussian_nll([g], [Point2(1, 0)]) == pytest.approx(
-            math.log(2 * math.pi) + 0.5, abs=1e-12
-        )
-
-    def test_matches_quadratic_form_expansion(self):
-        rng = random.Random(37)
-        for _ in range(50):
-            g = GaussianPoint(
-                mu_x=rng.uniform(-5, 5),
-                mu_y=rng.uniform(-5, 5),
-                sigma_x=rng.uniform(0.2, 4.0),
-                sigma_y=rng.uniform(0.2, 4.0),
-                rho=rng.uniform(-0.9, 0.9),
-            )
-            p = Point2(
-                g.mu_x + rng.uniform(-3, 3) * g.sigma_x,
-                g.mu_y + rng.uniform(-3, 3) * g.sigma_y,
-            )
-            # independent density evaluation via the explicit covariance inverse
-            det = (g.sigma_x**2) * (g.sigma_y**2) * (1 - g.rho**2)
-            inv = [
-                [g.sigma_y**2 / det, -g.rho * g.sigma_x * g.sigma_y / det],
-                [-g.rho * g.sigma_x * g.sigma_y / det, g.sigma_x**2 / det],
-            ]
-            dx, dy = p.x - g.mu_x, p.y - g.mu_y
-            quad = dx * (inv[0][0] * dx + inv[0][1] * dy) + dy * (inv[1][0] * dx + inv[1][1] * dy)
-            density = math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det))
-            assert gaussian_nll([g], [p]) == pytest.approx(-math.log(density), abs=1e-10)
-
-    def test_tighter_sigma_helps_at_mean_hurts_off_mean(self):
-        at_mean = Point2(0, 0)
-        off_mean = Point2(3, 0)
-        wide = GaussianPoint(0, 0, 2.0, 2.0, 0.0)
-        tight = GaussianPoint(0, 0, 0.5, 0.5, 0.0)
-        assert gaussian_nll([tight], [at_mean]) < gaussian_nll([wide], [at_mean])
-        assert gaussian_nll([tight], [off_mean]) > gaussian_nll([wide], [off_mean])
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianPoint(0, 0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            GaussianPoint(0, 0, 1.0, 1.0, 1.0)
 
 
 def prediction_record(obstacle_id, anchor, points, intention="go"):

@@ -7,6 +7,7 @@ from conftest import make_track, write_json, write_jsonl
 from trajpredict.errors import CoverageError, ParseError, SceneIntegrityError
 from trajpredict.geometry import Point2
 from trajpredict.scene import (
+    MAX_GRID_TIMES,
     EgoPlan,
     load_map,
     load_obstacle_log,
@@ -146,6 +147,45 @@ class TestTimeGrid:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             time_grid(1.0, 0.0)
+
+    def test_tolerance_is_in_seconds(self):
+        # a last time up to TIME_EPS seconds past the stop is kept, one further is not
+        assert time_grid(4.0 - 1.5e-9, 2.0) == [2.0]
+        assert time_grid(0.3 - 5e-10, 0.1) == [0.1, 2 * 0.1, 3 * 0.1]
+
+    def test_matches_the_rule_at_the_edge_of_the_tolerance(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            step = 10 ** rng.uniform(-3, 1)
+            # stop + TIME_EPS within a float spacing or two of start + k*step; at
+            # epoch-like times TIME_EPS is below the spacing and is lost
+            start = rng.choice([0.0, rng.uniform(-100.0, 100.0), rng.uniform(1e9, 2e9)])
+            end = start + rng.randint(1, 300) * step
+            spacing = math.ulp(end) * rng.choice([-1, 0, 1])
+            stop = end + spacing - rng.choice([1e-9, 0.0])
+            expected, k = [], 1
+            while start + k * step <= stop + 1e-9:
+                expected.append(start + k * step)
+                k += 1
+            assert time_grid(stop, step, start) == expected
+
+    def test_start_offsets_every_time(self):
+        assert time_grid(2.0, 0.5, start=0.75) == [1.25, 1.75]
+        assert time_grid(1.0, 0.5, start=3.0) == []
+
+    def test_grid_longer_than_the_ceiling_is_refused(self):
+        assert len(time_grid(float(MAX_GRID_TIMES), 1.0)) == MAX_GRID_TIMES
+        with pytest.raises(ValueError, match="more than"):
+            time_grid(MAX_GRID_TIMES + 1.0, 1.0)
+        with pytest.raises(ValueError, match="more than"):
+            time_grid(1e12, 0.1)
+
+    def test_step_lost_to_rounding_is_refused(self):
+        # 1e20 + 1.0 rounds back to 1e20, so every time would repeat
+        with pytest.raises(ValueError, match="lost to rounding"):
+            time_grid(1e20, 1.0, start=1e20)
+        with pytest.raises(ValueError, match="lost to rounding"):
+            time_grid(1e100, 1.0)
 
 
 class TestTrackInterpolation:
