@@ -21,7 +21,7 @@ from . import jsonio
 from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor, timed_points
 from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
-from .geometry import menger_curvature
+from .geometry import vertex_curvatures
 from .scene import EgoPlan, Trajectory
 
 SubCosts = Tuple[float, float, float]
@@ -104,13 +104,8 @@ def ground_truth_subcosts(
     y_pairs = _stencil(times, [p.y for _, p in points])
     speeds = [math.hypot(nx, ny) / dt for (nx, dt), (ny, _) in zip(x_pairs, y_pairs)]
     accels = [n / dt for n, dt in _stencil(times, speeds)]
-    interior = [
-        menger_curvature(points[i - 1][1], points[i][1], points[i + 1][1])
-        for i in range(1, len(points) - 1)
-    ]
-    # endpoints have no bracketing triple; copy the nearest interior estimate
-    curvatures = [interior[0]] + interior + [interior[-1]]
-    truth = Trajectory(points, tuple(speeds), tuple(curvatures), tuple(accels))
+    curvatures = vertex_curvatures([p for _, p in points])
+    truth = Trajectory(points, tuple(speeds), curvatures, tuple(accels))
     return (
         cost_acc(truth),
         cost_centripetal(truth, z1),

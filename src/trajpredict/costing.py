@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
 from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
+from .geometry import Point2
 from .scene import EgoPlan, TimedPoint, Trajectory
 
 
@@ -97,9 +98,16 @@ def cost_collision(
         raise ValueError(f"z2 must be positive, got {z2}")
     if ego is None:
         return 0.0
+    ego_positions = ego.positions_at([anchor_time + t for t, _ in trajectory.points])
+    return _proximity_cost(trajectory, ego_positions, z2)
+
+
+def _proximity_cost(trajectory: Trajectory, ego_positions: Sequence[Point2], z2: float) -> float:
+    """The collision kernel: exp(-d^2) between each trajectory point and the
+    ego position of the same index, summed and over z2."""
     terms = []
-    for t, position in trajectory.points:
-        d = position.distance_to(ego.position_at(anchor_time + t))
+    for (_, position), ego_position in zip(trajectory.points, ego_positions):
+        d = position.distance_to(ego_position)
         terms.append(math.exp(-d * d))
     return math.fsum(terms) / z2
 
@@ -117,14 +125,18 @@ def weighted_total(
 
 def total_cost(
     trajectory: CandidateTrajectory,
-    ego: Optional[EgoPlan],
+    ego_positions: Optional[Sequence[Point2]],
     weights: CostWeights,
-    anchor_time: float = 0.0,
 ) -> CostBreakdown:
-    """Sub-costs plus their weighted total for one candidate trajectory."""
+    """Sub-costs plus their weighted total for one candidate trajectory.
+
+    ego_positions holds the ego pose at each point's absolute time, as
+    cost_collision interpolates them; None, without an ego plan, costs the
+    collision term 0.
+    """
     ca = cost_acc(trajectory)
     cc = cost_centripetal(trajectory, weights.z1)
-    ccol = cost_collision(trajectory, ego, weights.z2, anchor_time)
+    ccol = 0.0 if ego_positions is None else _proximity_cost(trajectory, ego_positions, weights.z2)
     return CostBreakdown(
         c_acc=ca,
         c_centripetal=cc,
@@ -181,7 +193,20 @@ def rank_intentions(
     this keeps Z strictly positive even when the raw exp(-C) likelihoods
     underflow to zero. The priors are renormalized by normalize_priors, which
     refuses empty, negative or zero-mass priors with ValueError.
+
+    The ego plan is interpolated once per distinct candidate time grid, and
+    every candidate on that grid reads those positions.
     """
+    ego_by_grid: Dict[Tuple[float, ...], List[Point2]] = {}
+
+    def ego_positions(candidate: CandidateTrajectory) -> Optional[List[Point2]]:
+        if ego is None:
+            return None
+        times = tuple(t for t, _ in candidate.points)
+        if times not in ego_by_grid:
+            ego_by_grid[times] = ego.positions_at([anchor_time + t for t in times])
+        return ego_by_grid[times]
+
     costed = []
     for p in normalize_priors(sorted(priors, key=lambda item: item.intention_id)):
         candidates = candidates_by_intention.get(p.intention_id)
@@ -189,7 +214,7 @@ def rank_intentions(
             raise ValueError(
                 f"intention {p.intention_id!r} has a prior but no candidate trajectories"
             )
-        breakdowns = tuple(total_cost(c, ego, weights, anchor_time) for c in candidates)
+        breakdowns = tuple(total_cost(c, ego_positions(c), weights) for c in candidates)
         best = min(
             range(len(candidates)),
             key=lambda i: (breakdowns[i].total, abs(candidates[i].source_profile.a), i),

@@ -13,7 +13,8 @@ covers the full horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import jsonio
@@ -22,7 +23,6 @@ from .errors import AssociationError, ConfigError, ParseError
 from .geometry import (
     Curve,
     Point2,
-    curvature_at_s,
     point_at_s,
     project_point,
     tail_from,
@@ -50,10 +50,14 @@ class IntentionPrior:
 
 
 def normalize_priors(priors: Sequence[IntentionPrior]) -> List[IntentionPrior]:
-    """Renormalize priors to sum exactly to 1; rejects negatives and zero mass."""
+    """Renormalize priors to sum exactly to 1; rejects negatives, zero mass
+    and a total mass that overflows."""
     if not priors:
         raise ValueError("no priors to normalize")
-    total = math.fsum(p.prior for p in priors)
+    try:
+        total = math.fsum(p.prior for p in priors)
+    except OverflowError as exc:
+        raise ValueError("the priors' total mass overflows") from exc
     if any(p.prior < 0.0 for p in priors) or total <= 0.0:
         raise ValueError("priors must be nonnegative with positive total mass")
     return [IntentionPrior(p.intention_id, p.prior / total) for p in priors]
@@ -289,48 +293,59 @@ class KinematicLimits:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Constant-acceleration speed profile with speed clamped to [0, v_max]."""
+    """Constant-acceleration speed profile with speed clamped to [0, v_max],
+    sampled once, when it is built, on its time grid (scene.time_grid from 0
+    to duration by resolution): the arc length, speed and effective
+    acceleration at each of its times.
+
+    The arc length is the exact integral of the clamped speed: the unclamped
+    speed is linear in t, so the trapezoid rule between the clamp crossings
+    is closed-form exact. The crossings, and the arc length summed up to
+    each, are computed once; each time then adds the trapezoid from the last
+    crossing strictly before it.
+    """
 
     v0: float
     a: float
     duration: float
     resolution: float
     v_max: float = math.inf
+    times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    arc_lengths: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    speeds: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    accels: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v0 < 0.0:
             raise ValueError(f"initial speed must be nonnegative, got {self.v0}")
         if self.resolution <= 0.0 or self.duration <= 0.0:
             raise ValueError("duration and resolution must be positive")
-
-    def speed_at(self, t: float) -> float:
-        return min(self.v_max, max(0.0, self.v0 + self.a * t))
-
-    def state_at(self, t: float) -> Tuple[float, float, float]:
-        """(arc length, speed, effective acceleration) at time t.
-
-        The arc length is the exact integral of the clamped speed: the
-        unclamped speed is linear in t, so integrating piecewise between the
-        clamp crossings with the trapezoid rule is closed-form exact.
-        """
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        breaks = [0.0, t]
-        if self.a != 0.0:
-            for bound in (0.0, self.v_max):
-                tc = (bound - self.v0) / self.a
-                if 0.0 < tc < t:
-                    breaks.append(tc)
-        breaks.sort()
-        s = 0.0
-        for t0, t1 in zip(breaks, breaks[1:]):
-            s += 0.5 * (self.speed_at(t0) + self.speed_at(t1)) * (t1 - t0)
-        v = self.speed_at(t)
-        effective_a = self.a if 0.0 < v < self.v_max else 0.0
-        return s, v, effective_a
-
-    def sample_times(self) -> List[float]:
-        return time_grid(self.duration, self.resolution)
+        v0, a, v_max = self.v0, self.a, self.v_max
+        times = time_grid(self.duration, self.resolution)
+        crossings = []
+        if a != 0.0 and times:
+            crossings = sorted(
+                tc for tc in ((0.0 - v0) / a, (v_max - v0) / a) if 0.0 < tc < times[-1]
+            )
+        knots, knot_speeds, prefix = [0.0], [min(v_max, max(0.0, v0))], [0.0]
+        for tc in crossings:
+            v = min(v_max, max(0.0, v0 + a * tc))
+            prefix.append(prefix[-1] + 0.5 * (knot_speeds[-1] + v) * (tc - knots[-1]))
+            knots.append(tc)
+            knot_speeds.append(v)
+        arc_lengths, speeds, accels = [], [], []
+        j = 0  # crossings strictly before t
+        for t in times:
+            while j < len(crossings) and crossings[j] < t:
+                j += 1
+            v = min(v_max, max(0.0, v0 + a * t))
+            arc_lengths.append(prefix[j] + 0.5 * (knot_speeds[j] + v) * (t - knots[j]))
+            speeds.append(v)
+            accels.append(a if 0.0 < v < v_max else 0.0)
+        object.__setattr__(self, "times", tuple(times))
+        object.__setattr__(self, "arc_lengths", tuple(arc_lengths))
+        object.__setattr__(self, "speeds", tuple(speeds))
+        object.__setattr__(self, "accels", tuple(accels))
 
 
 def sample_profiles(
@@ -359,21 +374,29 @@ class CandidateTrajectory(Trajectory):
 
 
 def realize_trajectory(path: PathCandidate, profile: SpeedProfile) -> CandidateTrajectory:
-    """Walk the path's curve by the profile's closed-form arc length.
+    """Walk the path's curve by the profile's arc lengths, in one pass over
+    its times; the candidate shares the profile's speeds and accelerations.
 
-    Points beyond the curve end follow the final segment's tangent; their
-    curvature is zero on the straight extension.
+    A point lies on the segment that bisect_right places its arc length in,
+    as point_at_s places it, so a vertex belongs to its outgoing segment. It
+    takes the curvature of the vertex nearest to it, ties to the lower
+    index. Points beyond the curve end follow the final segment's tangent;
+    their curvature is zero on the straight extension.
     """
-    points, speeds, curvatures, accels = [], [], [], []
-    for t in profile.sample_times():
-        s, v, a_eff = profile.state_at(t)
-        position, _ = point_at_s(path.curve, s)
-        points.append((t, position))
-        speeds.append(v)
-        curvatures.append(curvature_at_s(path.curve, s))
-        accels.append(a_eff)
+    curve = path.curve
+    vertices, cum, kappa = curve.points, curve.cumulative_s, curve.vertex_curvatures
+    last_vertex, length = len(vertices) - 1, cum[-1]
+    points, curvatures = [], []
+    for t, s in zip(profile.times, profile.arc_lengths):
+        # searching below the last vertex puts s beyond the end on the final segment
+        i = bisect_right(cum, s, 0, last_vertex) - 1
+        p, q = vertices[i], vertices[i + 1]
+        u = (s - cum[i]) / (cum[i + 1] - cum[i])
+        points.append((t, Point2(p.x + u * (q.x - p.x), p.y + u * (q.y - p.y))))
+        nearest = i if s - cum[i] <= cum[i + 1] - s else i + 1
+        curvatures.append(0.0 if s > length else kappa[nearest])
     return CandidateTrajectory(
-        tuple(points), tuple(speeds), tuple(curvatures), tuple(accels), source_profile=profile
+        tuple(points), profile.speeds, tuple(curvatures), profile.accels, source_profile=profile
     )
 
 

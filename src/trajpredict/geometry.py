@@ -42,10 +42,14 @@ class Curve:
 
     cumulative_s[k] is the arc length from the first vertex to vertex k;
     a vertex that leaves it unchanged (a consecutive duplicate, or a segment
-    lost to rounding) is rejected so every segment has positive length.
+    lost to rounding) is rejected so every segment has positive length, and
+    so is one whose segment's squared length underflows to 0, which
+    project_point divides by. The vertex curvatures (see vertex_curvatures)
+    are computed once here, so a vertex whose curvature cannot be computed
+    is rejected too.
     """
 
-    __slots__ = ("points", "cumulative_s")
+    __slots__ = ("points", "cumulative_s", "vertex_curvatures")
 
     def __init__(self, points: Iterable):
         pts = tuple(p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in points)
@@ -56,9 +60,15 @@ class Curve:
             s = cum[-1] + a.distance_to(b)
             if s == cum[-1]:
                 raise ValueError(f"vertex ({b.x}, {b.y}) is a duplicate or adds no arc length")
+            vx, vy = b.x - a.x, b.y - a.y
+            if vx * vx + vy * vy == 0.0:
+                raise ValueError(
+                    f"the segment to vertex ({b.x}, {b.y}) has a squared length underflowing to 0"
+                )
             cum.append(s)
         self.points = pts
         self.cumulative_s = tuple(cum)
+        self.vertex_curvatures = vertex_curvatures(pts)
 
     @property
     def length(self) -> float:
@@ -91,8 +101,20 @@ def point_at_s(curve: Curve, s: float) -> Tuple[Point2, float]:
     return pos, math.atan2(b.y - a.y, b.x - a.x)
 
 
+def vertex_curvatures(points: Sequence[Point2]) -> Tuple[float, ...]:
+    """The menger_curvature of the triple centred on each vertex of a
+    polyline; each end vertex, which has no such triple, takes its
+    neighbour's value, and two vertices are straight (zeros)."""
+    inner = tuple(menger_curvature(*points[k - 1 : k + 2]) for k in range(1, len(points) - 1))
+    return inner[:1] + inner + inner[-1:] if inner else (0.0,) * len(points)
+
+
 def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:
-    """Signed reciprocal circumradius of three points; positive for left turns."""
+    """Signed reciprocal circumradius of three points; positive for left turns.
+
+    ValueError when the points turn but the product of their distances
+    underflows to 0.
+    """
     abx, aby = b.x - a.x, b.y - a.y
     bcx, bcy = c.x - b.x, c.y - b.y
     cross = abx * bcy - aby * bcx
@@ -101,25 +123,12 @@ def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:
     d_ab = math.hypot(abx, aby)
     d_bc = math.hypot(bcx, bcy)
     d_ca = math.hypot(c.x - a.x, c.y - a.y)
-    return 2.0 * cross / (d_ab * d_bc * d_ca)
-
-
-def curvature_at_s(curve: Curve, s: float) -> float:
-    """Signed discrete curvature (1/m) near arc length s.
-
-    Uses the circumradius of the vertex triple around the vertex nearest to
-    s (ties to the lower index, clamped to interior vertices). Curves with
-    fewer than 3 vertices are straight by construction and return 0, as does
-    any s beyond the curve end, where positions extrapolate on a straight
-    tangent.
-    """
-    if len(curve.points) < 3 or s > curve.length:
-        return 0.0
-    i = _segment_index(curve, s)
-    cum = curve.cumulative_s
-    k = i if (s - cum[i]) <= (cum[i + 1] - s) else i + 1
-    k = min(max(k, 1), len(curve.points) - 2)
-    return menger_curvature(curve.points[k - 1], curve.points[k], curve.points[k + 1])
+    denominator = d_ab * d_bc * d_ca
+    if denominator == 0.0:
+        raise ValueError(
+            f"the curvature at ({b.x}, {b.y}) cannot be computed: its distances underflow"
+        )
+    return 2.0 * cross / denominator
 
 
 def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
@@ -181,15 +181,28 @@ class EgoPlan:
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise SceneIntegrityError("non-monotonic timestamps in ego plan")
 
-    def position_at(self, t: float) -> Point2:
-        """Linearly interpolated pose; queries beyond coverage return the end
-        poses themselves, which a lerp at u = 1 would not reproduce exactly."""
-        if t <= self.times[0]:
-            return self.poses[0][1]
-        if t >= self.times[-1]:
-            return self.poses[-1][1]
-        i, u = _bracket(self.times, t)
-        return _lerp(self.poses[i][1], self.poses[i + 1][1], u)
+    def positions_at(self, times: Iterable[float]) -> list[Point2]:
+        """Linearly interpolated poses at ascending times, found in one walk
+        over the plan; queries beyond coverage return the end poses
+        themselves, which a lerp at u = 1 would not reproduce exactly."""
+        poses, plan_times = self.poses, self.times
+        positions = []
+        i = 0
+        previous = -math.inf
+        for t in times:
+            if t < previous:
+                raise ValueError(f"ego plan query times must ascend, got {t} after {previous}")
+            previous = t
+            if t <= plan_times[0]:
+                positions.append(poses[0][1])
+            elif t >= plan_times[-1]:
+                positions.append(poses[-1][1])
+            else:
+                while plan_times[i + 1] <= t:
+                    i += 1
+                u = (t - plan_times[i]) / (plan_times[i + 1] - plan_times[i])
+                positions.append(_lerp(poses[i][1], poses[i + 1][1], u))
+        return positions
 
 
 @dataclass(frozen=True)

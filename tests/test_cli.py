@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 import trajpredict
 from conftest import write_json, write_jsonl
+from trajpredict import costing
 from trajpredict.cli import main
+from trajpredict.generation import GenerationConfig
+from trajpredict.scene import EgoPlan, time_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -474,6 +477,24 @@ MALFORMED_INPUTS = [
     ),
     pytest.param(
         run_predict,
+        "--map",
+        fixture("map.json"),
+        edit_first_map_entry("lanes", centerline=[[1e-170, 0], [0, 0], [0, -5]]),
+        None,
+        id="centerline_segment_whose_square_underflows",
+    ),
+    pytest.param(
+        run_predict,
+        "--priors",
+        fixture("priors.jsonl"),
+        edit_first_line(
+            intentions=[{"id": "exit_e", "prior": 1e308}, {"id": "exit_n", "prior": 1e308}]
+        ),
+        1,
+        id="priors_whose_total_overflows",
+    ),
+    pytest.param(
+        run_predict,
         "--scene",
         fixture("obstacles.jsonl"),
         append_state(obstacle_id="lone", t=1e20),
@@ -659,6 +680,18 @@ def test_overflowing_ground_truth_is_refused_at_the_join(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_ground_truth_whose_curvature_underflows_is_refused_at_the_join(tmp_path, capsys):
+    # a turn 1e-110 m across: the product of the triple's distances underflows to 0
+    future = [[0.1, 0.0, 0.0], [0.2, 1e-110, 0.0], [0.3, 1e-110, 1e-110], [0.4, 0.0, 1e-110]]
+    bad = tmp_path / "bad_dataset.jsonl"
+    with open(golden("dataset.jsonl"), encoding="utf-8") as fh:
+        bad.write_text(edit_first_line(future=future)(fh.read()), encoding="utf-8")
+    code, out = run_tune(tmp_path, **{"--dataset": str(bad)})
+    assert code == 1
+    assert "curvature" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 class TestAnnotateCommand:
     def test_fixture_record_count(self, tmp_path, capsys):
         code, out = run_annotate(tmp_path)
@@ -772,6 +805,32 @@ class TestPredictCommand:
         code, out = run_predict(tmp_path, **{"--map": write_json(tmp_path / "map.json", doc)})
         assert code == 0 and os.path.exists(out)
         assert "do not form one curve" in capsys.readouterr().err
+
+    def test_ego_is_interpolated_once_per_grid_time_per_anchor(self, tmp_path, monkeypatch):
+        counts = {"anchors": 0, "candidate_points": 0, "ego_times": 0}
+        rank, positions_at = costing.rank_intentions, EgoPlan.positions_at
+
+        def counting_rank(obstacle_id, anchor, candidates_by_intention, *rest):
+            counts["anchors"] += 1
+            for candidates in candidates_by_intention.values():
+                counts["candidate_points"] += sum(len(c.points) for c in candidates)
+            return rank(obstacle_id, anchor, candidates_by_intention, *rest)
+
+        def counting_positions_at(ego, times):
+            times = list(times)
+            counts["ego_times"] += len(times)
+            return positions_at(ego, times)
+
+        monkeypatch.setattr(costing, "rank_intentions", counting_rank)
+        monkeypatch.setattr(EgoPlan, "positions_at", counting_positions_at)
+        code, _ = run_predict(tmp_path)
+        assert code == 0
+        config = GenerationConfig.from_file(fixture("genconfig.json"))
+        grid = time_grid(config.horizon_secs, config.resolution_secs)
+        assert counts["anchors"] == 22
+        assert counts["ego_times"] == counts["anchors"] * len(grid)
+        # one interpolation per candidate point would be several times as many
+        assert counts["candidate_points"] > 2 * counts["ego_times"]
 
 
 class TestTuneCommand:
@@ -969,15 +1028,19 @@ class TestEvalCommand:
 
 
 class TestCliContract:
-    def test_annotate_and_eval_do_not_import_numpy(self, tmp_path):
+    def test_annotate_predict_and_eval_do_not_import_numpy(self, tmp_path):
         """Only tune does array math, so only tune may pay for numpy's import."""
         annotate = ["annotate", "--log", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
         annotate += ["--horizon", "3.0", "--stride", "1.0", "--out", str(tmp_path / "d.jsonl")]
+        predict = ["predict", "--scene", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
+        predict += ["--ego", fixture("ego.jsonl"), "--priors", fixture("priors.jsonl")]
+        predict += ["--weights", fixture("weights.json"), "--config", fixture("genconfig.json")]
+        predict += ["--stride", "1.0", "--out", str(tmp_path / "p.jsonl")]
         evaluate = ["eval", "--predictions", golden("predictions.jsonl")]
         evaluate += ["--dataset", golden("dataset.jsonl"), "--out", str(tmp_path / "r.json")]
         script = (
             "import sys, trajpredict, trajpredict.cli\n"
-            f"codes = [trajpredict.cli.main({annotate!r}), trajpredict.cli.main({evaluate!r})]\n"
+            f"codes = [trajpredict.cli.main(argv) for argv in {[annotate, predict, evaluate]!r}]\n"
             "print(codes, 'numpy' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(trajpredict.__file__))
@@ -988,7 +1051,7 @@ class TestCliContract:
             text=True,
             timeout=60,
         )
-        assert result.stdout.endswith("[0, 0] False\n"), result.stderr
+        assert result.stdout.endswith("[0, 0, 0] False\n"), result.stderr
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -187,7 +187,7 @@ class TestTotalCost:
             w = CostWeights(
                 rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 3), 2.0, 3.0
             )
-            b = total_cost(traj, ego, w)
+            b = total_cost(traj, ego.positions_at([t for t, _ in traj.points]), w)
             recomposed = weighted_total(w, b.c_acc, b.c_centripetal, b.c_collision)
             assert b.total == pytest.approx(recomposed, abs=1e-12)
 

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from trajpredict.generation import (
     sample_profiles,
     search_paths,
 )
-from trajpredict.geometry import Curve, Point2, project_point
-from trajpredict.scene import ObstacleState, load_map
+from trajpredict.geometry import Curve, Point2, menger_curvature, project_point
+from trajpredict.scene import ObstacleState, load_map, time_grid
 
 
 def chain_map(tmp_path, lengths=(30.0, 30.0, 30.0), fork=False, cycle=False):
@@ -218,15 +219,15 @@ class TestSampleProfiles:
             a = rng.uniform(-5.0, 5.0)
             v_max = rng.uniform(5.0, 15.0)
             profile = SpeedProfile(v0=v0, a=a, duration=8.0, resolution=0.1, v_max=v_max)
-            for t in (0.5, 1.7, 4.0, 8.0):
-                _, v, _ = profile.state_at(t)
+            traj = realize_trajectory(PathCandidate(("l",), Curve([(0, 0), (1, 0)])), profile)
+            for (t, _), v in zip(traj.points, traj.speeds):
                 assert v == pytest.approx(min(v_max, max(0.0, v0 + a * t)), abs=1e-12)
 
 
 class TestSampleTimes:
     def test_grid_stops_at_the_duration(self):
         profile = SpeedProfile(v0=10.0, a=0.0, duration=0.38, resolution=0.1)
-        assert profile.sample_times()[-1] <= 0.38
+        assert profile.times[-1] <= 0.38
 
     @settings(max_examples=200, deadline=None)
     @given(resolution=st.floats(0.01, 1.0), steps=st.floats(1.0, 50.0))
@@ -326,6 +327,155 @@ class TestRealizeTrajectory:
         traj = realize_trajectory(short, profile)
         assert traj.points[-1][1].x == pytest.approx(20.0, abs=1e-9)
         assert traj.curvatures[-1] == 0.0
+
+
+# The per-point composition realize_trajectory replaced, kept as the
+# reference it must match bit for bit: SpeedProfile.state_at, then
+# point_at_s, then curvature_at_s, each solving one point from scratch.
+def reference_state_at(profile, t):
+    def speed_at(t):
+        return min(profile.v_max, max(0.0, profile.v0 + profile.a * t))
+
+    breaks = [0.0, t]
+    if profile.a != 0.0:
+        for bound in (0.0, profile.v_max):
+            tc = (bound - profile.v0) / profile.a
+            if 0.0 < tc < t:
+                breaks.append(tc)
+    breaks.sort()
+    s = 0.0
+    for t0, t1 in zip(breaks, breaks[1:]):
+        s += 0.5 * (speed_at(t0) + speed_at(t1)) * (t1 - t0)
+    v = speed_at(t)
+    return s, v, profile.a if 0.0 < v < profile.v_max else 0.0
+
+
+def reference_segment_index(curve, s):
+    i = bisect_right(curve.cumulative_s, s) - 1
+    return min(max(i, 0), len(curve.points) - 2)
+
+
+def reference_point_at_s(curve, s):
+    i = reference_segment_index(curve, s)
+    a, b = curve.points[i], curve.points[i + 1]
+    seg = curve.cumulative_s[i + 1] - curve.cumulative_s[i]
+    t = (s - curve.cumulative_s[i]) / seg
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def reference_curvature_at_s(curve, s):
+    if len(curve.points) < 3 or s > curve.length:
+        return 0.0
+    i = reference_segment_index(curve, s)
+    cum = curve.cumulative_s
+    k = i if (s - cum[i]) <= (cum[i + 1] - s) else i + 1
+    k = min(max(k, 1), len(curve.points) - 2)
+    return menger_curvature(curve.points[k - 1], curve.points[k], curve.points[k + 1])
+
+
+def reference_rows(curve, profile):
+    rows = []
+    for t in time_grid(profile.duration, profile.resolution):
+        s, v, a_eff = reference_state_at(profile, t)
+        p = reference_point_at_s(curve, s)
+        rows.append((t, p.x, p.y, v, reference_curvature_at_s(curve, s), a_eff))
+    return rows
+
+
+# Segment directions with exact unit lengths (3-4-5 triangles), so integer
+# multiples give integer arc lengths and dyadic speeds and times land on
+# vertices and on segment midpoints.
+LATTICE_STEPS = [(1, 0), (0, 1), (-1, 0), (0, -1), (0.6, 0.8), (0.8, 0.6), (-0.6, 0.8), (0.8, -0.6)]
+
+
+def lattice_curve(rng):
+    x = y = 0.0
+    pts = [(x, y)]
+    for _ in range(rng.randint(1, 6)):
+        dx, dy = rng.choice(LATTICE_STEPS)
+        n = 5 * rng.randint(1, 3)
+        x, y = x + n * dx, y + n * dy
+        if (x, y) in pts:
+            continue
+        pts.append((x, y))
+    if len(pts) < 2:
+        pts.append((x + 5.0, y))
+    return Curve(pts)
+
+
+def random_curve(rng):
+    x, y = rng.uniform(-50, 50), rng.uniform(-50, 50)
+    pts = [(x, y)]
+    for _ in range(rng.randint(1, 8)):
+        heading = rng.uniform(-math.pi, math.pi)
+        step = rng.uniform(0.5, 15.0)
+        x, y = x + step * math.cos(heading), y + step * math.sin(heading)
+        pts.append((x, y))
+    return Curve(pts)
+
+
+def oracle_profile(rng, kind):
+    duration = rng.choice([0.5, 1.0, 2.0, 3.0])
+    if kind == "random":
+        return SpeedProfile(
+            v0=rng.uniform(0.0, 20.0),
+            a=rng.uniform(-6.0, 4.0),
+            duration=rng.uniform(0.1, 3.0),
+            resolution=rng.uniform(0.05, 0.5),
+            v_max=rng.choice([math.inf, rng.uniform(2.0, 25.0)]),
+        )
+    if kind == "over_v_max":
+        v_max = rng.uniform(1.0, 15.0)
+        a = rng.choice([0.0, 0.0, rng.uniform(-4.0, 4.0)])
+        return SpeedProfile(v_max + rng.uniform(0.1, 10.0), a, duration, 0.1, v_max)
+    resolution = rng.choice([0.25, 0.5])
+    if kind == "crossing_on_grid":
+        tc = resolution * rng.randint(1, int(duration / resolution))
+        a = rng.choice([0.5, 1.0, 2.0, 4.0])
+        if rng.random() < 0.5:  # stops at tc
+            return SpeedProfile(a * tc, -a, duration, resolution, rng.choice([math.inf, 30.0]))
+        v0 = rng.choice([0.0, 1.0, 2.5])
+        return SpeedProfile(v0, a, duration, resolution, v0 + a * tc)  # saturates at tc
+    # "lattice": dyadic arc lengths at dyadic times
+    return SpeedProfile(rng.choice([1.0, 2.0, 2.5, 5.0, 10.0]), 0.0, duration, resolution)
+
+
+class TestRealizationOracle:
+    def test_matches_the_per_point_composition_bit_for_bit(self):
+        rng = random.Random(20201)
+        seen = dict.fromkeys(
+            ("over_v_max_a0", "crossing_on_grid", "past_end", "on_vertex", "midpoint_tie"), 0
+        )
+        kinds = ["random", "over_v_max", "crossing_on_grid", "lattice"]
+        for n in range(10_000):
+            kind = kinds[n % len(kinds)]
+            lattice = kind in ("lattice", "crossing_on_grid")
+            curve = lattice_curve(rng) if lattice else random_curve(rng)
+            profile = oracle_profile(rng, kind)
+            expected = reference_rows(curve, profile)
+            traj = realize_trajectory(PathCandidate(("l",), curve), profile)
+            got = [
+                (t, p.x, p.y, v, k, a)
+                for (t, p), v, k, a in zip(traj.points, traj.speeds, traj.curvatures, traj.accels)
+            ]
+            assert got == expected, (curve.points, profile)
+
+            times = profile.times
+            arcs = [reference_state_at(profile, t)[0] for t in times]
+            cum = curve.cumulative_s
+            seen["over_v_max_a0"] += profile.v0 > profile.v_max and profile.a == 0.0
+            if profile.a != 0.0:
+                crossings = [(b - profile.v0) / profile.a for b in (0.0, profile.v_max)]
+                seen["crossing_on_grid"] += any(tc in times for tc in crossings)
+            seen["past_end"] += any(s > curve.length for s in arcs)
+            seen["on_vertex"] += any(s in cum[1:] for s in arcs)
+            seen["midpoint_tie"] += any(
+                cum[i] < s < cum[i + 1] and s - cum[i] == cum[i + 1] - s
+                for s in arcs
+                for i in [bisect_right(cum, s) - 1]
+                if i < len(cum) - 1
+            )
+        assert min(seen.values()) >= 100, seen
 
 
 class TestGenerationConfig:

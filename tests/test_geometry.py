@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from trajpredict.generation import PathCandidate, SpeedProfile, realize_trajectory
 from trajpredict.geometry import (
     Curve,
     Point2,
-    curvature_at_s,
     menger_curvature,
     point_at_s,
     project_point,
@@ -59,6 +59,18 @@ class TestCurveConstruction:
         with pytest.raises(ValueError):
             Point2(0.0, math.inf)
 
+    def test_segment_whose_squared_length_underflows_rejected(self):
+        # hypot gives the first segment a length, but project_point divides by its square
+        with pytest.raises(ValueError, match="squared length"):
+            Curve([(1e-170, 0), (0, 0), (0, -5)])
+
+    def test_vertex_whose_curvature_underflows_rejected(self):
+        # each squared length is about 1e-220, the product of the distances about 1e-330
+        with pytest.raises(ValueError, match="curvature"):
+            Curve([(0, 0), (1e-110, 0), (1e-110, 1e-110)])
+        with pytest.raises(ValueError, match="curvature"):
+            menger_curvature(Point2(0, 0), Point2(1e-110, 0), Point2(1e-110, 1e-110))
+
     def test_cumulative_arc_length_matches_segments(self):
         c = Curve([(0, 0), (1, 0), (1, 2), (4, 6)])
         assert c.cumulative_s == (0.0, 1.0, 3.0, 8.0)
@@ -100,6 +112,18 @@ class TestPointAtS:
             assert p1.distance_to(p2) <= s2 - s1 + 1e-9
 
 
+def realized_at_s(curve, s):
+    """The point realize_trajectory puts at arc length s: the one sample, at
+    t = 1, of a constant speed s, whose trapezoid is exactly s."""
+    profile = SpeedProfile(v0=s, a=0.0, duration=1.0, resolution=1.0)
+    traj = realize_trajectory(PathCandidate(("l",), curve), profile)
+    return traj.points[0][1], traj.curvatures[0]
+
+
+def curvature_at_s(curve, s):
+    return realized_at_s(curve, s)[1]
+
+
 class TestCurvature:
     def test_straight_polyline_is_flat(self):
         c = Curve([(0, 0), (1, 1), (2, 2), (5, 5)])
@@ -133,6 +157,27 @@ class TestCurvature:
     def test_beyond_end_is_flat(self):
         c = circle_curve(10.0, 36)
         assert curvature_at_s(c, c.length + 1.0) == 0.0
+
+    def test_position_is_point_at_s(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            c = random_polyline(rng)
+            s = rng.uniform(0, 1.2 * c.length)
+            assert realized_at_s(c, s)[0] == point_at_s(c, s)[0]
+
+    def test_nearest_vertex_ties_to_the_lower_index(self):
+        c = Curve([(0, 0), (2, 0), (2, 2), (0, 2), (0, 6)])
+        assert c.vertex_curvatures[1] == c.vertex_curvatures[2] > 0
+        assert c.vertex_curvatures[3] < 0
+        assert curvature_at_s(c, 5.0) == c.vertex_curvatures[2]  # midway between vertices 2 and 3
+        assert curvature_at_s(c, 5.5) == c.vertex_curvatures[3]
+
+    def test_end_vertices_take_their_neighbours_curvature(self):
+        c = circle_curve(10.0, 8)
+        k = c.vertex_curvatures
+        assert len(k) == len(c.points)
+        assert (k[0], k[-1]) == (k[1], k[-2])
+        assert Curve([(0, 0), (3, 4)]).vertex_curvatures == (0.0, 0.0)
 
     def test_menger_triple_on_known_circle(self):
         # circumradius of an isoceles right triangle with hypotenuse 2: R = 1

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -234,20 +235,60 @@ class TestTrackInterpolation:
         assert abs(st.heading) == pytest.approx(math.pi, abs=1e-9)
 
 
+def reference_position_at(ego, t):
+    """EgoPlan.position_at before the plan was interpolated in bulk, kept as
+    the reference positions_at must match bit for bit."""
+    if t <= ego.times[0]:
+        return ego.poses[0][1]
+    if t >= ego.times[-1]:
+        return ego.poses[-1][1]
+    i = min(max(bisect_right(ego.times, t) - 1, 0), len(ego.times) - 2)
+    u = (t - ego.times[i]) / (ego.times[i + 1] - ego.times[i])
+    u = min(max(u, 0.0), 1.0)
+    a, b = ego.poses[i][1], ego.poses[i + 1][1]
+    return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+
+
 class TestEgoPlan:
     def test_interpolation_and_clamping(self):
         ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
-        assert ego.position_at(1.0).x == pytest.approx(2.0)
-        assert ego.position_at(-5.0).x == 0.0
-        assert ego.position_at(99.0).x == 4.0
+        before, inside, after = ego.positions_at([-5.0, 1.0, 99.0])
+        assert inside.x == pytest.approx(2.0)
+        assert before.x == 0.0
+        assert after.x == 4.0
 
     def test_end_poses_are_returned_exactly(self):
         # a lerp at u = 1 gives 0.2 + (0.9 - 0.2) = 0.8999999999999999, not 0.9
         first, last = Point2(0.2, 0.0), Point2(0.9, 0.0)
         ego = EgoPlan(poses=((0.0, first), (1.0, last)))
-        assert ego.position_at(1.0) == last
-        assert ego.position_at(5.0) == last
-        assert ego.position_at(0.0) == first
+        assert ego.positions_at([0.0, 1.0, 5.0]) == [first, last, last]
+
+    def test_descending_query_times_rejected(self):
+        ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
+        with pytest.raises(ValueError, match="ascend"):
+            ego.positions_at([1.0, 0.5])
+
+    def test_matches_the_per_time_interpolation_bit_for_bit(self):
+        rng = random.Random(8)
+        seen = dict.fromkeys(("before", "after", "on_pose", "one_pose"), 0)
+        for _ in range(2_000):
+            n = rng.choice([1, 1, 2, 3, 5, 12])
+            if rng.random() < 0.5:
+                times = sorted(rng.sample(range(-20, 40), n))
+            else:
+                times = sorted({rng.uniform(-10.0, 20.0) for _ in range(n)})
+            ego = EgoPlan(
+                poses=tuple((t, Point2(rng.uniform(-50, 50), rng.uniform(-50, 50))) for t in times)
+            )
+            anchor = rng.choice([0.0, 0.5, rng.uniform(-5.0, 5.0)])
+            grid = time_grid(rng.uniform(1.0, 30.0), rng.choice([0.1, 0.5, 1.0]))
+            queries = sorted([anchor + t for t in grid] + rng.sample(times, min(len(times), 3)))
+            assert ego.positions_at(queries) == [reference_position_at(ego, t) for t in queries]
+            seen["before"] += queries[0] < times[0]
+            seen["after"] += queries[-1] > times[-1]
+            seen["on_pose"] += any(times[0] < t < times[-1] and t in times for t in queries)
+            seen["one_pose"] += n == 1
+        assert min(seen.values()) >= 100, seen
 
     def test_non_monotonic_rejected(self):
         with pytest.raises(SceneIntegrityError):
