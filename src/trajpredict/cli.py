@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from . import annotation, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
-from .scene import TIME_EPS, ObstacleTrack, load_ego_plan, load_scene, time_grid
+from .scene import MAX_GRID_TIMES, TIME_EPS, ObstacleTrack, load_ego_plan, load_scene, time_grid
 
 
 def _write_atomic(path: str, text: str):
@@ -96,7 +96,11 @@ def _candidates_for_anchor(
     priors_table: Dict[annotation.AnchorKey, List[generation.IntentionPrior]],
     diagnostics: List[str],
 ) -> Optional[costing.PredictionResult]:
-    """Generate, cost, and rank candidates for one (obstacle, anchor)."""
+    """Generate, cost, and rank candidates for one (obstacle, anchor).
+
+    ConfigError refuses an anchor whose candidates would hold more than
+    MAX_GRID_TIMES points in all, counted before each intention is realized.
+    """
     state = track.state_at(anchor)
     history = _history_track(track, anchor)
     priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
@@ -119,6 +123,7 @@ def _candidates_for_anchor(
 
     candidates_by_intention = {}
     kept = []
+    points = 0
     for prior in priors:
         try:
             paths = generation.search_paths(
@@ -131,6 +136,12 @@ def _candidates_for_anchor(
         except AssociationError as exc:
             diagnostics.append(f"{track.obstacle_id}@{anchor}: {exc}")
             continue
+        points += len(paths) * len(profiles) * len(profiles[0].times)
+        if points > MAX_GRID_TIMES:
+            raise ConfigError(
+                f"obstacle {track.obstacle_id!r} at anchor {anchor}: the candidates "
+                f"would hold more than {MAX_GRID_TIMES} points"
+            )
         candidates = [
             generation.realize_trajectory(path, profile)
             for path in paths
@@ -164,9 +175,12 @@ def cmd_predict(args) -> int:
         except SceneIntegrityError as exc:
             raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
         for anchor in anchors:
-            result = _candidates_for_anchor(
-                track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
-            )
+            try:
+                result = _candidates_for_anchor(
+                    track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
             if result is None:
                 skipped += 1
                 continue

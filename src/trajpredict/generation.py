@@ -179,21 +179,6 @@ def _enumerate_sequences(
     return results
 
 
-def _reachable(map_graph: MapGraph, src: str, dst: str) -> bool:
-    """True when dst can be reached from src through successor links."""
-    frontier = [src]
-    seen = {src}
-    while frontier:
-        lane_id = frontier.pop()
-        if lane_id == dst:
-            return True
-        for succ in map_graph.lanes[lane_id].successor_ids:
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return False
-
-
 def search_paths(
     intention_id: str,
     start: ObstacleState,
@@ -269,11 +254,15 @@ def search_paths(
             )
         sequences = []
         if root is not None:
+            closure = map_graph.successor_closure
             require = required_lane
-            if require is not None and (root == require or _reachable(map_graph, require, root)):
+            if require is not None and root in closure[require]:
                 require = None  # the exit's lane is the root or already behind the obstacle
-            # the root passed nearest_lane's capture test, so this cannot raise
-            sequences = from_prefix([root], map_graph.lanes[root].centerline, require)
+            # a rooted sequence holds only lanes reachable from the root, so one
+            # that must pass an unreachable exit lane does not exist
+            if require is None or require in closure[root]:
+                # the root passed nearest_lane's capture test, so this cannot raise
+                sequences = from_prefix([root], map_graph.lanes[root].centerline, require)
         if not sequences:  # no rooted sequence reaches the exit lane: re-root there
             sequences = from_prefix([required_lane], map_graph.lanes[required_lane].centerline)
     return [

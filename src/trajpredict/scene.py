@@ -10,6 +10,15 @@ trajectory shape (TimedPoint, Trajectory), the one time grid of anchors,
 labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
 and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
 plan, and lane association (nearest_lane) with its capture distance.
+
+Lane association projects few lanes and gives the full scan's result: each
+Lane keeps its centerline's bounding box, and nearest_lane projects only the
+lanes whose box lies within the capture distance plus a margin of the
+position. The margin, 8 ulps of the map's largest coordinate (or of the
+capture distance, if larger), covers every rounding of the projection, so no
+lane that the full scan would keep is skipped (nearest_lane gives the
+proof). A MapGraph computes its lanes and exits in id order, and the
+successor closure that lane search reads, once, when it is built.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
@@ -207,9 +216,18 @@ class EgoPlan:
 
 @dataclass(frozen=True)
 class Lane:
+    """A centerline and its successor links; box is the centerline's bounding
+    box (min x, min y, max x, max y), computed once."""
+
     lane_id: str
     centerline: Curve
     successor_ids: Tuple[str, ...] = ()
+    box: Tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        xs = [p.x for p in self.centerline.points]
+        ys = [p.y for p in self.centerline.points]
+        object.__setattr__(self, "box", (min(xs), min(ys), max(xs), max(ys)))
 
 
 @dataclass(frozen=True)
@@ -221,10 +239,17 @@ class IntersectionExit:
 
 @dataclass(frozen=True)
 class MapGraph:
-    """Lane graph plus intersection exits."""
+    """Lane graph plus intersection exits, with tables computed once at build
+    time: the lanes and the exits in id order, the largest absolute lane
+    coordinate, and the successor closure (lane id to the ids of every lane
+    reachable from it through successor links, itself included)."""
 
     lanes: Dict[str, Lane] = field(default_factory=dict)
     exits: Dict[str, IntersectionExit] = field(default_factory=dict)
+    lane_order: Tuple[Lane, ...] = field(init=False, repr=False, compare=False)
+    exit_order: Tuple[IntersectionExit, ...] = field(init=False, repr=False, compare=False)
+    coordinate_magnitude: float = field(init=False, repr=False, compare=False)
+    successor_closure: Dict[str, FrozenSet[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lane in self.lanes.values():
@@ -238,12 +263,28 @@ class MapGraph:
                 raise SceneIntegrityError(
                     f"exit {ex.exit_id!r} references missing lane {ex.associated_lane_id!r}"
                 )
+        lane_order = tuple(self.lanes[k] for k in sorted(self.lanes))
+        object.__setattr__(self, "lane_order", lane_order)
+        object.__setattr__(self, "exit_order", tuple(self.exits[k] for k in sorted(self.exits)))
+        magnitude = max((abs(v) for lane in lane_order for v in lane.box), default=0.0)
+        object.__setattr__(self, "coordinate_magnitude", magnitude)
+        closure = {}
+        for lane_id in self.lanes:
+            seen = {lane_id}
+            frontier = [lane_id]
+            while frontier:
+                for succ in self.lanes[frontier.pop()].successor_ids:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
+            closure[lane_id] = frozenset(seen)
+        object.__setattr__(self, "successor_closure", closure)
 
     def sorted_lanes(self) -> Sequence[Lane]:
-        return [self.lanes[k] for k in sorted(self.lanes)]
+        return self.lane_order
 
     def sorted_exits(self) -> Sequence[IntersectionExit]:
-        return [self.exits[k] for k in sorted(self.exits)]
+        return self.exit_order
 
 
 DEFAULT_LATERAL_CAPTURE_M = 2.0
@@ -257,9 +298,32 @@ def nearest_lane(
 
     Distance is to the closest on-curve point, so a lane does not capture
     positions beyond its endpoints along its extended line.
+
+    A lane is projected only when position lies within reach of its box on
+    both axes, reach being the capture distance C plus a margin of 8 units U,
+    U the ulp of max(M, |C|) and M the map's largest absolute lane
+    coordinate. This prefilter changes no result, whatever the rounding:
+    - rounding is monotone, so a rounded difference above a float bound is
+      above it exactly, and a difference above a float bound rounds to at
+      least that bound;
+    - C + 8U rounds to at least C + 7U;
+    - project_point's closest point a + t*(b - a), t in [0, 1], rounds at
+      most 2U outside the segment's box, on each axis;
+    - so beyond reach on one axis, that axis's rounded offset from every
+      closest point is at least C + 4U, and the distance, a hypot of it,
+      is above C: the full scan drops the lane too.
+    Every lane the full scan keeps is still projected, in id order, so the
+    result is the full scan's wherever project_point's squared distances
+    stay finite (up to about 1e154 m).
     """
+    x, y = position.x, position.y
+    magnitude = max(map_graph.coordinate_magnitude, abs(lateral_capture))
+    reach = lateral_capture + 8.0 * math.ulp(magnitude)
     best: Optional[Tuple[float, str]] = None
     for lane in map_graph.sorted_lanes():
+        x_min, y_min, x_max, y_max = lane.box
+        if x_min - x > reach or x - x_max > reach or y_min - y > reach or y - y_max > reach:
+            continue
         _, distance = project_point(lane.centerline, position)
         if distance > lateral_capture:
             continue

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import trajpredict
 from conftest import write_json, write_jsonl
-from trajpredict import costing
+from trajpredict import costing, generation, scene
 from trajpredict.cli import main
 from trajpredict.generation import GenerationConfig
+from trajpredict.geometry import project_point
 from trajpredict.scene import EgoPlan, time_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -452,6 +453,15 @@ MALFORMED_INPUTS = [
         id="candidate_grid_beyond_the_ceiling",
     ),
     pytest.param(
+        run_predict,
+        "--config",
+        fixture("genconfig.json"),
+        # 84,000 times by 4 accelerations: 1,008,000 points on the first anchor's third exit
+        edit_document(horizon_secs=8400),
+        None,
+        id="candidate_points_beyond_the_ceiling",
+    ),
+    pytest.param(
         run_annotate,
         "--log",
         fixture("obstacles.jsonl"),
@@ -831,6 +841,37 @@ class TestPredictCommand:
         assert counts["ego_times"] == counts["anchors"] * len(grid)
         # one interpolation per candidate point would be several times as many
         assert counts["candidate_points"] > 2 * counts["ego_times"]
+
+
+    def test_association_never_projects_a_far_lane(self, tmp_path, monkeypatch):
+        # the far copy has lanes only: an exit there would make its lane a
+        # re-root target, which search_paths projects by design
+        doc = json.loads(open(fixture("map.json"), encoding="utf-8").read())
+        far = [
+            {
+                "id": f"far_{lane['id']}",
+                "centerline": [[x + 300.0, y] for x, y in lane["centerline"]],
+                "successors": [f"far_{succ}" for succ in lane["successors"]],
+            }
+            for lane in doc["lanes"]
+        ]
+        both = write_json(tmp_path / "both.json", {**doc, "lanes": doc["lanes"] + far})
+        projected = []
+
+        def counting_project_point(curve, p):
+            projected.append(curve)
+            return project_point(curve, p)
+
+        for module in (scene, generation):
+            monkeypatch.setattr(module, "project_point", counting_project_point)
+        assert run_annotate(tmp_path, out="near.jsonl")[0] == 0
+        assert run_annotate(tmp_path, out="both.jsonl", **{"--map": both})[0] == 0
+        assert run_predict(tmp_path, out="near_p.jsonl")[0] == 0
+        assert run_predict(tmp_path, out="both_p.jsonl", **{"--map": both})[0] == 0
+        assert projected
+        assert all(p.x < 150.0 for curve in projected for p in curve.points)
+        for near, far_too in (("near.jsonl", "both.jsonl"), ("near_p.jsonl", "both_p.jsonl")):
+            assert (tmp_path / near).read_bytes() == (tmp_path / far_too).read_bytes()
 
 
 class TestTuneCommand:

@@ -20,11 +20,20 @@ from trajpredict.generation import (
     load_priors,
     normalize_priors,
     realize_trajectory,
+    _enumerate_sequences,
     sample_profiles,
     search_paths,
 )
 from trajpredict.geometry import Curve, Point2, menger_curvature, project_point
-from trajpredict.scene import ObstacleState, load_map, time_grid
+from trajpredict.scene import (
+    DEFAULT_LATERAL_CAPTURE_M,
+    Lane,
+    MapGraph,
+    ObstacleState,
+    load_map,
+    nearest_lane,
+    time_grid,
+)
 
 
 def chain_map(tmp_path, lengths=(30.0, 30.0, 30.0), fork=False, cycle=False):
@@ -200,6 +209,104 @@ class TestSearchPaths:
     def test_pinned_sequence_requires_successor_link(self, imap):
         with pytest.raises(AssociationError, match="successor"):
             search_paths("ln_approach_e->ln_out_n", obstacle_at(-60.0, 0.0), imap, 50.0, 4)
+
+
+def reference_reachable(map_graph, src, dst):
+    """The search's per-call reachability test before the map kept a
+    successor closure, kept as the reference the closure must match."""
+    frontier = [src]
+    seen = {src}
+    while frontier:
+        lane_id = frontier.pop()
+        if lane_id == dst:
+            return True
+        for succ in map_graph.lanes[lane_id].successor_ids:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return False
+
+
+def reference_exit_search(exit_id, start, map_graph, min_length, max_lanes):
+    """search_paths' exit branch before the closure: reachability by
+    reference_reachable, and the rooted sequences always enumerated before
+    those missing the exit's lane are filtered out. Lane ids per path."""
+    required_lane = map_graph.exits[exit_id].associated_lane_id
+
+    def from_prefix(prefix, require=None):
+        curve = map_graph.lanes[prefix[0]].centerline
+        s0, distance = project_point(curve, start.position)
+        if distance > DEFAULT_LATERAL_CAPTURE_M:
+            raise AssociationError(
+                f"intention {exit_id!r}: lanes {prefix[0]!r} "
+                f"are out of reach for obstacle {start.obstacle_id!r}"
+            )
+        sequences = _enumerate_sequences(
+            map_graph, prefix, curve.length - s0, min_length, max_lanes, require
+        )
+        return [seq for seq in sequences if require is None or require in seq]
+
+    root = nearest_lane(map_graph, start.position)
+    sequences = []
+    if root is not None:
+        require = required_lane
+        if root == require or reference_reachable(map_graph, require, root):
+            require = None
+        sequences = from_prefix([root], require)
+    if not sequences:
+        sequences = from_prefix([required_lane])
+    return sorted(set(sequences))
+
+
+class TestSuccessorClosure:
+    def test_matches_the_per_call_search_on_every_lane_pair(self):
+        rng = random.Random(9)
+        seen = dict.fromkeys(("self_loop", "cycle", "unreachable"), 0)
+        for _ in range(500):
+            ids = [f"l{k}" for k in range(rng.randint(1, 12))]
+            density = rng.choice([0.05, 0.15, 0.4])
+            lanes = {
+                lane_id: Lane(
+                    lane_id,
+                    Curve([(k, 0.0), (k, 1.0)]),
+                    tuple(succ for succ in ids if rng.random() < density),
+                )
+                for k, lane_id in enumerate(ids)
+            }
+            map_graph = MapGraph(lanes=lanes)
+            for src in ids:
+                for dst in ids:
+                    reachable = reference_reachable(map_graph, src, dst)
+                    assert (dst in map_graph.successor_closure[src]) == reachable
+                    back = reference_reachable(map_graph, dst, src)
+                    seen["cycle"] += src != dst and reachable and back
+                    seen["unreachable"] += not reachable
+                seen["self_loop"] += src in lanes[src].successor_ids
+        assert min(seen.values()) >= 100, seen
+
+    def test_exit_search_keeps_its_paths_and_errors(self, imap):
+        outcomes = dict.fromkeys(("rooted", "re_rooted", "out_of_reach", "skipped"), 0)
+        for exit_id in sorted(imap.exits):
+            required = imap.exits[exit_id].associated_lane_id
+            for i in range(-36, 37):
+                for j in range(-36, 37):
+                    start = obstacle_at(2.5 * i + 0.3, 2.5 * j + 0.1)
+                    try:
+                        expected = reference_exit_search(exit_id, start, imap, 60.0, 4)
+                    except AssociationError as exc:
+                        with pytest.raises(AssociationError) as got:
+                            search_paths(exit_id, start, imap, 60.0, 4)
+                        assert str(got.value) == str(exc)
+                        outcomes["out_of_reach"] += 1
+                        continue
+                    paths = search_paths(exit_id, start, imap, 60.0, 4)
+                    assert [p.lane_ids for p in paths] == expected
+                    root = nearest_lane(imap, start.position)
+                    outcomes["re_rooted" if expected[0][0] == required else "rooted"] += 1
+                    outcomes["skipped"] += (
+                        root is not None and required not in imap.successor_closure[root]
+                    )
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestSampleProfiles:

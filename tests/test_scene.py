@@ -1,18 +1,24 @@
 import math
+import os
 import random
 from bisect import bisect_right
 
 import pytest
 
 from conftest import make_track, write_json, write_jsonl
+from trajpredict import scene
 from trajpredict.errors import CoverageError, ParseError, SceneIntegrityError
-from trajpredict.geometry import Point2
+from trajpredict.geometry import Curve, Point2, project_point
 from trajpredict.scene import (
+    DEFAULT_LATERAL_CAPTURE_M,
     MAX_GRID_TIMES,
     EgoPlan,
+    Lane,
+    MapGraph,
     load_map,
     load_obstacle_log,
     load_scene,
+    nearest_lane,
     time_grid,
 )
 
@@ -293,3 +299,129 @@ class TestEgoPlan:
     def test_non_monotonic_rejected(self):
         with pytest.raises(SceneIntegrityError):
             EgoPlan(poses=((1.0, Point2(0, 0)), (1.0, Point2(1, 0))))
+
+
+def reference_nearest_lane(map_graph, position, lateral_capture=DEFAULT_LATERAL_CAPTURE_M):
+    """nearest_lane before the box prefilter: every lane projected, in id
+    order; kept as the reference nearest_lane must match."""
+    best = None
+    for lane_id in sorted(map_graph.lanes):
+        _, distance = project_point(map_graph.lanes[lane_id].centerline, position)
+        if distance > lateral_capture:
+            continue
+        if best is None or distance < best[0]:
+            best = (distance, lane_id)
+    return best[1] if best else None
+
+
+def oracle_vertices(rng, kind, scale):
+    if kind == "lattice":  # small integer vertices: exact distances and equidistant lanes
+        x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+        pts = [(x, y)]
+        for _ in range(rng.randint(1, 3)):
+            dx, dy = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
+            n = rng.randint(1, 4)
+            x, y = x + n * dx, y + n * dy
+            pts.append((x, y))
+        return pts
+    if kind == "wide":
+        # an axis-aligned segment from a, across the origin, to the nearer end b:
+        # b - a rounds coarser than b, so a + (b - a) can round beyond b
+        y, sign = rng.uniform(-scale, scale), rng.choice((-1.0, 1.0))
+        ends = [-sign * rng.uniform(0.5, 1.0) * scale, sign * rng.uniform(0.25, 0.5) * scale]
+        pts = [(x, y) for x in ends]
+        return [(py, px) for px, py in pts] if rng.random() < 0.5 else pts
+    cx, cy = rng.uniform(-scale, scale), rng.uniform(-scale, scale)  # "local"
+    return [
+        (cx + rng.uniform(-20, 20), cy + rng.uniform(-20, 20)) for _ in range(rng.randint(2, 4))
+    ]
+
+
+def oracle_map(rng, kind, scale):
+    lanes = {}
+    for lane_id in rng.sample("abcdef", rng.randint(1, 6)):
+        try:
+            lanes[lane_id] = Lane(lane_id, Curve(oracle_vertices(rng, kind, scale)))
+        except ValueError:  # a duplicate vertex or a segment lost to rounding
+            continue
+    return MapGraph(lanes=lanes)
+
+
+def step_ulps(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else -math.inf)
+    return value
+
+
+def oracle_position(rng, kind, map_graph, capture):
+    """A position just inside or outside the capture distance of a box edge
+    (on the extended line of the vertex that makes the edge), or one
+    anywhere near the map: on the half-integer lattice for lattice maps."""
+    lane = map_graph.lanes[rng.choice(sorted(map_graph.lanes))]
+    x_min, y_min, x_max, y_max = lane.box
+    if rng.random() < 0.6:
+        longer = int(y_max - y_min > x_max - x_min)
+        axis, side = rng.choice((longer, longer, longer, 1 - longer)), rng.choice((-1, 1))
+        vertex = (min if side < 0 else max)(lane.centerline.points, key=lambda p: (p.x, p.y)[axis])
+        coords = [vertex.x, vertex.y]
+        coords[axis] = step_ulps(coords[axis] + side * capture, side * rng.randint(-3, 3))
+        return Point2(*coords), "edge"
+    pad = 2.0 * capture + 1.0
+    if kind == "lattice":
+        return Point2(rng.randint(-16, 16) / 2, rng.randint(-16, 16) / 2), "near"
+    x, y = rng.uniform(x_min - pad, x_max + pad), rng.uniform(y_min - pad, y_max + pad)
+    return Point2(x, y), "near"
+
+
+class TestNearestLane:
+    def test_matches_the_full_scan(self):
+        rng = random.Random(60)
+        seen = dict.fromkeys(
+            ("edge", "tie", "beyond_end", "at_1e15", "exactly_capture", "outside_box"), 0
+        )
+        for n in range(10_000):
+            kind = ("lattice", "wide", "local", "wide", "lattice", "wide")[n % 6]
+            scale = 1e15 if n % 5 == 0 else rng.choice([1.0, 1e3, 1e6, 1e12, 1e15])
+            map_graph = oracle_map(rng, kind, scale)
+            if not map_graph.lanes:
+                continue
+            capture = rng.choice([2.0, 2.0, 0.5, 3.0, 0.0])
+            for _ in range(3):
+                position, where = oracle_position(rng, kind, map_graph, capture)
+                expected = reference_nearest_lane(map_graph, position, capture)
+                assert nearest_lane(map_graph, position, capture) == expected, (
+                    map_graph.lanes, position, capture
+                )
+                if expected is None:
+                    continue
+                lane = map_graph.lanes[expected]
+                s, distance = project_point(lane.centerline, position)
+                kept = [
+                    lane_id
+                    for lane_id, other in map_graph.lanes.items()
+                    if project_point(other.centerline, position)[1] == distance
+                ]
+                x_min, y_min, x_max, y_max = lane.box
+                x, y = position.x, position.y
+                gap = max(x_min - x, x - x_max, y_min - y, y - y_max)
+                seen["edge"] += where == "edge"
+                seen["tie"] += len(kept) > 1
+                seen["beyond_end"] += s in (0.0, lane.centerline.length) and distance > 0.0
+                seen["at_1e15"] += scale == 1e15
+                seen["exactly_capture"] += distance == capture
+                seen["outside_box"] += gap > capture  # kept although beyond the box by more than C
+        assert min(seen.values()) >= 100, seen
+
+    def test_a_far_position_projects_no_lane(self, monkeypatch):
+        map_graph = load_map(os.path.join(os.path.dirname(__file__), "fixtures", "map.json"))
+        calls = []
+
+        def counting_project_point(curve, p):
+            calls.append(curve)
+            return project_point(curve, p)
+
+        monkeypatch.setattr(scene, "project_point", counting_project_point)
+        assert nearest_lane(map_graph, Point2(500.0, -500.0)) is None
+        assert calls == []
+        assert nearest_lane(map_graph, Point2(-60.0, 0.3)) == "ln_approach_e"
+        assert 0 < len(calls) < len(map_graph.lanes)
