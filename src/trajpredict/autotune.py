@@ -99,13 +99,14 @@ def ground_truth_subcosts(
             f"label for {label.obstacle_id!r}@{label.anchor_time} has {len(points)} points; "
             "finite-difference kinematics needs at least 3"
         )
-    times = [t for t, _ in points]
-    x_pairs = _stencil(times, [p.x for _, p in points])
-    y_pairs = _stencil(times, [p.y for _, p in points])
+    times = tuple(t for t, _ in points)
+    xs = tuple(p.x for _, p in points)
+    ys = tuple(p.y for _, p in points)
+    x_pairs, y_pairs = _stencil(times, xs), _stencil(times, ys)
     speeds = [math.hypot(nx, ny) / dt for (nx, dt), (ny, _) in zip(x_pairs, y_pairs)]
     accels = [n / dt for n, dt in _stencil(times, speeds)]
     curvatures = vertex_curvatures([p for _, p in points])
-    truth = Trajectory(points, tuple(speeds), curvatures, tuple(accels))
+    truth = Trajectory(times, xs, ys, tuple(speeds), curvatures, tuple(accels))
     return (
         cost_acc(truth),
         cost_centripetal(truth, z1),

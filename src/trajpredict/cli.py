@@ -17,20 +17,22 @@ import contextlib
 import math
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from . import annotation, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
 from .scene import MAX_GRID_TIMES, TIME_EPS, ObstacleTrack, load_ego_plan, load_scene, time_grid
 
 
-def _write_atomic(path: str, text: str):
-    """Write through a temp file named per process in the same directory,
-    so concurrent runs never share one, then rename it over path."""
+def _write_atomic(path: str, lines: Iterable[str]):
+    """Write lines, as they come, through a temp file named per process in
+    the same directory, so concurrent runs never share one, then rename it
+    over path. An error while writing, or raised by lines, removes the temp
+    file and leaves path as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -38,8 +40,8 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _write_jsonl(path: str, records) -> None:
-    _write_atomic(path, "".join(jsonio.dumps(r) + "\n" for r in records))
+def _write_jsonl(path: str, records: Iterable[dict]) -> None:
+    _write_atomic(path, (jsonio.dumps(r) + "\n" for r in records))
 
 
 def _positive(value: float, name: str) -> float:
@@ -99,7 +101,8 @@ def _candidates_for_anchor(
     """Generate, cost, and rank candidates for one (obstacle, anchor).
 
     ConfigError refuses an anchor whose candidates would hold more than
-    MAX_GRID_TIMES points in all, counted before each intention is realized.
+    MAX_GRID_TIMES points in all, counted before each intention is realized,
+    and one whose candidates' sub-costs sum beyond the float range.
     """
     state = track.state_at(anchor)
     history = _history_track(track, anchor)
@@ -154,9 +157,15 @@ def _candidates_for_anchor(
         diagnostics.append(f"{track.obstacle_id}@{anchor}: no realizable intention")
         return None
     kept = generation.normalize_priors(kept)
-    return costing.rank_intentions(
-        track.obstacle_id, anchor, candidates_by_intention, kept, ego, weights
-    )
+    try:
+        return costing.rank_intentions(
+            track.obstacle_id, anchor, candidates_by_intention, kept, ego, weights
+        )
+    except OverflowError as exc:  # a sub-cost's sum, before any weight or normalizer applies
+        raise ConfigError(
+            f"the generation config gives non-finite sub-costs for obstacle "
+            f"{track.obstacle_id!r} at anchor {anchor}: {exc}"
+        ) from exc
 
 
 def cmd_predict(args) -> int:
@@ -166,35 +175,40 @@ def cmd_predict(args) -> int:
     config = generation.GenerationConfig.from_file(args.config)
     priors_table = generation.load_priors(args.priors) if args.priors else {}
 
-    records = []
-    skipped = 0
+    counts = {"predictions": 0, "skipped": 0}
     diagnostics: List[str] = []
-    for track in tracks:
-        try:
-            anchors = annotation.anchor_times(track, args.stride)
-        except SceneIntegrityError as exc:
-            raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
-        for anchor in anchors:
+
+    def records() -> Iterator[dict]:
+        """Each anchor's record as soon as it is ranked, so no more than one
+        anchor's candidates and record are held at a time."""
+        for track in tracks:
             try:
-                result = _candidates_for_anchor(
-                    track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
-                )
-            except ConfigError as exc:
-                raise ConfigError(f"{args.config}: {exc}") from exc
-            if result is None:
-                skipped += 1
-                continue
-            totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
-            if not all(map(math.isfinite, totals)):  # a sub-cost or its weighting overflowed
-                raise ConfigError(
-                    f"{args.weights}: the weights give non-finite costs for obstacle "
-                    f"{track.obstacle_id!r} at anchor {anchor}"
-                )
-            records.append(costing.result_to_record(result, weights))
-    _write_jsonl(args.out, records)
+                anchors = annotation.anchor_times(track, args.stride)
+            except SceneIntegrityError as exc:
+                raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
+            for anchor in anchors:
+                try:
+                    result = _candidates_for_anchor(
+                        track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
+                    )
+                except ConfigError as exc:
+                    raise ConfigError(f"{args.config}: {exc}") from exc
+                if result is None:
+                    counts["skipped"] += 1
+                    continue
+                totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
+                if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
+                    raise ConfigError(
+                        f"{args.weights}: the weights give non-finite costs for obstacle "
+                        f"{track.obstacle_id!r} at anchor {anchor}"
+                    )
+                counts["predictions"] += 1
+                yield costing.result_to_record(result, weights)
+
+    _write_jsonl(args.out, records())
     for message in diagnostics:
         print(f"predict: {message}", file=sys.stderr)
-    print(jsonio.dumps({"predictions": len(records), "skipped": skipped, "out": args.out}))
+    print(jsonio.dumps({**counts, "out": args.out}))
     return 0
 
 
@@ -220,7 +234,7 @@ def cmd_tune(args) -> int:
     theta, history = autotune.tune_weights(examples, config)
     weights = costing.CostWeights(*(float(v) for v in theta), z1=z1, z2=z2)
     out = {**weights.to_dict(), "final_loss": history[-1], "iterations": len(history) - 1}
-    _write_atomic(args.out, jsonio.dumps(out) + "\n")
+    _write_atomic(args.out, [jsonio.dumps(out) + "\n"])
     print(
         jsonio.dumps(
             {
@@ -253,7 +267,7 @@ def cmd_eval(args) -> int:
         report = evaluation.evaluate_run(predictions, dataset, horizons)
     except ValueError as exc:  # a prediction and its label on different time grids
         raise PipelineError(f"{args.predictions}, {args.dataset}: {exc}") from exc
-    _write_atomic(args.out, jsonio.dumps(report) + "\n")
+    _write_atomic(args.out, [jsonio.dumps(report) + "\n"])
 
     print(f"{'horizon':>8}  {'ade':>10}  {'fde':>10}  {'count':>6}")
     for entry in report["horizons"]:

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import sub
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
 from .annotation import iter_anchor_records, timed_points
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
-from .geometry import Point2
 from .scene import EgoPlan, TimedPoint, Trajectory
+
+# The ego plan's x and y at each point of a trajectory (EgoPlan.positions_at).
+EgoColumns = Tuple[Sequence[float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,28 @@ class CostBreakdown:
     total: float
 
 
+def _finite_sum(terms: Iterable[float]) -> float:
+    """math.fsum of terms; OverflowError refuses a sum that is not finite,
+    whether a term or only the sum overflows (fsum raises on the latter)."""
+    total = math.fsum(terms)
+    if not math.isfinite(total):
+        raise OverflowError(f"the sum is {total}")
+    return total
+
+
 def cost_acc(trajectory: Trajectory) -> float:
-    """Sum of squared per-point longitudinal accelerations."""
-    return math.fsum(a * a for a in trajectory.accels)
+    """Sum of squared per-point longitudinal accelerations; OverflowError
+    refuses a sum beyond the float range."""
+    return _finite_sum(a * a for a in trajectory.accels)
 
 
 def cost_centripetal(trajectory: Trajectory, z1: float) -> float:
-    """Sum of squared centripetal accelerations (v^2 * curvature), over z1."""
+    """Sum of squared centripetal accelerations (v^2 * curvature), over z1;
+    OverflowError refuses a sum, before the division, beyond the float range."""
     if z1 <= 0.0:
         raise ValueError(f"z1 must be positive, got {z1}")
     terms = ((v * v * k) ** 2 for v, k in zip(trajectory.speeds, trajectory.curvatures))
-    return math.fsum(terms) / z1
+    return _finite_sum(terms) / z1
 
 
 def cost_collision(
@@ -98,18 +112,16 @@ def cost_collision(
         raise ValueError(f"z2 must be positive, got {z2}")
     if ego is None:
         return 0.0
-    ego_positions = ego.positions_at([anchor_time + t for t, _ in trajectory.points])
-    return _proximity_cost(trajectory, ego_positions, z2)
+    ego_xy = ego.positions_at([anchor_time + t for t in trajectory.times])
+    return _proximity_cost(trajectory, ego_xy, z2)
 
 
-def _proximity_cost(trajectory: Trajectory, ego_positions: Sequence[Point2], z2: float) -> float:
+def _proximity_cost(trajectory: Trajectory, ego: EgoColumns, z2: float) -> float:
     """The collision kernel: exp(-d^2) between each trajectory point and the
     ego position of the same index, summed and over z2."""
-    terms = []
-    for (_, position), ego_position in zip(trajectory.points, ego_positions):
-        d = position.distance_to(ego_position)
-        terms.append(math.exp(-d * d))
-    return math.fsum(terms) / z2
+    ego_xs, ego_ys = ego
+    distances = map(math.hypot, map(sub, trajectory.xs, ego_xs), map(sub, trajectory.ys, ego_ys))
+    return math.fsum([math.exp(-d * d) for d in distances]) / z2
 
 
 def weighted_total(
@@ -125,18 +137,18 @@ def weighted_total(
 
 def total_cost(
     trajectory: CandidateTrajectory,
-    ego_positions: Optional[Sequence[Point2]],
+    ego: Optional[EgoColumns],
     weights: CostWeights,
 ) -> CostBreakdown:
     """Sub-costs plus their weighted total for one candidate trajectory.
 
-    ego_positions holds the ego pose at each point's absolute time, as
+    ego holds the ego plan's x and y at each point's absolute time, as
     cost_collision interpolates them; None, without an ego plan, costs the
     collision term 0.
     """
     ca = cost_acc(trajectory)
     cc = cost_centripetal(trajectory, weights.z1)
-    ccol = 0.0 if ego_positions is None else _proximity_cost(trajectory, ego_positions, weights.z2)
+    ccol = 0.0 if ego is None else _proximity_cost(trajectory, ego, weights.z2)
     return CostBreakdown(
         c_acc=ca,
         c_centripetal=cc,
@@ -194,15 +206,16 @@ def rank_intentions(
     underflow to zero. The priors are renormalized by normalize_priors, which
     refuses empty, negative or zero-mass priors with ValueError.
 
-    The ego plan is interpolated once per distinct candidate time grid, and
-    every candidate on that grid reads those positions.
+    The ego plan is interpolated once per distinct candidate time grid (the
+    times column a speed profile shares with its candidates), and every
+    candidate on that grid reads those x and y columns.
     """
-    ego_by_grid: Dict[Tuple[float, ...], List[Point2]] = {}
+    ego_by_grid: Dict[Sequence[float], EgoColumns] = {}
 
-    def ego_positions(candidate: CandidateTrajectory) -> Optional[List[Point2]]:
+    def ego_at(candidate: CandidateTrajectory) -> Optional[EgoColumns]:
         if ego is None:
             return None
-        times = tuple(t for t, _ in candidate.points)
+        times = candidate.times
         if times not in ego_by_grid:
             ego_by_grid[times] = ego.positions_at([anchor_time + t for t in times])
         return ego_by_grid[times]
@@ -214,7 +227,7 @@ def rank_intentions(
             raise ValueError(
                 f"intention {p.intention_id!r} has a prior but no candidate trajectories"
             )
-        breakdowns = tuple(total_cost(c, ego_positions(c), weights) for c in candidates)
+        breakdowns = tuple(total_cost(c, ego_at(c), weights) for c in candidates)
         best = min(
             range(len(candidates)),
             key=lambda i: (breakdowns[i].total, abs(candidates[i].source_profile.a), i),
@@ -261,9 +274,14 @@ def _trajectory_to_dict(trajectory: CandidateTrajectory) -> dict:
     return {
         "profile": _profile_to_dict(trajectory.source_profile),
         "points": [
-            [t, p.x, p.y, v, k, a]
-            for (t, p), v, k, a in zip(
-                trajectory.points, trajectory.speeds, trajectory.curvatures, trajectory.accels
+            list(row)
+            for row in zip(
+                trajectory.times,
+                trajectory.xs,
+                trajectory.ys,
+                trajectory.speeds,
+                trajectory.curvatures,
+                trajectory.accels,
             )
         ],
     }

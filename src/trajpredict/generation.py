@@ -364,28 +364,40 @@ class CandidateTrajectory(Trajectory):
 
 def realize_trajectory(path: PathCandidate, profile: SpeedProfile) -> CandidateTrajectory:
     """Walk the path's curve by the profile's arc lengths, in one pass over
-    its times; the candidate shares the profile's speeds and accelerations.
+    its times, into x, y and curvature columns; the candidate shares the
+    profile's times, speeds and accelerations.
 
     A point lies on the segment that bisect_right places its arc length in,
     as point_at_s places it, so a vertex belongs to its outgoing segment. It
     takes the curvature of the vertex nearest to it, ties to the lower
     index. Points beyond the curve end follow the final segment's tangent;
-    their curvature is zero on the straight extension.
+    their curvature is zero on the straight extension. ValueError refuses a
+    non-finite coordinate, as Point2 does.
     """
     curve = path.curve
     vertices, cum, kappa = curve.points, curve.cumulative_s, curve.vertex_curvatures
     last_vertex, length = len(vertices) - 1, cum[-1]
-    points, curvatures = [], []
-    for t, s in zip(profile.times, profile.arc_lengths):
+    xs, ys, curvatures = [], [], []
+    for s in profile.arc_lengths:
         # searching below the last vertex puts s beyond the end on the final segment
         i = bisect_right(cum, s, 0, last_vertex) - 1
         p, q = vertices[i], vertices[i + 1]
         u = (s - cum[i]) / (cum[i + 1] - cum[i])
-        points.append((t, Point2(p.x + u * (q.x - p.x), p.y + u * (q.y - p.y))))
+        xs.append(p.x + u * (q.x - p.x))
+        ys.append(p.y + u * (q.y - p.y))
         nearest = i if s - cum[i] <= cum[i + 1] - s else i + 1
         curvatures.append(0.0 if s > length else kappa[nearest])
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        lanes = LANE_SEQUENCE_SEPARATOR.join(path.lane_ids)
+        raise ValueError(f"non-finite coordinates on the path through lanes {lanes!r}")
     return CandidateTrajectory(
-        tuple(points), profile.speeds, tuple(curvatures), profile.accels, source_profile=profile
+        profile.times,
+        tuple(xs),
+        tuple(ys),
+        profile.speeds,
+        tuple(curvatures),
+        profile.accels,
+        source_profile=profile,
     )
 
 

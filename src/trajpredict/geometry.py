@@ -135,10 +135,12 @@ def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
     """Arc length of the closest point on the curve, and the distance to it.
 
     Queries beyond the curve ends clamp to the end vertices; equidistant
-    segments resolve to the smaller arc length.
+    segments resolve to the smaller arc length. A point whose squared
+    distance to every segment overflows (more than about 1.3e154 m away) or
+    is NaN is at distance inf, with arc length 0.
     """
     best_d2 = math.inf
-    best = (0.0, 0.0)
+    best = (0.0, math.inf)
     pts = curve.points
     cum = curve.cumulative_s
     for i in range(len(pts) - 1):

@@ -6,7 +6,10 @@ planned trajectory from an optional JSON-lines file. The loaders read only
 the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
-trajectory shape (TimedPoint, Trajectory), the one time grid of anchors,
+trajectory shapes (Trajectory, the float columns of times, positions and
+kinematics that candidates and labels are costed in, with no Point2 per
+point; TimedPoint, the (t, Point2) row that labels, the ego plan and
+evaluation read), the one time grid of anchors,
 labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
 and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
 plan, and lane association (nearest_lane) with its capture distance.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
@@ -40,14 +43,25 @@ TimedPoint = Tuple[float, Point2]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Timed positions plus the per-point kinematics the sub-costs read:
-    speed (m/s), path curvature (1/m) and longitudinal acceleration (m/s^2).
-    Candidates and ground-truth labels alike are costed in this shape."""
+    """Columns of equal length, one entry per point: the time (s), position
+    (m), and the per-point kinematics the sub-costs read: speed (m/s), path
+    curvature (1/m) and longitudinal acceleration (m/s^2). Candidates and
+    ground-truth labels alike are costed in this shape. Columns may be
+    shared between trajectories (candidates of one speed profile share its
+    times, speeds and accelerations)."""
 
-    points: Tuple[TimedPoint, ...]
-    speeds: Tuple[float, ...]
-    curvatures: Tuple[float, ...]
-    accels: Tuple[float, ...]
+    times: Sequence[float]
+    xs: Sequence[float]
+    ys: Sequence[float]
+    speeds: Sequence[float]
+    curvatures: Sequence[float]
+    accels: Sequence[float]
+
+    @property
+    def points(self) -> Tuple[TimedPoint, ...]:
+        """The (t, Point2) rows, built on each read for readers outside the
+        costing path."""
+        return tuple((t, Point2(x, y)) for t, x, y in zip(self.times, self.xs, self.ys))
 
 
 def time_grid(stop: float, step: float, start: float = 0.0) -> list[float]:
@@ -190,12 +204,15 @@ class EgoPlan:
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise SceneIntegrityError("non-monotonic timestamps in ego plan")
 
-    def positions_at(self, times: Iterable[float]) -> list[Point2]:
-        """Linearly interpolated poses at ascending times, found in one walk
-        over the plan; queries beyond coverage return the end poses
-        themselves, which a lerp at u = 1 would not reproduce exactly."""
+    def positions_at(self, times: Iterable[float]) -> Tuple[List[float], List[float]]:
+        """Linearly interpolated poses at ascending times, as x and y columns,
+        found in one walk over the plan; queries beyond coverage return the
+        end poses themselves, which a lerp at u = 1 would not reproduce
+        exactly."""
         poses, plan_times = self.poses, self.times
-        positions = []
+        first, last = poses[0][1], poses[-1][1]
+        xs: List[float] = []
+        ys: List[float] = []
         i = 0
         previous = -math.inf
         for t in times:
@@ -203,15 +220,19 @@ class EgoPlan:
                 raise ValueError(f"ego plan query times must ascend, got {t} after {previous}")
             previous = t
             if t <= plan_times[0]:
-                positions.append(poses[0][1])
+                xs.append(first.x)
+                ys.append(first.y)
             elif t >= plan_times[-1]:
-                positions.append(poses[-1][1])
+                xs.append(last.x)
+                ys.append(last.y)
             else:
                 while plan_times[i + 1] <= t:
                     i += 1
                 u = (t - plan_times[i]) / (plan_times[i + 1] - plan_times[i])
-                positions.append(_lerp(poses[i][1], poses[i + 1][1], u))
-        return positions
+                a, b = poses[i][1], poses[i + 1][1]
+                xs.append(a.x + u * (b.x - a.x))
+                ys.append(a.y + u * (b.y - a.y))
+        return xs, ys
 
 
 @dataclass(frozen=True)
@@ -313,8 +334,7 @@ def nearest_lane(
       closest point is at least C + 4U, and the distance, a hypot of it,
       is above C: the full scan drops the lane too.
     Every lane the full scan keeps is still projected, in id order, so the
-    result is the full scan's wherever project_point's squared distances
-    stay finite (up to about 1e154 m).
+    result is the full scan's.
     """
     x, y = position.x, position.y
     magnitude = max(map_graph.coordinate_magnitude, abs(lateral_capture))

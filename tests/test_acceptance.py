@@ -71,9 +71,8 @@ class _budget:
 
 def synth_candidate(rows, a=0.0):
     t, x, y, v, k, acc = zip(*rows)
-    points = tuple((ti, Point2(xi, yi)) for ti, xi, yi in zip(t, x, y))
     profile = SpeedProfile(v0=rows[0][3], a=a, duration=rows[-1][0], resolution=rows[0][0])
-    return CandidateTrajectory(points, v, k, acc, source_profile=profile)
+    return CandidateTrajectory(t, x, y, v, k, acc, source_profile=profile)
 
 
 class Prior:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import trajpredict
 from conftest import write_json, write_jsonl
-from trajpredict import costing, generation, scene
+from trajpredict import cli, costing, generation, scene
 from trajpredict.cli import main
 from trajpredict.generation import GenerationConfig
 from trajpredict.geometry import project_point
@@ -528,6 +528,70 @@ def test_malformed_input_is_reported_with_its_file(
     assert not os.path.exists(out)
 
 
+NON_FINITE_COSTS = "the generation config gives non-finite sub-costs"
+
+
+@pytest.mark.parametrize(
+    "flag, source, edit, message",
+    [
+        pytest.param(
+            "--config",
+            "genconfig.json",
+            edit_document(accel_set=[1e300], a_max=1e300, v_max=1e300),
+            NON_FINITE_COSTS,
+            id="acceleration_whose_square_overflows",
+        ),
+        pytest.param(
+            "--config",
+            "genconfig.json",
+            # each squared acceleration is finite, their sum is not
+            edit_document(accel_set=[1e154], a_max=1e300, v_max=1e300),
+            NON_FINITE_COSTS,
+            id="accelerations_whose_sum_overflows",
+        ),
+        pytest.param(
+            "--weights",
+            "weights.json",
+            edit_document(theta_acc=1e308),
+            "the weights give non-finite costs",
+            id="weight_overflowing_the_total",
+        ),
+    ],
+)
+def test_non_finite_costs_name_the_file_at_fault(tmp_path, capsys, flag, source, edit, message):
+    bad = tmp_path / ("bad_" + source)
+    with open(fixture(source), encoding="utf-8") as fh:
+        bad.write_text(edit(fh.read()), encoding="utf-8")
+    code, out = run_predict(tmp_path, **{flag: str(bad)})
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message} for obstacle 'veh_1'")
+    assert not os.path.exists(out)
+
+
+def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # veh_1 from 6 s on reaches one lane path per anchor (160 points), veh_2 at
+    # its first anchor three (480): the ceiling of 300 refuses veh_2 after
+    # veh_1's records have gone to the temp file
+    rows = [json.loads(line) for line in open(fixture("obstacles.jsonl"), encoding="utf-8")]
+    log = write_jsonl(
+        tmp_path / "log.jsonl", [r for r in rows if r["obstacle_id"] == "veh_2" or r["t"] >= 6.0]
+    )
+    written = []
+    to_record = costing.result_to_record
+
+    def counting_result_to_record(result, weights):
+        written.append(result.obstacle_id)
+        return to_record(result, weights)
+
+    monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
+    monkeypatch.setattr(costing, "result_to_record", counting_result_to_record)
+    code, out = run_predict(tmp_path, **{"--scene": log})
+    assert code == 2
+    assert "would hold more than 300 points" in capsys.readouterr().err
+    assert written == ["veh_1"] * 6
+    assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
+
+
 @pytest.mark.parametrize(
     "runner, flag, value",
     [
@@ -807,6 +871,21 @@ class TestPredictCommand:
         assert "lost" in captured.err
         assert json.loads(captured.out)["skipped"] == 3
 
+    def test_obstacle_too_far_for_squared_distances_is_skipped(self, tmp_path, capsys):
+        # every squared distance to the map overflows, so no lane may capture it
+        rows = [json.loads(line) for line in open(fixture("obstacles.jsonl"), encoding="utf-8")]
+        for row in rows:
+            if row["obstacle_id"] == "veh_2":
+                row["x"] = 1e200
+        log = write_jsonl(tmp_path / "far.jsonl", rows)
+        code, out = run_predict(tmp_path, **{"--scene": log})
+        assert code == 0
+        records = [json.loads(line) for line in open(out, encoding="utf-8")]
+        assert records and all(r["obstacle_id"] == "veh_1" for r in records)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["skipped"] == 10
+        assert captured.err.count("predict: veh_2@") > 10
+        assert "veh_2@9.0: no realizable intention" in captured.err
 
     def test_lanes_that_do_not_join_skip_the_intention(self, tmp_path, capsys):
         # each lane loads, but the joined curve loses a vertex to rounding after 1e50

@@ -29,9 +29,8 @@ from trajpredict.scene import EgoPlan
 def synth_trajectory(rows, a=0.0, v0=10.0):
     """Candidate with prescribed per-point (t, x, y, speed, curvature, accel)."""
     t, x, y, v, k, acc = zip(*rows)
-    points = tuple((ti, Point2(xi, yi)) for ti, xi, yi in zip(t, x, y))
     profile = SpeedProfile(v0=v0, a=a, duration=max(t), resolution=rows[0][0])
-    return CandidateTrajectory(points, v, k, acc, source_profile=profile)
+    return CandidateTrajectory(t, x, y, v, k, acc, source_profile=profile)
 
 
 def constant_rows(n=30, accel=0.0, speed=10.0, curvature=0.0, x_far=0.0):
@@ -187,7 +186,7 @@ class TestTotalCost:
             w = CostWeights(
                 rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 3), 2.0, 3.0
             )
-            b = total_cost(traj, ego.positions_at([t for t, _ in traj.points]), w)
+            b = total_cost(traj, ego.positions_at(traj.times), w)
             recomposed = weighted_total(w, b.c_acc, b.c_centripetal, b.c_collision)
             assert b.total == pytest.approx(recomposed, abs=1e-12)
 

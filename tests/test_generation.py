@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import intersection_map_dict, straight_track, write_json, write_jsonl
+from test_scene import reference_position_at
 from trajpredict.annotation import label_future_trajectory
+from trajpredict.costing import CostWeights, cost_collision, rank_intentions, total_cost
 from trajpredict.errors import AssociationError, ConfigError
 from trajpredict.generation import (
     GenerationConfig,
@@ -27,6 +30,7 @@ from trajpredict.generation import (
 from trajpredict.geometry import Curve, Point2, menger_curvature, project_point
 from trajpredict.scene import (
     DEFAULT_LATERAL_CAPTURE_M,
+    EgoPlan,
     Lane,
     MapGraph,
     ObstacleState,
@@ -583,6 +587,112 @@ class TestRealizationOracle:
                 if i < len(cum) - 1
             )
         assert min(seen.values()) >= 100, seen
+
+
+def reference_breakdown(curve, profile, ego, anchor_time, weights):
+    """Sub-costs and total of one candidate as costing composed them per
+    point before trajectories were columns: a Point2 per realized row, then
+    distance_to the ego pose at its absolute time, exp(-d*d), and fsum."""
+    rows = reference_rows(curve, profile)
+    c_acc = math.fsum(a * a for *_, a in rows)
+    c_centripetal = math.fsum((v * v * k) ** 2 for _, _, _, v, k, _ in rows) / weights.z1
+    c_collision = 0.0
+    if ego is not None:
+        terms = []
+        for t, x, y, *_ in rows:
+            d = Point2(x, y).distance_to(reference_position_at(ego, anchor_time + t))
+            terms.append(math.exp(-d * d))
+        c_collision = math.fsum(terms) / weights.z2
+    total = (
+        weights.theta_acc * c_acc
+        + weights.theta_centripetal * c_centripetal
+        + weights.theta_collision * c_collision
+    )
+    return rows, (c_acc, c_centripetal, c_collision, total)
+
+
+def coordinates(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random curve, speed profile, anchor time, weights and (or no) ego
+    plan whose poses pass within a few meters of the curve's start."""
+    x, y = draw(coordinates(-50.0, 50.0)), draw(coordinates(-50.0, 50.0))
+    points = [(x, y)]
+    for heading, step in draw(
+        st.lists(st.tuples(coordinates(-math.pi, math.pi), coordinates(0.5, 15.0)), min_size=1, max_size=8)
+    ):
+        x, y = x + step * math.cos(heading), y + step * math.sin(heading)
+        points.append((x, y))
+    profile = SpeedProfile(
+        v0=draw(coordinates(0.0, 20.0)),
+        a=draw(coordinates(-6.0, 4.0)),
+        duration=draw(coordinates(0.1, 3.0)),
+        resolution=draw(coordinates(0.05, 0.5)),
+        v_max=draw(st.one_of(st.just(math.inf), coordinates(2.0, 25.0))),
+    )
+    ego = None
+    pose_times = draw(st.lists(coordinates(-5.0, 15.0), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        x0, y0 = points[0]
+        ego = EgoPlan(
+            poses=tuple(
+                (t, Point2(x0 + draw(coordinates(-3.0, 3.0)), y0 + draw(coordinates(-3.0, 3.0))))
+                for t in sorted(pose_times)
+            )
+        )
+    weights = CostWeights(
+        draw(coordinates(0.0, 3.0)),
+        draw(coordinates(0.0, 3.0)),
+        draw(coordinates(0.0, 3.0)),
+        z1=draw(coordinates(0.5, 5000.0)),
+        z2=draw(coordinates(0.5, 50.0)),
+    )
+    return Curve(points), profile, draw(coordinates(-2.0, 5.0)), weights, ego
+
+
+class TestColumnarCosting:
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_cases())
+    def test_realize_and_cost_match_the_per_point_composition_bit_for_bit(self, case):
+        curve, profile, anchor_time, weights, ego = case
+        rows, expected = reference_breakdown(curve, profile, ego, anchor_time, weights)
+        traj = realize_trajectory(PathCandidate(("l",), curve), profile)
+        columns = zip(traj.times, traj.xs, traj.ys, traj.speeds, traj.curvatures, traj.accels)
+        assert list(columns) == rows
+        ego_xy = None if ego is None else ego.positions_at([anchor_time + t for t in traj.times])
+        b = total_cost(traj, ego_xy, weights)
+        assert (b.c_acc, b.c_centripetal, b.c_collision, b.total) == expected
+        if ego is not None:
+            assert cost_collision(traj, ego, weights.z2, anchor_time) == expected[2]
+
+    def test_realizing_and_ranking_build_no_point2(self, imap):
+        profiles = sample_profiles(8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, KinematicLimits())
+        state = obstacle_at(-40.0, 0.0, speed=8.0)
+        ego = EgoPlan(poses=((0.0, Point2(-30.0, 1.0)), (10.0, Point2(30.0, 1.0))))
+        priors = [IntentionPrior("exit_e", 0.5), IntentionPrior("exit_n", 0.5)]
+        paths = {p.intention_id: search_paths(p.intention_id, state, imap, 60.0, 4) for p in priors}
+        no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
+        with no_point2:
+            with pytest.raises(AssertionError, match="Point2"):
+                Point2(0.0, 0.0)
+            candidates = {
+                intention: [realize_trajectory(path, profile) for path in found for profile in profiles]
+                for intention, found in paths.items()
+            }
+            result = rank_intentions("veh", 1.0, candidates, priors, ego, CostWeights())
+        assert sum(len(c) for c in candidates.values()) == 3 * sum(map(len, paths.values()))
+        assert result.selected_intention in ("exit_e", "exit_n")
+
+    def test_a_non_finite_coordinate_is_refused(self):
+        # the curve's length overflows, so the lerp gives 0 * inf
+        curve = Curve([(-1e308, 0.0), (1e308, 0.0)])
+        assert curve.length == math.inf
+        profile = SpeedProfile(v0=10.0, a=0.0, duration=1.0, resolution=0.1)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            realize_trajectory(PathCandidate(("l",), curve), profile)
 
 
 class TestGenerationConfig:

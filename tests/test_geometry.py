@@ -191,6 +191,14 @@ class TestProjectPoint:
     def test_clamped_to_start(self):
         assert project_point(Curve([(0, 0), (10, 0)]), Point2(-1, 0)) == (0.0, 1.0)
 
+    def test_far_point_is_not_at_distance_zero(self):
+        # the squared distance overflows on every segment
+        c = Curve([(0, 0), (10, 0), (10, 10)])
+        assert project_point(c, Point2(1e155, 0)) == (0.0, math.inf)
+        assert project_point(c, Point2(-1e200, 1e200)) == (0.0, math.inf)
+        # just inside the float range of the squares, the distance is the true one
+        assert project_point(c, Point2(1e153, 0)) == (10.0, 1e153 - 10.0)
+
     def test_corner_tie_breaks_to_smaller_s(self):
         # the corner of an L is equidistant from both segments
         c = Curve([(0, 0), (10, 0), (10, 10)])

@@ -258,16 +258,17 @@ def reference_position_at(ego, t):
 class TestEgoPlan:
     def test_interpolation_and_clamping(self):
         ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
-        before, inside, after = ego.positions_at([-5.0, 1.0, 99.0])
-        assert inside.x == pytest.approx(2.0)
-        assert before.x == 0.0
-        assert after.x == 4.0
+        (before, inside, after), ys = ego.positions_at([-5.0, 1.0, 99.0])
+        assert inside == pytest.approx(2.0)
+        assert before == 0.0
+        assert after == 4.0
+        assert ys == [0.0, 0.0, 0.0]
 
     def test_end_poses_are_returned_exactly(self):
         # a lerp at u = 1 gives 0.2 + (0.9 - 0.2) = 0.8999999999999999, not 0.9
-        first, last = Point2(0.2, 0.0), Point2(0.9, 0.0)
+        first, last = Point2(0.2, -0.2), Point2(0.9, -0.9)
         ego = EgoPlan(poses=((0.0, first), (1.0, last)))
-        assert ego.positions_at([0.0, 1.0, 5.0]) == [first, last, last]
+        assert ego.positions_at([0.0, 1.0, 5.0]) == ([0.2, 0.9, 0.9], [-0.2, -0.9, -0.9])
 
     def test_descending_query_times_rejected(self):
         ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
@@ -289,7 +290,8 @@ class TestEgoPlan:
             anchor = rng.choice([0.0, 0.5, rng.uniform(-5.0, 5.0)])
             grid = time_grid(rng.uniform(1.0, 30.0), rng.choice([0.1, 0.5, 1.0]))
             queries = sorted([anchor + t for t in grid] + rng.sample(times, min(len(times), 3)))
-            assert ego.positions_at(queries) == [reference_position_at(ego, t) for t in queries]
+            expected = [reference_position_at(ego, t) for t in queries]
+            assert ego.positions_at(queries) == ([p.x for p in expected], [p.y for p in expected])
             seen["before"] += queries[0] < times[0]
             seen["after"] += queries[-1] > times[-1]
             seen["on_pose"] += any(times[0] < t < times[-1] and t in times for t in queries)
