@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor, timed_points
@@ -23,6 +21,11 @@ from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
 from .geometry import vertex_curvatures
 from .scene import EgoPlan, Trajectory
+
+# numpy is imported inside the functions that do array math, so importing
+# this module, loading a TunerConfig or extracting examples does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 SubCosts = Tuple[float, float, float]
 
@@ -64,6 +67,8 @@ class TunerConfig:
             raise ConfigError(f"convergence_tol must be nonnegative, got {self.convergence_tol}")
         if len(self.theta_init) != 3:
             raise ConfigError("theta_init must have exactly 3 entries")
+        if any(v < 0.0 for v in self.theta_init):
+            raise ConfigError(f"theta_init entries must be nonnegative, got {self.theta_init}")
 
     @classmethod
     def from_file(cls, path: str) -> "TunerConfig":
@@ -116,6 +121,8 @@ def ground_truth_subcosts(
 
 def _stack(examples: Sequence[TuningExample]) -> np.ndarray:
     """All (ground truth - candidate) sub-cost differences as one matrix."""
+    import numpy as np
+
     rows = []
     for ex in examples:
         gt = np.asarray(ex.gt_subcosts, dtype=float)
@@ -128,13 +135,15 @@ def _hinge(diffs: np.ndarray, theta: np.ndarray, delta: float) -> Tuple[float, n
     """Hinge loss and subgradient over the stacked difference matrix."""
     margins = diffs @ theta + delta
     active = margins > 0.0
-    return float(np.sum(margins[active])), diffs[active].sum(axis=0)
+    return float(margins[active].sum()), diffs[active].sum(axis=0)
 
 
 def hinge_objective(
     examples: Sequence[TuningExample], theta: Sequence[float], delta: float
 ) -> float:
     """Sum over every (anchor, candidate) pair of max(0, C(gt) - C(cand) + delta)."""
+    import numpy as np
+
     return _hinge(_stack(examples), np.asarray(theta, dtype=float), delta)[0]
 
 
@@ -143,6 +152,8 @@ def hinge_subgradient(
 ) -> np.ndarray:
     """Subgradient of the hinge objective: the sum of (gt - candidate)
     sub-cost differences over strictly active terms."""
+    import numpy as np
+
     return _hinge(_stack(examples), np.asarray(theta, dtype=float), delta)[1]
 
 
@@ -159,6 +170,8 @@ def tune_weights(
     entry is the initial loss). The procedure is deterministic for fixed
     inputs and configuration.
     """
+    import numpy as np
+
     if not examples:
         raise ValueError("cannot tune on an empty example list")
     ordered = sorted(examples, key=lambda ex: (ex.key is None, ex.key))

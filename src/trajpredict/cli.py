@@ -213,7 +213,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from . import autotune  # numpy loads here, so the other stages never pay for it
+    from . import autotune  # only tune loads the tuner; numpy loads when its descent runs
 
     predictions = costing.load_prediction_records(args.predictions)
     dataset = annotation.load_dataset_records(args.dataset)

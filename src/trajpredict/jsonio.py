@@ -1,8 +1,13 @@
 """The JSON envelope shared by every stage: reading, validation, writing.
 
-Every input file is decoded by one decoder that refuses the NaN and
-Infinity literals and any number literal that overflows to infinity (such
-as 1e400), so no non-finite number enters the pipeline from a file.
+Every input refuses the NaN and Infinity literals, and any byte that is not
+UTF-8, when it is decoded. A number literal that overflows to infinity (such
+as 1e400) is refused where it is read. A JSON document (a configuration, the
+weights, the map) refuses it when it is decoded, so the error names the
+literal's line. A JSON-lines record is decoded without that check, since it
+costs a Python call per float literal: every number a stage reads from a
+record goes through number() or rows(), which refuse it with the record's
+"path:line", and numbers that no stage reads are not checked.
 Errors name the file and line: ParseError for malformed data, ConfigError
 for configuration documents that do not fit their dataclass.
 """
@@ -37,33 +42,41 @@ def _finite_float(literal: str) -> float:
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+_RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _decode(text: str, path: str, first_line: int):
-    """Decode text that starts on line first_line of path."""
+def _decode(text: str, path: str, first_line: int, decoder: json.JSONDecoder = _DECODER):
+    """Decode text that starts on line first_line of path. The file was read
+    with errors="surrogateescape", so a byte that is not UTF-8 is a lone
+    surrogate here, and only a text with a non-ASCII character can hold one."""
     try:
-        return _DECODER.decode(text)
+        if not text.isascii():
+            text.encode("utf-8")
+        return decoder.decode(text)
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        message = f"invalid UTF-8 byte 0x{ord(text[exc.start]) - 0xDC00:02x}"
     except json.JSONDecodeError as exc:
-        line, message = exc.lineno, exc.msg
+        line, message = exc.lineno, f"invalid JSON: {exc.msg}"
     except _NonFinite as exc:
         # decoding stopped at the first token spelled like the refused literal;
         # string contents are blanked so that they cannot match
         masked = _STRING.sub(lambda m: " " * len(m.group()), text)
         start = next(m.start() for m in _LITERAL.finditer(masked) if m.group() == str(exc))
         line = masked.count("\n", 0, start) + 1
-        message = f"non-finite number {exc}"
-    raise ParseError(f"{path}:{first_line + line - 1}: invalid JSON: {message}")
+        message = f"invalid JSON: non-finite number {exc}"
+    raise ParseError(f"{path}:{first_line + line - 1}: {message}")
 
 
 def iter_jsonl(path: str, required: Sequence[str] = ()) -> Iterator[Tuple[str, dict]]:
     """(location, object) per non-blank line of a JSON-lines file, where the
     location "path:line" starts every error about that line; every line must
     be an object carrying the required keys."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
-            record = _decode(raw, path, lineno)
+            record = _decode(raw, path, lineno, _RECORD_DECODER)
             where = f"{path}:{lineno}"
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object")
@@ -75,7 +88,7 @@ def iter_jsonl(path: str, required: Sequence[str] = ()) -> Iterator[Tuple[str, d
 
 def read_json(path: str):
     """The single JSON document in path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _decode(fh.read(), path, 1)
 
 

@@ -116,6 +116,12 @@ def edit_first_map_entry(kind, **changes):
     return edit
 
 
+def bare_overflow(text):
+    """text with each JSON string "1e400" or "-1e400" written as the bare
+    literal, which json.dumps cannot write and which decodes to inf or -inf."""
+    return text.replace('"1e400"', "1e400").replace('"-1e400"', "-1e400")
+
+
 def append_state(**changes):
     """Append a copy of the log's first state with changes applied."""
     return lambda text: text + json.dumps({**json.loads(text.split("\n", 1)[0]), **changes}) + "\n"
@@ -155,6 +161,14 @@ MALFORMED_INPUTS = [
         edit_document(theta_init=["a", 1, 1]),
         None,
         id="string_theta_init",
+    ),
+    pytest.param(
+        run_tune,
+        "--tuner-config",
+        fixture("tunerconfig.json"),
+        edit_document(max_iters=0, theta_init=[-1.0, 1.0, 1.0]),
+        None,
+        id="negative_theta_init",
     ),
     pytest.param(
         run_tune,
@@ -528,6 +542,71 @@ def test_malformed_input_is_reported_with_its_file(
     assert not os.path.exists(out)
 
 
+# A JSON-lines record is decoded without checking for overflowing literals:
+# the reader of each number refuses one with the record's line.
+@pytest.mark.parametrize(
+    "runner, flag, source, edit, message",
+    [
+        pytest.param(
+            run_annotate,
+            "--log",
+            fixture("obstacles.jsonl"),
+            lambda text: bare_overflow(edit_first_line(x="1e400")(text)),
+            "key 'x' must be a finite number, got inf",
+            id="obstacle_x",
+        ),
+        pytest.param(
+            run_predict,
+            "--priors",
+            fixture("priors.jsonl"),
+            lambda text: bare_overflow(
+                edit_first_line(intentions=[{"id": "exit_e", "prior": "1e400"}])(text)
+            ),
+            "key 'prior' must be a finite number, got inf",
+            id="prior",
+        ),
+        pytest.param(
+            run_tune,
+            "--predictions",
+            golden("predictions.jsonl"),
+            lambda text: text.replace('"candidates":[[', '"candidates":[[1e400,', 1),
+            "'candidates' must be a list of rows of 4+ numbers of norm at most 1e+100",
+            id="candidate_row",
+        ),
+    ],
+)
+def test_overflowing_record_number_is_refused_by_its_reader(
+    tmp_path, capsys, runner, flag, source, edit, message
+):
+    bad = tmp_path / ("bad_" + os.path.basename(source))
+    with open(source, encoding="utf-8") as fh:
+        bad.write_text(edit(fh.read()), encoding="utf-8")
+    code, out = runner(tmp_path, **{flag: str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "runner, flag, source, line",
+    [
+        # far enough into the file that text mode has read past it in chunks
+        pytest.param(run_eval, "--predictions", golden("predictions.jsonl"), 12, id="jsonl"),
+        pytest.param(run_tune, "--tuner-config", fixture("tunerconfig.json"), 7, id="document"),
+    ],
+)
+def test_invalid_utf8_is_reported_with_its_line(tmp_path, capsys, runner, flag, source, line):
+    with open(source, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b"1", b"\xff1", 1)
+    bad = tmp_path / ("bad_" + os.path.basename(source))
+    bad.write_bytes(b"\n".join(lines))
+    code, out = runner(tmp_path, **{flag: str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: invalid UTF-8 byte 0xff\n"
+    assert not os.path.exists(out)
+
+
 NON_FINITE_COSTS = "the generation config gives non-finite sub-costs"
 
 
@@ -618,6 +697,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
     max_leaves=4,
 )
+# the fuzz tests write these strings out as bare literals (bare_overflow)
+PLANTED_VALUES = st.sampled_from(["1e400", "-1e400"]) | JSON_VALUES
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -635,8 +716,8 @@ def test_any_row_entry_is_read_or_reported(tmp_path_factory, data):
         for rows in (entry["best_trajectory"]["points"], entry["candidates"])
     ]
     row = data.draw(st.sampled_from([row for rows in row_lists if rows for row in rows]))
-    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(JSON_VALUES)
-    lines[index] = json.dumps(record)
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(PLANTED_VALUES)
+    lines[index] = bare_overflow(json.dumps(record))
 
     tmp = tmp_path_factory.mktemp("fuzz")
     bad = tmp / name
@@ -690,10 +771,10 @@ def test_any_predict_input_entry_is_read_or_reported(tmp_path_factory, data):
     doc = docs[data.draw(st.integers(0, len(docs) - 1))]
     path = data.draw(st.sampled_from(list(entry_paths(doc))))
     parent = functools.reduce(operator.getitem, path[:-1], doc)
-    parent[path[-1]] = data.draw(JSON_VALUES)
+    parent[path[-1]] = data.draw(PLANTED_VALUES)
 
     bad = tmp_path_factory.mktemp("fuzz") / os.path.basename(PREDICT_INPUTS[flag])
-    bad.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    bad.write_text(bare_overflow("".join(json.dumps(d) + "\n" for d in docs)), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code, _ = run_predict(bad.parent, **{flag: str(bad), "--stride": "2.0"})
@@ -1172,6 +1253,30 @@ class TestCliContract:
             timeout=60,
         )
         assert result.stdout.endswith("[0, 0, 0] False\n"), result.stderr
+
+    def test_loading_a_tuner_config_and_extracting_examples_do_not_import_numpy(self):
+        """numpy serves the descent alone, so importing the tuner, loading its
+        config and extracting examples must not load it."""
+        script = (
+            "import sys\n"
+            "from trajpredict import annotation, autotune, costing, scene\n"
+            f"autotune.TunerConfig.from_file({fixture('tunerconfig.json')!r})\n"
+            "examples, _ = autotune.extract_examples(\n"
+            f"    costing.load_prediction_records({golden('predictions.jsonl')!r}),\n"
+            f"    annotation.load_dataset_records({golden('dataset.jsonl')!r}),\n"
+            f"    scene.load_ego_plan({fixture('ego.jsonl')!r}),\n"
+            ")\n"
+            "print(len(examples), 'numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout == "16 False\n", result.stderr
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
