@@ -7,14 +7,15 @@ so a track that ends before the horizon yields no trajectory label. Label
 times come from scene.time_grid, the grid candidates are realized on, and
 the anchor grid is the first anchor followed by the same time_grid. The
 anchor key, prediction/label join and the reader of their [t, x, y, ...]
-rows live here too, so every stage meets its labels one way.
+rows into columns live here too, so every stage meets its labels one way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, JoinError, ParseError, SceneIntegrityError
@@ -24,7 +25,7 @@ from .scene import (
     TIME_EPS,
     MapGraph,
     ObstacleTrack,
-    TimedPoint,
+    Positions,
     nearest_lane,
     time_grid,
 )
@@ -36,13 +37,14 @@ DEFAULT_EXIT_CAPTURE_M = 3.0
 AnchorKey = Tuple[str, float]
 
 
-@dataclass(frozen=True)
-class TrajectoryLabel:
+@dataclass(frozen=True, kw_only=True)
+class TrajectoryLabel(Positions):
     """Ground-truth future positions at a fixed resolution after anchor_time."""
 
     obstacle_id: str
     anchor_time: float
-    future_points: Tuple[TimedPoint, ...]
+
+    future_points = Positions.points  # the name bench/traced.py reads; kept only for it
 
 
 @dataclass(frozen=True)
@@ -82,39 +84,40 @@ def label_future_trajectory(
             f"track {track.obstacle_id!r} ends at {track.last_time}, "
             f"before the {horizon}s horizon after anchor {anchor_time}"
         )
+    positions = [track.position_at(anchor_time + rel) for rel in rels]
+    xs, ys = tuple(p.x for p in positions), tuple(p.y for p in positions)
     return TrajectoryLabel(
-        obstacle_id=track.obstacle_id,
-        anchor_time=anchor_time,
-        future_points=tuple((rel, track.position_at(anchor_time + rel)) for rel in rels),
+        tuple(rels), xs, ys, obstacle_id=track.obstacle_id, anchor_time=anchor_time
     )
 
 
 def _future_polyline(
     track: ObstacleTrack, anchor_time: float, horizon: float
-) -> list[TimedPoint]:
-    """Timestamped vertices of the future sub-track, clipped to the horizon."""
+) -> list[Tuple[float, float, float]]:
+    """(t, x, y) vertices of the future sub-track, clipped to the horizon."""
     end_time = min(anchor_time + horizon, track.last_time)
     if end_time <= anchor_time + TIME_EPS:
         return []
-    samples = [(anchor_time, track.position_at(anchor_time))]
+    start, end = track.position_at(anchor_time), track.position_at(end_time)
+    samples = [(anchor_time, start.x, start.y)]
     for st in track.states:
         if anchor_time < st.timestamp < end_time:
-            samples.append((st.timestamp, st.position))
-    samples.append((end_time, track.position_at(end_time)))
+            samples.append((st.timestamp, st.position.x, st.position.y))
+    samples.append((end_time, end.x, end.y))
     return samples
 
 
 def _earliest_capture_time(
-    polyline: Sequence[TimedPoint], target: Point2, radius: float
+    polyline: Sequence[Tuple[float, float, float]], target: Point2, radius: float
 ) -> Optional[float]:
     """Earliest time at which the piecewise-linear path enters the capture disk."""
     r2 = radius * radius
-    for (t0, a), (t1, b) in zip(polyline, polyline[1:]):
-        dax, day = a.x - target.x, a.y - target.y
+    for (t0, ax, ay), (t1, bx, by) in zip(polyline, polyline[1:]):
+        dax, day = ax - target.x, ay - target.y
         c = dax * dax + day * day - r2
         if c <= 0.0:
             return t0
-        vx, vy = b.x - a.x, b.y - a.y
+        vx, vy = bx - ax, by - ay
         qa = vx * vx + vy * vy
         qb = 2.0 * (dax * vx + day * vy)
         if qa == 0.0:
@@ -126,8 +129,8 @@ def _earliest_capture_time(
         if 0.0 <= u <= 1.0:
             return t0 + u * (t1 - t0)
     if polyline:
-        t_last, p_last = polyline[-1]
-        if p_last.distance_to(target) <= radius:
+        t_last, x_last, y_last = polyline[-1]
+        if math.hypot(x_last - target.x, y_last - target.y) <= radius:
             return t_last
     return None
 
@@ -238,9 +241,10 @@ def iter_anchor_records(path: str, required: Sequence[str]) -> Iterator[Tuple[st
         yield where, record
 
 
-def timed_points(rows: Iterable[Sequence[float]]) -> List[TimedPoint]:
-    """(t, position) per [t, x, y, ...] row of a label's future or a trajectory's points."""
-    return [(row[0], Point2(row[1], row[2])) for row in rows]
+def columns(rows: Sequence[Sequence[float]], width: int) -> List[Tuple[float, ...]]:
+    """The first width entries of [t, x, y, ...] rows (a label's future, a
+    trajectory's points) as columns: times, xs, ys, and so on."""
+    return [tuple(map(itemgetter(k), rows)) for k in range(width)]
 
 
 def build_dataset(
@@ -286,7 +290,7 @@ def build_dataset(
                     "obstacle_id": track.obstacle_id,
                     "anchor_time": anchor,
                     "history": history,
-                    "future": [[rel, p.x, p.y] for rel, p in label.future_points],
+                    "future": [[t, x, y] for t, x, y in zip(label.times, label.xs, label.ys)],
                     "exit_label": exit_label.exit_id if exit_label else None,
                     "lane_sequence_label": list(lane_label.lane_ids) if lane_label else None,
                 }

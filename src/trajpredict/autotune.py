@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .annotation import AnchorKey, TrajectoryLabel, join_on_anchor, timed_points
+from .annotation import AnchorKey, TrajectoryLabel, columns, join_on_anchor
 from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
-from .geometry import vertex_curvatures
+from .geometry import Point2, vertex_curvatures
 from .scene import EgoPlan, Trajectory
 
 # numpy is imported inside the functions that do array math, so importing
@@ -98,20 +98,16 @@ def ground_truth_subcosts(
     comparable with candidate sub-costs computed from exact profiles: both
     are costed as a Trajectory by the same three functions.
     """
-    points = label.future_points
-    if len(points) < 3:
+    if len(label.times) < 3:
         raise ValueError(
-            f"label for {label.obstacle_id!r}@{label.anchor_time} has {len(points)} points; "
+            f"label for {label.obstacle_id!r}@{label.anchor_time} has {len(label.times)} points; "
             "finite-difference kinematics needs at least 3"
         )
-    times = tuple(t for t, _ in points)
-    xs = tuple(p.x for _, p in points)
-    ys = tuple(p.y for _, p in points)
-    x_pairs, y_pairs = _stencil(times, xs), _stencil(times, ys)
+    x_pairs, y_pairs = _stencil(label.times, label.xs), _stencil(label.times, label.ys)
     speeds = [math.hypot(nx, ny) / dt for (nx, dt), (ny, _) in zip(x_pairs, y_pairs)]
-    accels = [n / dt for n, dt in _stencil(times, speeds)]
-    curvatures = vertex_curvatures([p for _, p in points])
-    truth = Trajectory(times, xs, ys, tuple(speeds), curvatures, tuple(accels))
+    accels = [n / dt for n, dt in _stencil(label.times, speeds)]
+    curvatures = vertex_curvatures(list(map(Point2, label.xs, label.ys)))
+    truth = Trajectory(label.times, label.xs, label.ys, tuple(speeds), curvatures, tuple(accels))
     return (
         cost_acc(truth),
         cost_centripetal(truth, z1),
@@ -168,7 +164,9 @@ def tune_weights(
     or when the loss change over a full pass drops below convergence_tol.
     Returns the final weights and the per-iteration loss history (the first
     entry is the initial loss). The procedure is deterministic for fixed
-    inputs and configuration.
+    inputs and configuration. A non-finite loss at theta_init is a PipelineError
+    (the inputs are at fault); after a step, a non-finite loss is a ConfigError,
+    and so are non-finite weights, whose margins, all +-inf or nan, sum to inf or 0.
     """
     import numpy as np
 
@@ -177,22 +175,23 @@ def tune_weights(
     ordered = sorted(examples, key=lambda ex: (ex.key is None, ex.key))
     diffs = _stack(ordered)
     theta = np.asarray(config.theta_init, dtype=float)
-    loss, grad = _hinge(diffs, theta, config.delta)
-    if not math.isfinite(loss):
-        raise PipelineError(f"non-finite tuning loss {loss}; inputs are corrupt")
-    history = [loss]
-    for _ in range(config.max_iters):
-        if loss == 0.0:
-            break
-        theta = np.maximum(theta - config.learning_rate * grad, 0.0)
-        new_loss, grad = _hinge(diffs, theta, config.delta)
-        if not math.isfinite(new_loss):
-            raise PipelineError(f"non-finite tuning loss {new_loss}; inputs are corrupt")
-        history.append(new_loss)
-        converged = abs(new_loss - loss) < config.convergence_tol
-        loss = new_loss
-        if converged:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are refused below
+        loss, grad = _hinge(diffs, theta, config.delta)
+        if not math.isfinite(loss):
+            raise PipelineError(f"non-finite tuning loss {loss}; inputs are corrupt")
+        history = [loss]
+        for _ in range(config.max_iters):
+            if loss == 0.0:
+                break
+            theta = np.maximum(theta - config.learning_rate * grad, 0.0)
+            new_loss, grad = _hinge(diffs, theta, config.delta)
+            if not (math.isfinite(new_loss) and (new_loss or np.isfinite(theta).all())):
+                raise ConfigError(f"learning_rate {config.learning_rate} overflows the descent")
+            history.append(new_loss)
+            converged = abs(new_loss - loss) < config.convergence_tol
+            loss = new_loss
+            if converged:
+                break
     return theta, history
 
 
@@ -211,7 +210,7 @@ def extract_examples(
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
     examples = []
     for key, pred, data in joined:
-        label = TrajectoryLabel(key[0], key[1], tuple(timed_points(data["future"])))
+        label = TrajectoryLabel(*columns(data["future"], 3), obstacle_id=key[0], anchor_time=key[1])
         try:
             gt = ground_truth_subcosts(label, ego, float(pred["z1"]), float(pred["z2"]))
             candidates = tuple(

@@ -231,7 +231,10 @@ def cmd_tune(args) -> int:
         raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
     z1, z2 = next(iter(normalizers))
 
-    theta, history = autotune.tune_weights(examples, config)
+    try:
+        theta, history = autotune.tune_weights(examples, config)
+    except ConfigError as exc:  # a descent step overflowed
+        raise ConfigError(f"{args.tuner_config}: {exc}") from exc
     weights = costing.CostWeights(*(float(v) for v in theta), z1=z1, z2=z2)
     out = {**weights.to_dict(), "final_loss": history[-1], "iterations": len(history) - 1}
     _write_atomic(args.out, [jsonio.dumps(out) + "\n"])

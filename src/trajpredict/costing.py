@@ -22,10 +22,10 @@ from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonio
-from .annotation import iter_anchor_records, timed_points
+from .annotation import iter_anchor_records
 from .errors import ConfigError, ParseError
 from .generation import CandidateTrajectory, IntentionPrior, SpeedProfile, normalize_priors
-from .scene import EgoPlan, TimedPoint, Trajectory
+from .scene import EgoPlan, Trajectory
 
 # The ego plan's x and y at each point of a trajectory (EgoPlan.positions_at).
 EgoColumns = Tuple[Sequence[float], Sequence[float]]
@@ -321,9 +321,9 @@ def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
 def load_prediction_records(path: str) -> List[dict]:
     """Parse a JSON-lines prediction file, validating the record shape.
 
-    Every record carries positive normalizers z1 and z2 (the tuner divides
-    by them) and a list of intentions whose best-trajectory points are
-    [t, x, y, v, kappa, a] rows and whose candidates are sub-cost rows.
+    Every record carries positive normalizers z1 and z2 (the tuner divides by
+    them) and intentions, the selected one among them, whose best-trajectory
+    points are [t, x, y, v, kappa, a] rows and candidates sub-cost rows.
     """
     records = []
     keys = ("selected_intention", "intentions", "z1", "z2")
@@ -339,17 +339,8 @@ def load_prediction_records(path: str) -> List[dict]:
         for entry in intentions:
             jsonio.rows(entry.get("best_trajectory"), "points", 6, where)
             jsonio.rows(entry, "candidates", 4, where)
+        selected = record["selected_intention"]
+        if selected not in [entry["intention_id"] for entry in intentions]:
+            raise ParseError(f"{where}: selected intention {selected!r} not among intentions")
         records.append(record)
     return records
-
-
-def best_points_from_record(record: dict) -> List[TimedPoint]:
-    """Timestamped positions of the selected intention's best trajectory."""
-    selected = record["selected_intention"]
-    for entry in record["intentions"]:
-        if entry["intention_id"] == selected:
-            return timed_points(entry["best_trajectory"]["points"])
-    raise ParseError(
-        f"prediction record for {record['obstacle_id']!r}@{record['anchor_time']}: "
-        f"selected intention {selected!r} not among intentions"
-    )

@@ -3,7 +3,8 @@
 ADE and FDE compare predicted against actual future trajectories on a shared
 time grid (no resampling: misaligned grids are an error, not silently
 interpolated), and MSE is the loss-style metric over the shared prefix. All
-three score point predictions, the only kind any stage produces.
+three score point predictions, the only kind any stage produces, and read
+the times, xs and ys of any two scene.Positions (a candidate, a label).
 """
 
 from __future__ import annotations
@@ -11,58 +12,59 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from .annotation import join_on_anchor, timed_points
-from .costing import best_points_from_record
+from .annotation import columns, join_on_anchor
 from .errors import CoverageError
-from .scene import TIME_EPS, TimedPoint
+from .scene import TIME_EPS, Positions, Trajectory
 
 
-def _check_alignment(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]):
-    for (tp, _), (tt, _) in zip(pred, truth):
+def _check_alignment(pred: Positions, truth: Positions):
+    for tp, tt in zip(pred.times, truth.times):
         if abs(tp - tt) > TIME_EPS:
             raise ValueError(f"time grids differ: {tp} vs {tt}")
 
 
-def _check_coverage(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float):
-    if not pred or not truth:
-        raise CoverageError("empty trajectory")
-    if pred[-1][0] < horizon - TIME_EPS or truth[-1][0] < horizon - TIME_EPS:
-        raise CoverageError(
-            f"sequence ends at {min(pred[-1][0], truth[-1][0])}, before horizon {horizon}"
-        )
-
-
-def _displacements(
-    pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float
-) -> List[float]:
+def _displacements(pred: Positions, truth: Positions, horizon: float) -> List[float]:
     """Distances between aligned points with relative time <= horizon."""
-    _check_coverage(pred, truth, horizon)
+    if not pred.times or not truth.times:
+        raise CoverageError("empty trajectory")
+    if pred.times[-1] < horizon - TIME_EPS or truth.times[-1] < horizon - TIME_EPS:
+        raise CoverageError(
+            f"sequence ends at {min(pred.times[-1], truth.times[-1])}, before horizon {horizon}"
+        )
     _check_alignment(pred, truth)
-    return [pp.distance_to(tp) for (t, pp), (_, tp) in zip(pred, truth) if t <= horizon + TIME_EPS]
+    return [
+        math.hypot(px - tx, py - ty)
+        for t, px, py, tx, ty in zip(pred.times, pred.xs, pred.ys, truth.xs, truth.ys)
+        if t <= horizon + TIME_EPS
+    ]
 
 
-def ade(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float) -> float:
+def ade(pred: Positions, truth: Positions, horizon: float) -> float:
     """Mean displacement over the points with relative time <= horizon."""
     distances = _displacements(pred, truth, horizon)
     return math.fsum(distances) / len(distances)
 
 
-def fde(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint], horizon: float) -> float:
+def fde(pred: Positions, truth: Positions, horizon: float) -> float:
     """Displacement at the last grid point with relative time <= horizon."""
     return _displacements(pred, truth, horizon)[-1]
 
 
-def mse(pred: Sequence[TimedPoint], truth: Sequence[TimedPoint]) -> float:
+def mse(pred: Positions, truth: Positions) -> float:
     """Mean of squared x plus squared y displacements over equal-length
     sequences on the same time grid."""
-    if len(pred) != len(truth):
-        raise ValueError(f"length mismatch: {len(pred)} vs {len(truth)}")
-    if not pred:
+    if len(pred.times) != len(truth.times):
+        raise ValueError(f"length mismatch: {len(pred.times)} vs {len(truth.times)}")
+    if not pred.times:
         raise ValueError("empty sequences")
+    return _shared_mse(pred, truth)
+
+
+def _shared_mse(pred: Positions, truth: Positions) -> float:
+    """mse over the nonempty prefix that pred and truth share."""
     _check_alignment(pred, truth)
-    return math.fsum(
-        (pp.x - tp.x) ** 2 + (pp.y - tp.y) ** 2 for (_, pp), (_, tp) in zip(pred, truth)
-    ) / len(pred)
+    pairs = list(zip(pred.xs, pred.ys, truth.xs, truth.ys))
+    return math.fsum((px - tx) ** 2 + (py - ty) ** 2 for px, py, tx, ty in pairs) / len(pairs)
 
 
 def evaluate_run(
@@ -73,9 +75,10 @@ def evaluate_run(
     """Per-horizon ADE/FDE report over the joined (obstacle, anchor) keys.
 
     Each joined anchor contributes its selected intention's best trajectory
-    against the labeled future. Anchors whose label or prediction is too
-    short for a horizon are excluded from that horizon only. An empty join
-    produces a zero-count report rather than an error.
+    against the labeled future; the records are as load_prediction_records
+    and load_dataset_records return them. Anchors whose label or prediction
+    is too short for a horizon are excluded from that horizon only. An empty
+    join produces a zero-count report rather than an error.
     """
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
 
@@ -83,15 +86,16 @@ def evaluate_run(
     fde_sums = {h: [] for h in horizons}
     mse_values = []
     for _, prediction, label in joined:
-        pred_points = best_points_from_record(prediction)
-        truth_points = timed_points(label["future"])
-        shared = min(len(pred_points), len(truth_points))
-        if shared:
-            mse_values.append(mse(pred_points[:shared], truth_points[:shared]))
+        selected = prediction["selected_intention"]
+        best = next(e for e in prediction["intentions"] if e["intention_id"] == selected)
+        pred = Trajectory(*columns(best["best_trajectory"]["points"], 6))
+        truth = Positions(*columns(label["future"], 3))
+        if pred.times and truth.times:
+            mse_values.append(_shared_mse(pred, truth))
         for h in horizons:
             try:
-                ade_value = ade(pred_points, truth_points, h)
-                fde_value = fde(pred_points, truth_points, h)
+                ade_value = ade(pred, truth, h)
+                fde_value = fde(pred, truth, h)
             except CoverageError:
                 continue
             ade_sums[h].append(ade_value)

@@ -6,13 +6,12 @@ planned trajectory from an optional JSON-lines file. The loaders read only
 the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
-trajectory shapes (Trajectory, the float columns of times, positions and
-kinematics that candidates and labels are costed in, with no Point2 per
-point; TimedPoint, the (t, Point2) row that labels, the ego plan and
-evaluation read), the one time grid of anchors,
-labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
-and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
-plan, and lane association (nearest_lane) with its capture distance.
+one trajectory shape (Positions, float columns of times and positions with
+no Point2 per point, which candidates, labels and the ego plan extend), the
+one time grid of anchors, labels and candidates (time_grid, with its
+tolerance TIME_EPS in seconds and its ceiling MAX_GRID_TIMES), time
+interpolation of tracks and the ego plan, and lane association
+(nearest_lane) with its capture distance.
 
 Lane association projects few lanes and gives the full scan's result: each
 Lane keeps its centerline's bounding box, and nearest_lane projects only the
@@ -38,30 +37,34 @@ from .geometry import Curve, Point2, project_point, wrap_angle
 TIME_EPS = 1e-9
 MAX_GRID_TIMES = 10**6
 
-TimedPoint = Tuple[float, Point2]
-
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Columns of equal length, one entry per point: the time (s), position
-    (m), and the per-point kinematics the sub-costs read: speed (m/s), path
-    curvature (1/m) and longitudinal acceleration (m/s^2). Candidates and
-    ground-truth labels alike are costed in this shape. Columns may be
-    shared between trajectories (candidates of one speed profile share its
-    times, speeds and accelerations)."""
+class Positions:
+    """The one trajectory shape: columns of equal length, one entry per
+    point, of the time (s) and the x and y position (m). Columns may be
+    shared between trajectories."""
 
     times: Sequence[float]
     xs: Sequence[float]
     ys: Sequence[float]
+
+    @property
+    def points(self) -> Tuple[Tuple[float, Point2], ...]:
+        """The (t, Point2) rows, built on each read; kept only for
+        bench/traced.py, until a benchmark change reads the columns."""
+        return tuple((t, Point2(x, y)) for t, x, y in zip(self.times, self.xs, self.ys))
+
+
+@dataclass(frozen=True)
+class Trajectory(Positions):
+    """Positions plus the per-point kinematics the sub-costs read: speed
+    (m/s), path curvature (1/m) and longitudinal acceleration (m/s^2).
+    Candidates (sharing their speed profile's times, speeds and
+    accelerations) and ground-truth labels alike are costed in this shape."""
+
     speeds: Sequence[float]
     curvatures: Sequence[float]
     accels: Sequence[float]
-
-    @property
-    def points(self) -> Tuple[TimedPoint, ...]:
-        """The (t, Point2) rows, built on each read for readers outside the
-        costing path."""
-        return tuple((t, Point2(x, y)) for t, x, y in zip(self.times, self.xs, self.ys))
 
 
 def time_grid(stop: float, step: float, start: float = 0.0) -> list[float]:
@@ -190,18 +193,15 @@ class ObstacleTrack:
 
 
 @dataclass(frozen=True)
-class EgoPlan:
-    """The ego vehicle's previously planned trajectory."""
-
-    poses: Tuple[TimedPoint, ...]
-    times: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+class EgoPlan(Positions):
+    """The ego vehicle's previously planned trajectory, at strictly increasing times."""
 
     def __post_init__(self):
-        if not self.poses:
+        if not self.times:
             raise ValueError("ego plan has no poses")
-        times = tuple(t for t, _ in self.poses)
-        object.__setattr__(self, "times", times)
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if not all(map(math.isfinite, (*self.times, *self.xs, *self.ys))):
+            raise ValueError("ego plan has a non-finite time or coordinate")
+        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
             raise SceneIntegrityError("non-monotonic timestamps in ego plan")
 
     def positions_at(self, times: Iterable[float]) -> Tuple[List[float], List[float]]:
@@ -209,8 +209,7 @@ class EgoPlan:
         found in one walk over the plan; queries beyond coverage return the
         end poses themselves, which a lerp at u = 1 would not reproduce
         exactly."""
-        poses, plan_times = self.poses, self.times
-        first, last = poses[0][1], poses[-1][1]
+        plan_times, plan_xs, plan_ys = self.times, self.xs, self.ys
         xs: List[float] = []
         ys: List[float] = []
         i = 0
@@ -220,18 +219,17 @@ class EgoPlan:
                 raise ValueError(f"ego plan query times must ascend, got {t} after {previous}")
             previous = t
             if t <= plan_times[0]:
-                xs.append(first.x)
-                ys.append(first.y)
+                xs.append(plan_xs[0])
+                ys.append(plan_ys[0])
             elif t >= plan_times[-1]:
-                xs.append(last.x)
-                ys.append(last.y)
+                xs.append(plan_xs[-1])
+                ys.append(plan_ys[-1])
             else:
                 while plan_times[i + 1] <= t:
                     i += 1
                 u = (t - plan_times[i]) / (plan_times[i + 1] - plan_times[i])
-                a, b = poses[i][1], poses[i + 1][1]
-                xs.append(a.x + u * (b.x - a.x))
-                ys.append(a.y + u * (b.y - a.y))
+                xs.append(plan_xs[i] + u * (plan_xs[i + 1] - plan_xs[i]))
+                ys.append(plan_ys[i] + u * (plan_ys[i + 1] - plan_ys[i]))
         return xs, ys
 
 
@@ -440,15 +438,15 @@ def load_map(path: str) -> MapGraph:
 
 def load_ego_plan(path: str) -> EgoPlan:
     """Parse a JSON-lines ego plan of {t, x, y} rows."""
-    poses = []
-    for where, record in jsonio.iter_jsonl(path, ("t", "x", "y")):
-        t, x, y = (jsonio.number(record, k, where) for k in ("t", "x", "y"))
-        poses.append((t, Point2(x, y)))
+    poses = [
+        tuple(jsonio.number(record, k, where) for k in ("t", "x", "y"))
+        for where, record in jsonio.iter_jsonl(path, ("t", "x", "y"))
+    ]
     if not poses:
         raise ParseError(f"{path}:1: ego plan file is empty")
-    poses.sort(key=lambda pair: pair[0])
+    poses.sort(key=lambda pose: pose[0])
     try:
-        return EgoPlan(poses=tuple(poses))
+        return EgoPlan(*zip(*poses))
     except SceneIntegrityError as exc:
         raise SceneIntegrityError(f"{path}: {exc}") from exc
 

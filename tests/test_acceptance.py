@@ -45,8 +45,8 @@ from trajpredict.generation import (
     SpeedProfile,
     realize_trajectory,
 )
-from trajpredict.geometry import Curve, Point2
-from trajpredict.scene import EgoPlan, load_map
+from trajpredict.geometry import Curve
+from trajpredict.scene import EgoPlan, Positions, load_map
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -221,7 +221,11 @@ def test_criterion_5_sampling_exactness():
 def test_criterion_6_cost_formula_oracles():
     with _budget("6 cost formulas vs direct summation", 5.0):
         rng = random.Random(55)
-        ego = EgoPlan(poses=tuple((float(t), Point2(2.0 * t, 3.0 + t)) for t in range(12)))
+        ego = EgoPlan(
+            tuple(float(t) for t in range(12)),
+            tuple(2.0 * t for t in range(12)),
+            tuple(3.0 + t for t in range(12)),
+        )
         for _ in range(50):
             n = rng.randint(5, 60)
             rows = [
@@ -274,19 +278,20 @@ def test_criterion_7_metric_correctness():
             pred, truth = [], []
             for k in range(1, n + 1):
                 t = 0.1 * k
-                pred.append((t, Point2(rng.uniform(-40, 40), rng.uniform(-40, 40))))
-                truth.append((t, Point2(rng.uniform(-40, 40), rng.uniform(-40, 40))))
+                pred.append((t, rng.uniform(-40, 40), rng.uniform(-40, 40)))
+                truth.append((t, rng.uniform(-40, 40), rng.uniform(-40, 40)))
             horizon = 0.1 * rng.randint(1, n)
             kept = [
-                math.hypot(p.x - q.x, p.y - q.y)
-                for (t, p), (_, q) in zip(pred, truth)
+                math.hypot(px - qx, py - qy)
+                for (t, px, py), (_, qx, qy) in zip(pred, truth)
                 if t <= horizon + 1e-9
             ]
+            mse_oracle = math.fsum(
+                (px - qx) ** 2 + (py - qy) ** 2 for (_, px, py), (_, qx, qy) in zip(pred, truth)
+            ) / n
+            pred, truth = Positions(*zip(*pred)), Positions(*zip(*truth))
             assert abs(ade(pred, truth, horizon) - math.fsum(kept) / len(kept)) <= 1e-10
             assert abs(fde(pred, truth, horizon) - kept[-1]) <= 1e-10
-            mse_oracle = math.fsum(
-                (p.x - q.x) ** 2 + (p.y - q.y) ** 2 for (_, p), (_, q) in zip(pred, truth)
-            ) / n
             got = mse(pred, truth)
             assert abs(got - mse_oracle) <= 1e-10 * max(1.0, mse_oracle)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,30 +17,27 @@ from trajpredict.autotune import (
     tune_weights,
 )
 from trajpredict.costing import CostWeights, cost_acc, rank_intentions, result_to_record
-from trajpredict.errors import ConfigError, JoinError
+from trajpredict.errors import ConfigError, JoinError, PipelineError
 from trajpredict.generation import PathCandidate, SpeedProfile, realize_trajectory
-from trajpredict.geometry import Curve, Point2
+from trajpredict.geometry import Curve
 from trajpredict.scene import EgoPlan
 
 
 def label_from_points(points, obstacle_id="veh", anchor=0.0):
-    return TrajectoryLabel(
-        obstacle_id=obstacle_id,
-        anchor_time=anchor,
-        future_points=tuple(points),
-    )
+    """A label from (t, x, y) rows."""
+    return TrajectoryLabel(*zip(*points), obstacle_id=obstacle_id, anchor_time=anchor)
 
 
 class TestGroundTruthSubcosts:
     def test_constant_velocity_straight_is_free(self):
-        points = [(0.1 * k, Point2(10.0 * 0.1 * k, 0.0)) for k in range(1, 31)]
+        points = [(0.1 * k, 10.0 * 0.1 * k, 0.0) for k in range(1, 31)]
         c_acc_v, c_cent, c_coll = ground_truth_subcosts(label_from_points(points), None, 1.0, 1.0)
         assert c_acc_v == pytest.approx(0.0, abs=1e-18)
         assert c_cent == pytest.approx(0.0, abs=1e-18)
         assert c_coll == 0.0
 
     def test_needs_three_points(self):
-        points = [(0.1, Point2(0, 0)), (0.2, Point2(1, 0))]
+        points = [(0.1, 0, 0), (0.2, 1, 0)]
         with pytest.raises(ValueError, match="at least 3"):
             ground_truth_subcosts(label_from_points(points), None, 1.0, 1.0)
 
@@ -47,7 +45,7 @@ class TestGroundTruthSubcosts:
         path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (500, 0)]))
         profile = SpeedProfile(v0=5.0, a=1.0, duration=4.0, resolution=0.1, v_max=1e9)
         traj = realize_trajectory(path, profile)
-        label = label_from_points(traj.points)
+        label = label_from_points(zip(traj.times, traj.xs, traj.ys))
         c_acc_fd, _, _ = ground_truth_subcosts(label, None, 1.0, 1.0)
         assert c_acc_fd == pytest.approx(cost_acc(traj), rel=0.05)
 
@@ -55,7 +53,7 @@ class TestGroundTruthSubcosts:
         radius, speed, z1 = 20.0, 8.0, 7.0
         omega = speed / radius
         points = [
-            (0.1 * k, Point2(radius * math.cos(omega * 0.1 * k), radius * math.sin(omega * 0.1 * k)))
+            (0.1 * k, radius * math.cos(omega * 0.1 * k), radius * math.sin(omega * 0.1 * k))
             for k in range(1, 31)
         ]
         _, c_cent, _ = ground_truth_subcosts(label_from_points(points), None, z1, 1.0)
@@ -63,8 +61,8 @@ class TestGroundTruthSubcosts:
         assert c_cent == pytest.approx(analytic, rel=0.05)
 
     def test_collision_term_uses_anchor_offset(self):
-        ego = EgoPlan(poses=((0.0, Point2(0, 0)), (100.0, Point2(0, 0))))
-        points = [(0.1 * k, Point2(0.0, 0.0)) for k in range(1, 11)]
+        ego = EgoPlan((0.0, 100.0), (0, 0), (0, 0))
+        points = [(0.1 * k, 0.0, 0.0) for k in range(1, 11)]
         _, _, c_coll = ground_truth_subcosts(
             label_from_points(points, anchor=5.0), ego, 1.0, 2.0
         )
@@ -197,6 +195,24 @@ class TestTuneWeights:
         with pytest.raises(ValueError):
             tune_weights([], TunerConfig())
 
+    def test_a_non_finite_initial_loss_blames_the_inputs(self):
+        # finite sub-costs whose differences, weighted by theta_init, overflow
+        ex = simple_example((1e308, 1e308, 0.0), [(0.0, 0.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(PipelineError, match="inputs are corrupt") as caught:
+                tune_weights([ex], TunerConfig())
+        assert not isinstance(caught.value, ConfigError)
+
+    def test_weights_that_overflow_to_a_zero_loss_blame_the_learning_rate(self):
+        # the first step sends theta_acc to inf, every margin to -inf and the loss to 0
+        ex = simple_example((0.0, 0.0, 0.0), [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+        config = TunerConfig(learning_rate=1e308, theta_init=(0.0, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConfigError, match=r"learning_rate 1e\+308 overflows the descent"):
+                tune_weights([ex], config)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TunerConfig(delta=0.0)
@@ -264,7 +280,7 @@ class TestExtractExamples:
         examples, _ = extract_examples(
             [fake_prediction_record("veh", 0.0)], [fake_dataset_record("veh", 0.0)]
         )
-        label_points = [(0.1 * k, Point2(5.0 * 0.1 * k, 0.0)) for k in range(1, 13)]
+        label_points = [(0.1 * k, 5.0 * 0.1 * k, 0.0) for k in range(1, 13)]
         expected = ground_truth_subcosts(
             label_from_points(label_points), None, z1=2.0, z2=3.0
         )

@@ -7,6 +7,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -604,6 +605,37 @@ def test_invalid_utf8_is_reported_with_its_line(tmp_path, capsys, runner, flag, 
     code, out = runner(tmp_path, **{flag: str(bad)})
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}:{line}: invalid UTF-8 byte 0xff\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("runner", [run_eval, run_tune])
+def test_selected_intention_outside_the_intentions_is_reported_with_its_line(
+    tmp_path, capsys, runner
+):
+    with open(golden("predictions.jsonl"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "bad_predictions.jsonl"
+    bad.write_text(
+        text.replace('"selected_intention":"exit_e"', '"selected_intention":"exit_q"'),
+        encoding="utf-8",
+    )
+    code, out = runner(tmp_path, **{"--predictions": str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: selected intention 'exit_q' not among intentions\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_overflowing_descent_step_is_blamed_on_the_tuner_config(tmp_path, capsys):
+    config = write_json(tmp_path / "tuner.json", {"learning_rate": 1e308, "max_iters": 5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code, out = run_tune(tmp_path, **{"--tuner-config": config})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: learning_rate 1e+308 overflows the descent\n"
+    )
     assert not os.path.exists(out)
 
 
@@ -1277,6 +1309,36 @@ class TestCliContract:
             timeout=60,
         )
         assert result.stdout == "16 False\n", result.stderr
+
+    def test_the_traced_benchmark_run_reproduces_the_golden_files(self, tmp_path):
+        """bench/traced.py rebuilds the four stages from the package's public
+        names (Trajectory.points and TrajectoryLabel.future_points among them),
+        so a change to any of them must keep its outputs equal to the CLI's."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        files = {"log": "obstacles.jsonl", "map": "map.json", "ego": "ego.jsonl"}
+        files.update(priors="priors.jsonl", weights="weights.json", genconfig="genconfig.json")
+        files.update(tunerconfig="tunerconfig.json")
+        spec = {
+            "workload": "golden",
+            "files": {name: fixture(file) for name, file in files.items()},
+            "stride": 1.0,
+            "annotate_horizon": 3.0,
+            "out_dir": str(tmp_path / "out"),
+            "spans_path": str(tmp_path / "spans.json"),
+        }
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        result = subprocess.run(
+            [sys.executable, os.path.join(root, "bench", "traced.py"), spec_path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        for name in ("dataset.jsonl", "predictions.jsonl", "tuned.json", "report.json"):
+            with open(tmp_path / "out" / name, "rb") as produced, open(golden(name), "rb") as fh:
+                assert produced.read() == fh.read(), f"traced {name} differs from the golden file"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from trajpredict.annotation import columns
 from trajpredict.costing import (
     CostWeights,
-    best_points_from_record,
     cost_acc,
     cost_centripetal,
     cost_collision,
@@ -22,8 +22,8 @@ from trajpredict.generation import (
     SpeedProfile,
     realize_trajectory,
 )
-from trajpredict.geometry import Curve, Point2
-from trajpredict.scene import EgoPlan
+from trajpredict.geometry import Curve
+from trajpredict.scene import EgoPlan, Trajectory
 
 
 def synth_trajectory(rows, a=0.0, v0=10.0):
@@ -38,7 +38,7 @@ def constant_rows(n=30, accel=0.0, speed=10.0, curvature=0.0, x_far=0.0):
 
 
 def static_ego(x=0.0, y=0.0):
-    return EgoPlan(poses=((0.0, Point2(x, y)), (100.0, Point2(x, y))))
+    return EgoPlan((0.0, 100.0), (x, x), (y, y))
 
 
 class TestSubCosts:
@@ -133,7 +133,9 @@ class TestSubCosts:
     def test_collision_matches_term_oracle(self):
         rng = random.Random(5)
         ego = EgoPlan(
-            poses=tuple((float(t), Point2(t * 2.0, 1.0 + t)) for t in range(11))
+            tuple(float(t) for t in range(11)),
+            tuple(t * 2.0 for t in range(11)),
+            tuple(1.0 + t for t in range(11)),
         )
         for _ in range(50):
             rows = [
@@ -409,6 +411,8 @@ class TestSerialization:
         assert record["obstacle_id"] == "veh"
         assert record["z1"] == 4.0 and record["z2"] == 5.0
         assert {e["intention_id"] for e in record["intentions"]} == {"a", "b"}
-        points = best_points_from_record(record)
-        assert len(points) == 10
-        assert points[0][0] == pytest.approx(0.1)
+        selected = record["selected_intention"]
+        best = next(e for e in record["intentions"] if e["intention_id"] == selected)
+        points = Trajectory(*columns(best["best_trajectory"]["points"], 6))
+        assert len(points.times) == 10
+        assert points.times[0] == pytest.approx(0.1)

@@ -5,21 +5,22 @@ import pytest
 
 from trajpredict.errors import CoverageError
 from trajpredict.evaluation import ade, evaluate_run, fde, mse
-from trajpredict.geometry import Point2
+from trajpredict.scene import Positions
 
 
 def timed(points):
-    return [(t, Point2(x, y)) for t, x, y in points]
+    """Positions from (t, x, y) rows."""
+    return Positions(*zip(*points))
 
 
 def grid(fn_x, fn_y=lambda t: 0.0, n=30, res=0.1):
-    return [(res * k, Point2(fn_x(res * k), fn_y(res * k))) for k in range(1, n + 1)]
+    return timed([(res * k, fn_x(res * k), fn_y(res * k)) for k in range(1, n + 1)])
 
 
 class TestAde:
     def test_identical_sequences(self):
         seq = grid(lambda t: 10 * t)
-        assert ade(seq, list(seq), horizon=3.0) == 0.0
+        assert ade(seq, grid(lambda t: 10 * t), horizon=3.0) == 0.0
 
     def test_constant_offset(self):
         pred = grid(lambda t: 10 * t)
@@ -45,7 +46,7 @@ class TestAde:
 
     def test_misaligned_grids_rejected(self):
         pred = grid(lambda t: 10 * t, n=10)
-        truth = [(t + 0.05, p) for t, p in grid(lambda t: 10 * t, n=10)]
+        truth = Positions([t + 0.05 for t in pred.times], pred.xs, pred.ys)
         with pytest.raises(ValueError, match="grids"):
             ade(pred, truth, horizon=0.5)
 
@@ -62,14 +63,15 @@ class TestAde:
             pred, truth = [], []
             for k in range(1, n + 1):
                 t = 0.1 * k
-                pred.append((t, Point2(rng.uniform(-50, 50), rng.uniform(-50, 50))))
-                truth.append((t, Point2(rng.uniform(-50, 50), rng.uniform(-50, 50))))
+                pred.append((t, rng.uniform(-50, 50), rng.uniform(-50, 50)))
+                truth.append((t, rng.uniform(-50, 50), rng.uniform(-50, 50)))
             h = 0.1 * rng.randint(1, n)
             kept = [
-                math.hypot(p.x - q.x, p.y - q.y)
-                for (t, p), (_, q) in zip(pred, truth)
+                math.hypot(px - qx, py - qy)
+                for (t, px, py), (_, qx, qy) in zip(pred, truth)
                 if t <= h + 1e-9
             ]
+            pred, truth = timed(pred), timed(truth)
             assert ade(pred, truth, h) == pytest.approx(sum(kept) / len(kept), abs=1e-10)
             assert fde(pred, truth, h) == pytest.approx(kept[-1], abs=1e-10)
 
@@ -79,8 +81,8 @@ class TestAde:
         truth = grid(lambda t: 2.5 * t, fn_y=lambda t: 0.8 * t, n=20)
         assert ade(pred, truth, 2.0) == ade(truth, pred, 2.0)
         dx, dy = rng.uniform(-5, 5), rng.uniform(-5, 5)
-        moved_pred = [(t, Point2(p.x + dx, p.y + dy)) for t, p in pred]
-        moved_truth = [(t, Point2(p.x + dx, p.y + dy)) for t, p in truth]
+        moved_pred = Positions(pred.times, [x + dx for x in pred.xs], [y + dy for y in pred.ys])
+        moved_truth = Positions(truth.times, [x + dx for x in truth.xs], [y + dy for y in truth.ys])
         assert ade(moved_pred, moved_truth, 2.0) == pytest.approx(ade(pred, truth, 2.0), abs=1e-9)
         assert fde(moved_pred, moved_truth, 2.0) == pytest.approx(fde(pred, truth, 2.0), abs=1e-9)
 
@@ -88,7 +90,7 @@ class TestAde:
 class TestFde:
     def test_identical_sequences(self):
         seq = grid(lambda t: 5 * t)
-        assert fde(seq, list(seq), horizon=3.0) == 0.0
+        assert fde(seq, grid(lambda t: 5 * t), horizon=3.0) == 0.0
 
     def test_linear_divergence_endpoint(self):
         pred = grid(lambda t: 10 * t, n=10)
@@ -105,7 +107,7 @@ class TestFde:
 class TestMse:
     def test_identical(self):
         pts = timed([(0.1, 1, 2), (0.2, 3, 4)])
-        assert mse(pts, list(pts)) == 0.0
+        assert mse(pts, timed([(0.1, 1, 2), (0.2, 3, 4)])) == 0.0
 
     def test_single_offset_point(self):
         assert mse(timed([(0.1, 0, 0)]), timed([(0.1, 3, 4)])) == 25.0

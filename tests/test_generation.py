@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from bisect import bisect_right
 from unittest import mock
@@ -10,9 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import intersection_map_dict, straight_track, write_json, write_jsonl
 from test_scene import reference_position_at
-from trajpredict.annotation import label_future_trajectory
-from trajpredict.costing import CostWeights, cost_collision, rank_intentions, total_cost
+from trajpredict import jsonio
+from trajpredict.annotation import label_future_trajectory, load_dataset_records
+from trajpredict.costing import (
+    CostWeights,
+    cost_collision,
+    load_prediction_records,
+    rank_intentions,
+    total_cost,
+)
 from trajpredict.errors import AssociationError, ConfigError
+from trajpredict.evaluation import evaluate_run
 from trajpredict.generation import (
     GenerationConfig,
     IntentionPrior,
@@ -34,6 +43,7 @@ from trajpredict.scene import (
     Lane,
     MapGraph,
     ObstacleState,
+    load_ego_plan,
     load_map,
     nearest_lane,
     time_grid,
@@ -637,12 +647,11 @@ def oracle_cases(draw):
     pose_times = draw(st.lists(coordinates(-5.0, 15.0), min_size=1, max_size=6, unique=True))
     if draw(st.booleans()):
         x0, y0 = points[0]
-        ego = EgoPlan(
-            poses=tuple(
-                (t, Point2(x0 + draw(coordinates(-3.0, 3.0)), y0 + draw(coordinates(-3.0, 3.0))))
-                for t in sorted(pose_times)
-            )
-        )
+        poses = [
+            (x0 + draw(coordinates(-3.0, 3.0)), y0 + draw(coordinates(-3.0, 3.0)))
+            for _ in pose_times
+        ]
+        ego = EgoPlan(tuple(sorted(pose_times)), *zip(*poses))
     weights = CostWeights(
         draw(coordinates(0.0, 3.0)),
         draw(coordinates(0.0, 3.0)),
@@ -671,7 +680,7 @@ class TestColumnarCosting:
     def test_realizing_and_ranking_build_no_point2(self, imap):
         profiles = sample_profiles(8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, KinematicLimits())
         state = obstacle_at(-40.0, 0.0, speed=8.0)
-        ego = EgoPlan(poses=((0.0, Point2(-30.0, 1.0)), (10.0, Point2(30.0, 1.0))))
+        ego = EgoPlan((0.0, 10.0), (-30.0, 30.0), (1.0, 1.0))
         priors = [IntentionPrior("exit_e", 0.5), IntentionPrior("exit_n", 0.5)]
         paths = {p.intention_id: search_paths(p.intention_id, state, imap, 60.0, 4) for p in priors}
         no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
@@ -685,6 +694,21 @@ class TestColumnarCosting:
             result = rank_intentions("veh", 1.0, candidates, priors, ego, CostWeights())
         assert sum(len(c) for c in candidates.values()) == 3 * sum(map(len, paths.values()))
         assert result.selected_intention in ("exit_e", "exit_n")
+
+    def test_loading_the_ego_plan_and_evaluating_build_no_point2(self):
+        tests = os.path.dirname(__file__)
+        golden = lambda name: os.path.join(tests, "golden", name)
+        no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
+        with no_point2:
+            ego = load_ego_plan(os.path.join(tests, "fixtures", "ego.jsonl"))
+            report = evaluate_run(
+                load_prediction_records(golden("predictions.jsonl")),
+                load_dataset_records(golden("dataset.jsonl")),
+                [1.0, 3.0],
+            )
+        assert len(ego.times) == len(ego.xs) == len(ego.ys) > 1
+        with open(golden("report.json"), encoding="utf-8") as fh:
+            assert jsonio.dumps(report) + "\n" == fh.read()
 
     def test_a_non_finite_coordinate_is_refused(self):
         # the curve's length overflows, so the lerp gives 0 * inf

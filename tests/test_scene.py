@@ -245,19 +245,19 @@ def reference_position_at(ego, t):
     """EgoPlan.position_at before the plan was interpolated in bulk, kept as
     the reference positions_at must match bit for bit."""
     if t <= ego.times[0]:
-        return ego.poses[0][1]
+        return Point2(ego.xs[0], ego.ys[0])
     if t >= ego.times[-1]:
-        return ego.poses[-1][1]
+        return Point2(ego.xs[-1], ego.ys[-1])
     i = min(max(bisect_right(ego.times, t) - 1, 0), len(ego.times) - 2)
     u = (t - ego.times[i]) / (ego.times[i + 1] - ego.times[i])
     u = min(max(u, 0.0), 1.0)
-    a, b = ego.poses[i][1], ego.poses[i + 1][1]
+    a, b = Point2(ego.xs[i], ego.ys[i]), Point2(ego.xs[i + 1], ego.ys[i + 1])
     return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
 
 
 class TestEgoPlan:
     def test_interpolation_and_clamping(self):
-        ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
+        ego = EgoPlan((0.0, 2.0), (0, 4), (0, 0))
         (before, inside, after), ys = ego.positions_at([-5.0, 1.0, 99.0])
         assert inside == pytest.approx(2.0)
         assert before == 0.0
@@ -266,12 +266,11 @@ class TestEgoPlan:
 
     def test_end_poses_are_returned_exactly(self):
         # a lerp at u = 1 gives 0.2 + (0.9 - 0.2) = 0.8999999999999999, not 0.9
-        first, last = Point2(0.2, -0.2), Point2(0.9, -0.9)
-        ego = EgoPlan(poses=((0.0, first), (1.0, last)))
+        ego = EgoPlan((0.0, 1.0), (0.2, 0.9), (-0.2, -0.9))
         assert ego.positions_at([0.0, 1.0, 5.0]) == ([0.2, 0.9, 0.9], [-0.2, -0.9, -0.9])
 
     def test_descending_query_times_rejected(self):
-        ego = EgoPlan(poses=((0.0, Point2(0, 0)), (2.0, Point2(4, 0))))
+        ego = EgoPlan((0.0, 2.0), (0, 4), (0, 0))
         with pytest.raises(ValueError, match="ascend"):
             ego.positions_at([1.0, 0.5])
 
@@ -284,9 +283,8 @@ class TestEgoPlan:
                 times = sorted(rng.sample(range(-20, 40), n))
             else:
                 times = sorted({rng.uniform(-10.0, 20.0) for _ in range(n)})
-            ego = EgoPlan(
-                poses=tuple((t, Point2(rng.uniform(-50, 50), rng.uniform(-50, 50))) for t in times)
-            )
+            poses = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in times]
+            ego = EgoPlan(tuple(times), *zip(*poses))
             anchor = rng.choice([0.0, 0.5, rng.uniform(-5.0, 5.0)])
             grid = time_grid(rng.uniform(1.0, 30.0), rng.choice([0.1, 0.5, 1.0]))
             queries = sorted([anchor + t for t in grid] + rng.sample(times, min(len(times), 3)))
@@ -300,7 +298,16 @@ class TestEgoPlan:
 
     def test_non_monotonic_rejected(self):
         with pytest.raises(SceneIntegrityError):
-            EgoPlan(poses=((1.0, Point2(0, 0)), (1.0, Point2(1, 0))))
+            EgoPlan((1.0, 1.0), (0, 1), (0, 0))
+
+    def test_empty_plan_rejected(self):
+        with pytest.raises(ValueError, match="no poses"):
+            EgoPlan((), (), ())
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_coordinate_rejected(self, x, y):
+        with pytest.raises(ValueError, match="non-finite"):
+            EgoPlan((0.0, 1.0), (0.0, x), (0.0, y))
 
 
 def reference_nearest_lane(map_graph, position, lateral_capture=DEFAULT_LATERAL_CAPTURE_M):
