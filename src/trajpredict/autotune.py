@@ -19,7 +19,7 @@ from . import jsonio
 from .annotation import AnchorKey, TrajectoryLabel, columns, join_on_anchor
 from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
-from .geometry import Point2, vertex_curvatures
+from .geometry import vertex_curvatures
 from .scene import EgoPlan, Trajectory
 
 # numpy is imported inside the functions that do array math, so importing
@@ -106,7 +106,7 @@ def ground_truth_subcosts(
     x_pairs, y_pairs = _stencil(label.times, label.xs), _stencil(label.times, label.ys)
     speeds = [math.hypot(nx, ny) / dt for (nx, dt), (ny, _) in zip(x_pairs, y_pairs)]
     accels = [n / dt for n, dt in _stencil(label.times, speeds)]
-    curvatures = vertex_curvatures(list(map(Point2, label.xs, label.ys)))
+    curvatures = vertex_curvatures(label.xs, label.ys)
     truth = Trajectory(label.times, label.xs, label.ys, tuple(speeds), curvatures, tuple(accels))
     return (
         cost_acc(truth),

@@ -32,11 +32,14 @@ def _displacements(pred: Positions, truth: Positions, horizon: float) -> List[fl
             f"sequence ends at {min(pred.times[-1], truth.times[-1])}, before horizon {horizon}"
         )
     _check_alignment(pred, truth)
-    return [
+    distances = [
         math.hypot(px - tx, py - ty)
         for t, px, py, tx, ty in zip(pred.times, pred.xs, pred.ys, truth.xs, truth.ys)
         if t <= horizon + TIME_EPS
     ]
+    if not distances:
+        raise CoverageError(f"sequence starts at {pred.times[0]}, after horizon {horizon}")
+    return distances
 
 
 def ade(pred: Positions, truth: Positions, horizon: float) -> float:
@@ -77,8 +80,9 @@ def evaluate_run(
     Each joined anchor contributes its selected intention's best trajectory
     against the labeled future; the records are as load_prediction_records
     and load_dataset_records return them. Anchors whose label or prediction
-    is too short for a horizon are excluded from that horizon only. An empty
-    join produces a zero-count report rather than an error.
+    is too short for a horizon, or starts after it, are excluded from that
+    horizon only. An empty join produces a zero-count report rather than an
+    error.
     """
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
 

@@ -20,14 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import jsonio
 from .annotation import AnchorKey, anchor_key, iter_anchor_records
 from .errors import AssociationError, ConfigError, ParseError
-from .geometry import (
-    Curve,
-    Point2,
-    point_at_s,
-    project_point,
-    tail_from,
-    wrap_angle,
-)
+from .geometry import Curve, point_at_s, project_point, tail_from, wrap_angle
 from .scene import (
     DEFAULT_LATERAL_CAPTURE_M,
     MapGraph,
@@ -121,27 +114,26 @@ class PathCandidate:
 
 
 def _concat_centerlines(map_graph: MapGraph, lane_ids: Sequence[str]) -> Curve:
-    points: List[Point2] = []
+    rows: List[Tuple[float, float]] = []
     for lane_id in lane_ids:
-        for p in map_graph.lanes[lane_id].centerline.points:
-            if points and points[-1].distance_to(p) < 1e-9:
+        centerline = map_graph.lanes[lane_id].centerline
+        for x, y in zip(centerline.xs, centerline.ys):
+            if rows and math.hypot(rows[-1][0] - x, rows[-1][1] - y) < 1e-9:
                 continue
-            points.append(p)
-    return Curve(points)
+            rows.append((x, y))
+    return Curve(rows)
 
 
-def _trimmed_curve(curve: Curve, start: Point2) -> Curve:
+def _trimmed_curve(curve: Curve, start: ObstacleState) -> Curve:
     """Cut the concatenated centerline at the projection of the start position.
 
     A start at (or past) the curve end degenerates to a short tangent stub so
     downstream interpolation can extrapolate forward.
     """
-    s, _ = project_point(curve, start)
+    s, _ = project_point(curve, start.position)
     if s >= curve.length - 1e-9:
-        pos, heading = point_at_s(curve, curve.length)
-        return Curve(
-            [pos, Point2(pos.x + math.cos(heading), pos.y + math.sin(heading))]
-        )
+        x, y, heading = point_at_s(curve, curve.length)
+        return Curve([(x, y), (x + math.cos(heading), y + math.sin(heading))])
     return tail_from(curve, s)
 
 
@@ -215,7 +207,7 @@ def search_paths(
         each load can still join at a vertex lost to rounding."""
         try:
             curve = _concat_centerlines(map_graph, lane_ids)
-            return _trimmed_curve(curve, start.position) if trim else curve
+            return _trimmed_curve(curve, start) if trim else curve
         except ValueError as exc:
             raise AssociationError(
                 f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(lane_ids)!r} "
@@ -372,19 +364,18 @@ def realize_trajectory(path: PathCandidate, profile: SpeedProfile) -> CandidateT
     takes the curvature of the vertex nearest to it, ties to the lower
     index. Points beyond the curve end follow the final segment's tangent;
     their curvature is zero on the straight extension. ValueError refuses a
-    non-finite coordinate, as Point2 does.
+    non-finite coordinate, as Curve does.
     """
     curve = path.curve
-    vertices, cum, kappa = curve.points, curve.cumulative_s, curve.vertex_curvatures
-    last_vertex, length = len(vertices) - 1, cum[-1]
+    vx, vy, cum, kappa = curve.xs, curve.ys, curve.cumulative_s, curve.vertex_curvatures
+    last_vertex, length = len(vx) - 1, cum[-1]
     xs, ys, curvatures = [], [], []
     for s in profile.arc_lengths:
         # searching below the last vertex puts s beyond the end on the final segment
         i = bisect_right(cum, s, 0, last_vertex) - 1
-        p, q = vertices[i], vertices[i + 1]
         u = (s - cum[i]) / (cum[i + 1] - cum[i])
-        xs.append(p.x + u * (q.x - p.x))
-        ys.append(p.y + u * (q.y - p.y))
+        xs.append(vx[i] + u * (vx[i + 1] - vx[i]))
+        ys.append(vy[i] + u * (vy[i + 1] - vy[i]))
         nearest = i if s - cum[i] <= cum[i + 1] - s else i + 1
         curvatures.append(0.0 if s > length else kappa[nearest])
     if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):

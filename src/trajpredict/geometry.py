@@ -1,9 +1,10 @@
 """Planar polyline curves with arc-length parametrization.
 
-A Curve is an immutable ordered list of vertices with cumulative arc length
-per vertex. Interpolation, discrete curvature, and point projection are the
-primitives that path construction, sampling, and costing build on. All
-operations are pure functions of immutable inputs.
+A Curve holds its vertices as x and y columns, with no Point2 per vertex,
+and the cumulative arc length per vertex. Interpolation, discrete
+curvature, and point projection are the primitives that path construction,
+sampling, and costing build on. All operations are pure functions of
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -33,59 +34,61 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def distance_to(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 class Curve:
-    """Piecewise-linear curve through at least two vertices.
+    """Piecewise-linear curve through at least two vertices, held as xs and
+    ys columns of the (x, y) rows it is built from, values kept as given.
 
     cumulative_s[k] is the arc length from the first vertex to vertex k;
-    a vertex that leaves it unchanged (a consecutive duplicate, or a segment
-    lost to rounding) is rejected so every segment has positive length, and
-    so is one whose segment's squared length underflows to 0, which
-    project_point divides by. The vertex curvatures (see vertex_curvatures)
-    are computed once here, so a vertex whose curvature cannot be computed
-    is rejected too.
+    a vertex with a non-finite coordinate is rejected, and so is one that
+    leaves the arc length unchanged (a consecutive duplicate, or a segment
+    lost to rounding), so every segment has positive length, and one whose
+    segment's squared length underflows to 0, which project_point divides
+    by. The vertex curvatures (see vertex_curvatures) are computed once
+    here, so a vertex whose curvature cannot be computed is rejected too.
     """
 
-    __slots__ = ("points", "cumulative_s", "vertex_curvatures")
+    __slots__ = ("xs", "ys", "cumulative_s", "vertex_curvatures")
 
-    def __init__(self, points: Iterable):
-        pts = tuple(p if isinstance(p, Point2) else Point2(p[0], p[1]) for p in points)
-        if len(pts) < 2:
+    def __init__(self, rows: Iterable[Sequence[float]]):
+        rows = tuple(rows)
+        xs, ys = tuple(r[0] for r in rows), tuple(r[1] for r in rows)
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            bad = next(r for r in rows if not (math.isfinite(r[0]) and math.isfinite(r[1])))
+            raise ValueError(f"non-finite coordinates ({bad[0]}, {bad[1]})")
+        if len(xs) < 2:
             raise ValueError("a curve needs at least 2 vertices")
         cum = [0.0]
-        for a, b in zip(pts, pts[1:]):
-            s = cum[-1] + a.distance_to(b)
+        for ax, ay, bx, by in zip(xs, ys, xs[1:], ys[1:]):
+            vx, vy = bx - ax, by - ay
+            s = cum[-1] + math.hypot(vx, vy)
             if s == cum[-1]:
-                raise ValueError(f"vertex ({b.x}, {b.y}) is a duplicate or adds no arc length")
-            vx, vy = b.x - a.x, b.y - a.y
+                raise ValueError(f"vertex ({bx}, {by}) is a duplicate or adds no arc length")
             if vx * vx + vy * vy == 0.0:
                 raise ValueError(
-                    f"the segment to vertex ({b.x}, {b.y}) has a squared length underflowing to 0"
+                    f"the segment to vertex ({bx}, {by}) has a squared length underflowing to 0"
                 )
             cum.append(s)
-        self.points = pts
+        self.xs, self.ys = xs, ys
         self.cumulative_s = tuple(cum)
-        self.vertex_curvatures = vertex_curvatures(pts)
+        self.vertex_curvatures = vertex_curvatures(xs, ys)
 
     @property
     def length(self) -> float:
         return self.cumulative_s[-1]
 
     def __repr__(self) -> str:
-        return f"Curve({len(self.points)} vertices, length={self.length:.3f})"
+        return f"Curve({len(self.xs)} vertices, length={self.length:.3f})"
 
 
 def _segment_index(curve: Curve, s: float) -> int:
     """Index of the segment containing s; a vertex belongs to its outgoing segment."""
     i = bisect_right(curve.cumulative_s, s) - 1
-    return min(max(i, 0), len(curve.points) - 2)
+    return min(max(i, 0), len(curve.xs) - 2)
 
 
-def point_at_s(curve: Curve, s: float) -> Tuple[Point2, float]:
-    """Position and heading at arc length s.
+def point_at_s(curve: Curve, s: float) -> Tuple[float, float, float]:
+    """Position (x, y) and heading at arc length s.
 
     Positions interpolate linearly within the containing segment; the heading
     is that segment's direction. s beyond the curve end extrapolates along
@@ -94,41 +97,39 @@ def point_at_s(curve: Curve, s: float) -> Tuple[Point2, float]:
     if s < 0.0:
         raise ValueError(f"arc length must be nonnegative, got {s}")
     i = _segment_index(curve, s)
-    a, b = curve.points[i], curve.points[i + 1]
+    ax, ay, bx, by = curve.xs[i], curve.ys[i], curve.xs[i + 1], curve.ys[i + 1]
     seg = curve.cumulative_s[i + 1] - curve.cumulative_s[i]
     t = (s - curve.cumulative_s[i]) / seg
-    pos = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    return pos, math.atan2(b.y - a.y, b.x - a.x)
+    return ax + t * (bx - ax), ay + t * (by - ay), math.atan2(by - ay, bx - ax)
 
 
-def vertex_curvatures(points: Sequence[Point2]) -> Tuple[float, ...]:
-    """The menger_curvature of the triple centred on each vertex of a
-    polyline; each end vertex, which has no such triple, takes its
-    neighbour's value, and two vertices are straight (zeros)."""
-    inner = tuple(menger_curvature(*points[k - 1 : k + 2]) for k in range(1, len(points) - 1))
-    return inner[:1] + inner + inner[-1:] if inner else (0.0,) * len(points)
+def vertex_curvatures(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, ...]:
+    """Menger curvature, the signed reciprocal circumradius (positive for
+    left turns), of the triple centred on each vertex of the polyline with
+    columns xs and ys; each end vertex, which has no such triple, takes its
+    neighbour's value, and two vertices are straight (zeros).
 
-
-def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:
-    """Signed reciprocal circumradius of three points; positive for left turns.
-
-    ValueError when the points turn but the product of their distances
+    ValueError when a triple turns but the product of its distances
     underflows to 0.
     """
-    abx, aby = b.x - a.x, b.y - a.y
-    bcx, bcy = c.x - b.x, c.y - b.y
-    cross = abx * bcy - aby * bcx
-    if cross == 0.0:
-        return 0.0
-    d_ab = math.hypot(abx, aby)
-    d_bc = math.hypot(bcx, bcy)
-    d_ca = math.hypot(c.x - a.x, c.y - a.y)
-    denominator = d_ab * d_bc * d_ca
-    if denominator == 0.0:
-        raise ValueError(
-            f"the curvature at ({b.x}, {b.y}) cannot be computed: its distances underflow"
-        )
-    return 2.0 * cross / denominator
+    inner = []
+    for ax, ay, bx, by, cx, cy in zip(xs, ys, xs[1:], ys[1:], xs[2:], ys[2:]):
+        abx, aby = bx - ax, by - ay
+        bcx, bcy = cx - bx, cy - by
+        cross = abx * bcy - aby * bcx
+        if cross == 0.0:
+            inner.append(0.0)
+            continue
+        d_ab = math.hypot(abx, aby)
+        d_bc = math.hypot(bcx, bcy)
+        d_ca = math.hypot(cx - ax, cy - ay)
+        denominator = d_ab * d_bc * d_ca
+        if denominator == 0.0:
+            raise ValueError(
+                f"the curvature at ({bx}, {by}) cannot be computed: its distances underflow"
+            )
+        inner.append(2.0 * cross / denominator)
+    return tuple(inner[:1] + inner + inner[-1:]) if inner else (0.0,) * len(xs)
 
 
 def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
@@ -141,15 +142,15 @@ def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
     """
     best_d2 = math.inf
     best = (0.0, math.inf)
-    pts = curve.points
-    cum = curve.cumulative_s
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        vx, vy = b.x - a.x, b.y - a.y
-        t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / (vx * vx + vy * vy)
+    px, py = p.x, p.y
+    xs, ys, cum = curve.xs, curve.ys, curve.cumulative_s
+    for i in range(len(xs) - 1):
+        ax, ay = xs[i], ys[i]
+        vx, vy = xs[i + 1] - ax, ys[i + 1] - ay
+        t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
         t = min(max(t, 0.0), 1.0)
-        dx = p.x - (a.x + t * vx)
-        dy = p.y - (a.y + t * vy)
+        dx = px - (ax + t * vx)
+        dy = py - (ay + t * vy)
         d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best_d2 = d2
@@ -167,10 +168,8 @@ def tail_from(curve: Curve, s: float) -> Curve:
     if s >= curve.length:
         raise ValueError(f"cut point {s} is at or beyond the curve end {curve.length}")
     i = _segment_index(curve, s)
-    cut, _ = point_at_s(curve, s)
-    rest: Sequence[Point2] = curve.points[i + 1 :]
-    if cut.distance_to(rest[0]) == 0.0:
-        pts = rest
-    else:
-        pts = (cut,) + tuple(rest)
-    return Curve(pts)
+    x, y, _ = point_at_s(curve, s)
+    xs, ys = curve.xs[i + 1 :], curve.ys[i + 1 :]
+    if (x, y) != (xs[0], ys[0]):
+        xs, ys = (x,) + xs, (y,) + ys
+    return Curve(zip(xs, ys))

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import re
+from itertools import chain
 from typing import Iterator, Sequence, Tuple
 
 from .errors import ConfigError, ParseError
@@ -135,15 +136,16 @@ MAX_ROW_NORM = 1e100
 
 def rows(record, key: str, width: int, where: str) -> list:
     """record[key] as a list of lists whose first width entries are numbers
-    with a Euclidean norm of at most MAX_ROW_NORM; later entries are not read
-    and not checked."""
+    with a Euclidean norm of at most MAX_ROW_NORM; later entries are not read,
+    and are checked only not to be booleans."""
     value = record.get(key) if isinstance(record, dict) else None
     try:
-        # one C call per row refuses non-numbers and ints beyond the float range
+        # one C call per row refuses non-numbers and ints beyond the float range,
+        # and one pass over every entry refuses booleans, which hypot takes as 0 and 1
         if isinstance(value, list) and all(
             isinstance(row, list) and len(row) >= width and math.hypot(*row[:width]) <= MAX_ROW_NORM
             for row in value
-        ):
+        ) and bool not in set(map(type, chain.from_iterable(value))):
             return value
     except (TypeError, OverflowError):
         pass

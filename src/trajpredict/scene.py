@@ -7,11 +7,12 @@ the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
 one trajectory shape (Positions, float columns of times and positions with
-no Point2 per point, which candidates, labels and the ego plan extend), the
-one time grid of anchors, labels and candidates (time_grid, with its
-tolerance TIME_EPS in seconds and its ceiling MAX_GRID_TIMES), time
-interpolation of tracks and the ego plan, and lane association
-(nearest_lane) with its capture distance.
+no Point2 per point, which candidates, labels and the ego plan extend; lane
+centerlines are geometry.Curve columns, and Point2 is left only as the
+position of obstacle states and exits), the one time grid of anchors,
+labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
+and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
+plan, and lane association (nearest_lane) with its capture distance.
 
 Lane association projects few lanes and gives the full scan's result: each
 Lane keeps its centerline's bounding box, and nearest_lane projects only the
@@ -244,8 +245,7 @@ class Lane:
     box: Tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs = [p.x for p in self.centerline.points]
-        ys = [p.y for p in self.centerline.points]
+        xs, ys = self.centerline.xs, self.centerline.ys
         object.__setattr__(self, "box", (min(xs), min(ys), max(xs), max(ys)))
 
 

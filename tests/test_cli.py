@@ -588,6 +588,53 @@ def test_overflowing_record_number_is_refused_by_its_reader(
     assert not os.path.exists(out)
 
 
+# hypot takes true and false as 1 and 0, so rows() refuses booleans itself
+@pytest.mark.parametrize(
+    "runner, flag, source, edit, where, message",
+    [
+        pytest.param(
+            run_annotate,
+            "--map",
+            fixture("map.json"),
+            edit_first_map_entry("lanes", centerline=[[-80.0, 0.0], [-50.0, False], [-15.0, 0.0]]),
+            " lane 'ln_approach_e'",
+            "'centerline' must be a list of rows of 2+ numbers",
+            id="map_centerline",
+        ),
+        pytest.param(
+            run_eval,
+            "--dataset",
+            golden("dataset.jsonl"),
+            lambda text: text.replace('"future":[[0.1,-59.0,0.0]', '"future":[[0.1,-59.0,true]', 1),
+            "1",
+            "'future' must be a list of rows of 3+ numbers",
+            id="dataset_future",
+        ),
+        pytest.param(
+            run_tune,
+            "--predictions",
+            golden("predictions.jsonl"),
+            lambda text: text.replace('"candidates":[[160.0,0.0,', '"candidates":[[160.0,true,', 1),
+            "1",
+            "'candidates' must be a list of rows of 4+ numbers",
+            id="candidate_row",
+        ),
+    ],
+)
+def test_boolean_row_entry_is_refused_by_its_reader(
+    tmp_path, capsys, runner, flag, source, edit, where, message
+):
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / ("bad_" + os.path.basename(source))
+    bad.write_text(edit(text), encoding="utf-8")
+    assert bad.read_text(encoding="utf-8") != text
+    code, out = runner(tmp_path, **{flag: str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:{where}: {message} of norm at most 1e+100\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "runner, flag, source, line",
     [
@@ -1061,7 +1108,7 @@ class TestPredictCommand:
         assert run_predict(tmp_path, out="near_p.jsonl")[0] == 0
         assert run_predict(tmp_path, out="both_p.jsonl", **{"--map": both})[0] == 0
         assert projected
-        assert all(p.x < 150.0 for curve in projected for p in curve.points)
+        assert all(x < 150.0 for curve in projected for x in curve.xs)
         for near, far_too in (("near.jsonl", "both.jsonl"), ("near_p.jsonl", "both_p.jsonl")):
             assert (tmp_path / near).read_bytes() == (tmp_path / far_too).read_bytes()
 
@@ -1209,6 +1256,16 @@ class TestEvalCommand:
         assert [e["h"] for e in report["horizons"]] == [1.0, 3.0]
         for entry in report["horizons"]:
             assert entry["ade"] == 0.0 and entry["fde"] == 0.0 and entry["count"] == 16
+
+    def test_horizon_before_the_first_grid_time_counts_no_anchor(self, tmp_path):
+        code, out = run_eval(tmp_path, **{"--horizons": "0.05,1"})
+        assert code == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        with open(golden("report.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)
+        assert report["horizons"][0] == {"h": 0.05, "ade": 0.0, "fde": 0.0, "count": 0}
+        assert report["horizons"][1] == expected["horizons"][0]
 
     def test_horizons_parsing_contract(self, tmp_path):
         _, dataset = run_annotate(tmp_path)

@@ -104,6 +104,14 @@ class TestFde:
         assert fde(pred, truth, horizon=0.95) == pytest.approx(0.09)
 
 
+@pytest.mark.parametrize("metric", [ade, fde])
+def test_horizon_before_the_first_grid_time_raises(metric):
+    pred = grid(lambda t: 10 * t, n=10)
+    truth = grid(lambda t: 10.1 * t, n=10)
+    with pytest.raises(CoverageError, match="after horizon 0.05"):
+        metric(pred, truth, horizon=0.05)
+
+
 class TestMse:
     def test_identical(self):
         pts = timed([(0.1, 1, 2), (0.2, 3, 4)])

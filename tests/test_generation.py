@@ -13,6 +13,7 @@ from conftest import intersection_map_dict, straight_track, write_json, write_js
 from test_scene import reference_position_at
 from trajpredict import jsonio
 from trajpredict.annotation import label_future_trajectory, load_dataset_records
+from trajpredict.autotune import extract_examples
 from trajpredict.costing import (
     CostWeights,
     cost_collision,
@@ -36,7 +37,7 @@ from trajpredict.generation import (
     sample_profiles,
     search_paths,
 )
-from trajpredict.geometry import Curve, Point2, menger_curvature, project_point
+from trajpredict.geometry import Curve, Point2, project_point, vertex_curvatures
 from trajpredict.scene import (
     DEFAULT_LATERAL_CAPTURE_M,
     EgoPlan,
@@ -180,8 +181,8 @@ class TestSearchPaths:
     def test_curve_trimmed_to_projection(self, tmp_path):
         map_graph = chain_map(tmp_path)
         paths = search_paths("lane_a", obstacle_at(12.0, 0.5), map_graph, 40.0, 5)
-        start = paths[0].curve.points[0]
-        assert (start.x, start.y) == (12.0, 0.0)
+        curve = paths[0].curve
+        assert (curve.xs[0], curve.ys[0]) == (12.0, 0.0)
 
     def test_exit_intention_routes_through_associated_lane(self, imap):
         paths = search_paths("exit_n", obstacle_at(-60.0, 0.0), imap, 60.0, 4)
@@ -195,7 +196,7 @@ class TestSearchPaths:
         paths = search_paths("exit_e", obstacle_at(20.0, 0.3), imap, 60.0, 4)
         assert len(paths) == 1
         assert paths[0].lane_ids == ("ln_out_e",)
-        assert paths[0].curve.points[0].x == pytest.approx(20.0)
+        assert paths[0].curve.xs[0] == pytest.approx(20.0)
 
     def test_sideways_exit_intention_reroots_nearby(self, imap):
         # mid-turn obstacle, straight-exit hypothesis: rooted sequences never
@@ -424,9 +425,9 @@ class TestRealizeTrajectory:
         bound = limits.v_max * 0.1 + 0.5 * limits.a_max * 0.1**2
         for profile in profiles:
             traj = realize_trajectory(path, profile)
-            prev = Point2(0.0, 0.0)
-            for _, position in traj.points:
-                assert prev.distance_to(position) <= bound + 1e-9
+            prev = (0.0, 0.0)
+            for position in zip(traj.xs, traj.ys):
+                assert math.dist(prev, position) <= bound + 1e-9
                 prev = position
 
     def test_candidate_count_is_paths_times_profiles(self, imap):
@@ -473,33 +474,33 @@ def reference_state_at(profile, t):
 
 def reference_segment_index(curve, s):
     i = bisect_right(curve.cumulative_s, s) - 1
-    return min(max(i, 0), len(curve.points) - 2)
+    return min(max(i, 0), len(curve.xs) - 2)
 
 
 def reference_point_at_s(curve, s):
     i = reference_segment_index(curve, s)
-    a, b = curve.points[i], curve.points[i + 1]
+    ax, ay, bx, by = curve.xs[i], curve.ys[i], curve.xs[i + 1], curve.ys[i + 1]
     seg = curve.cumulative_s[i + 1] - curve.cumulative_s[i]
     t = (s - curve.cumulative_s[i]) / seg
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    return ax + t * (bx - ax), ay + t * (by - ay)
 
 
 def reference_curvature_at_s(curve, s):
-    if len(curve.points) < 3 or s > curve.length:
+    if len(curve.xs) < 3 or s > curve.length:
         return 0.0
     i = reference_segment_index(curve, s)
     cum = curve.cumulative_s
     k = i if (s - cum[i]) <= (cum[i + 1] - s) else i + 1
-    k = min(max(k, 1), len(curve.points) - 2)
-    return menger_curvature(curve.points[k - 1], curve.points[k], curve.points[k + 1])
+    k = min(max(k, 1), len(curve.xs) - 2)
+    return vertex_curvatures(curve.xs[k - 1 : k + 2], curve.ys[k - 1 : k + 2])[1]
 
 
 def reference_rows(curve, profile):
     rows = []
     for t in time_grid(profile.duration, profile.resolution):
         s, v, a_eff = reference_state_at(profile, t)
-        p = reference_point_at_s(curve, s)
-        rows.append((t, p.x, p.y, v, reference_curvature_at_s(curve, s), a_eff))
+        x, y = reference_point_at_s(curve, s)
+        rows.append((t, x, y, v, reference_curvature_at_s(curve, s), a_eff))
     return rows
 
 
@@ -579,7 +580,7 @@ class TestRealizationOracle:
                 (t, p.x, p.y, v, k, a)
                 for (t, p), v, k, a in zip(traj.points, traj.speeds, traj.curvatures, traj.accels)
             ]
-            assert got == expected, (curve.points, profile)
+            assert got == expected, (curve.xs, curve.ys, profile)
 
             times = profile.times
             arcs = [reference_state_at(profile, t)[0] for t in times]
@@ -601,8 +602,8 @@ class TestRealizationOracle:
 
 def reference_breakdown(curve, profile, ego, anchor_time, weights):
     """Sub-costs and total of one candidate as costing composed them per
-    point before trajectories were columns: a Point2 per realized row, then
-    distance_to the ego pose at its absolute time, exp(-d*d), and fsum."""
+    point before trajectories were columns: each realized row's distance to
+    the ego pose at its absolute time, exp(-d*d), and fsum."""
     rows = reference_rows(curve, profile)
     c_acc = math.fsum(a * a for *_, a in rows)
     c_centripetal = math.fsum((v * v * k) ** 2 for _, _, _, v, k, _ in rows) / weights.z1
@@ -610,7 +611,8 @@ def reference_breakdown(curve, profile, ego, anchor_time, weights):
     if ego is not None:
         terms = []
         for t, x, y, *_ in rows:
-            d = Point2(x, y).distance_to(reference_position_at(ego, anchor_time + t))
+            q = reference_position_at(ego, anchor_time + t)
+            d = math.hypot(x - q.x, y - q.y)
             terms.append(math.exp(-d * d))
         c_collision = math.fsum(terms) / weights.z2
     total = (
@@ -694,6 +696,23 @@ class TestColumnarCosting:
             result = rank_intentions("veh", 1.0, candidates, priors, ego, CostWeights())
         assert sum(len(c) for c in candidates.values()) == 3 * sum(map(len, paths.values()))
         assert result.selected_intention in ("exit_e", "exit_n")
+
+    def test_lane_search_and_tuning_build_no_point2(self, imap):
+        tests = os.path.dirname(__file__)
+        golden = lambda name: os.path.join(tests, "golden", name)
+        state = obstacle_at(-40.0, 0.0, speed=8.0)
+        ego = load_ego_plan(os.path.join(tests, "fixtures", "ego.jsonl"))
+        predictions = load_prediction_records(golden("predictions.jsonl"))
+        dataset = load_dataset_records(golden("dataset.jsonl"))
+        no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
+        with no_point2:
+            paths = {exit_id: search_paths(exit_id, state, imap, 60.0, 4) for exit_id in imap.exits}
+            examples, skipped = extract_examples(predictions, dataset, ego)
+        assert sorted(paths) == ["exit_e", "exit_n", "exit_s"] and all(paths.values())
+        # the cut at the obstacle is a new first vertex, not a vertex of the map
+        starts = {(p.curve.xs[0], p.curve.ys[0]) for found in paths.values() for p in found}
+        assert starts == {(-40.0, 0.0)}
+        assert (len(examples), skipped) == (16, 6)
 
     def test_loading_the_ego_plan_and_evaluating_build_no_point2(self):
         tests = os.path.dirname(__file__)

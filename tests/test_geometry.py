@@ -7,10 +7,10 @@ from trajpredict.generation import PathCandidate, SpeedProfile, realize_trajecto
 from trajpredict.geometry import (
     Curve,
     Point2,
-    menger_curvature,
     point_at_s,
     project_point,
     tail_from,
+    vertex_curvatures,
     wrap_angle,
 )
 
@@ -59,6 +59,12 @@ class TestCurveConstruction:
         with pytest.raises(ValueError):
             Point2(0.0, math.inf)
 
+    def test_curve_with_a_non_finite_coordinate_rejected(self):
+        with pytest.raises(ValueError, match=r"non-finite coordinates \(1, nan\)"):
+            Curve([(0, 0), (1, math.nan), (2, 0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            Curve([(0, 0), (-math.inf, 1.0)])
+
     def test_segment_whose_squared_length_underflows_rejected(self):
         # hypot gives the first segment a length, but project_point divides by its square
         with pytest.raises(ValueError, match="squared length"):
@@ -69,7 +75,7 @@ class TestCurveConstruction:
         with pytest.raises(ValueError, match="curvature"):
             Curve([(0, 0), (1e-110, 0), (1e-110, 1e-110)])
         with pytest.raises(ValueError, match="curvature"):
-            menger_curvature(Point2(0, 0), Point2(1e-110, 0), Point2(1e-110, 1e-110))
+            vertex_curvatures((0, 1e-110, 1e-110), (0, 0, 1e-110))
 
     def test_cumulative_arc_length_matches_segments(self):
         c = Curve([(0, 0), (1, 0), (1, 2), (4, 6)])
@@ -78,18 +84,18 @@ class TestCurveConstruction:
 
 class TestPointAtS:
     def test_midpoint_of_straight_segment(self):
-        pos, heading = point_at_s(Curve([(0, 0), (10, 0)]), 5.0)
-        assert (pos.x, pos.y) == (5.0, 0.0)
+        x, y, heading = point_at_s(Curve([(0, 0), (10, 0)]), 5.0)
+        assert (x, y) == (5.0, 0.0)
         assert heading == 0.0
 
     def test_endpoint(self):
-        pos, heading = point_at_s(Curve([(0, 0), (0, 10)]), 10.0)
-        assert (pos.x, pos.y) == (0.0, 10.0)
+        x, y, heading = point_at_s(Curve([(0, 0), (0, 10)]), 10.0)
+        assert (x, y) == (0.0, 10.0)
         assert heading == pytest.approx(math.pi / 2)
 
     def test_beyond_end_extrapolates_along_tangent(self):
-        pos, heading = point_at_s(Curve([(0, 0), (10, 0)]), 12.0)
-        assert (pos.x, pos.y) == (12.0, 0.0)
+        x, y, heading = point_at_s(Curve([(0, 0), (10, 0)]), 12.0)
+        assert (x, y) == (12.0, 0.0)
         assert heading == 0.0
 
     def test_negative_s_rejected(self):
@@ -98,7 +104,7 @@ class TestPointAtS:
 
     def test_vertex_belongs_to_outgoing_segment(self):
         c = Curve([(0, 0), (10, 0), (10, 10)])
-        _, heading = point_at_s(c, 10.0)
+        _, _, heading = point_at_s(c, 10.0)
         assert heading == pytest.approx(math.pi / 2)
 
     def test_chord_never_exceeds_arc_length(self):
@@ -107,9 +113,9 @@ class TestPointAtS:
             c = random_polyline(rng)
             s1 = rng.uniform(0, c.length)
             s2 = rng.uniform(s1, c.length)
-            p1, _ = point_at_s(c, s1)
-            p2, _ = point_at_s(c, s2)
-            assert p1.distance_to(p2) <= s2 - s1 + 1e-9
+            x1, y1, _ = point_at_s(c, s1)
+            x2, y2, _ = point_at_s(c, s2)
+            assert math.hypot(x1 - x2, y1 - y2) <= s2 - s1 + 1e-9
 
 
 def realized_at_s(curve, s):
@@ -117,7 +123,7 @@ def realized_at_s(curve, s):
     t = 1, of a constant speed s, whose trapezoid is exactly s."""
     profile = SpeedProfile(v0=s, a=0.0, duration=1.0, resolution=1.0)
     traj = realize_trajectory(PathCandidate(("l",), curve), profile)
-    return traj.points[0][1], traj.curvatures[0]
+    return (traj.xs[0], traj.ys[0]), traj.curvatures[0]
 
 
 def curvature_at_s(curve, s):
@@ -163,7 +169,7 @@ class TestCurvature:
         for _ in range(50):
             c = random_polyline(rng)
             s = rng.uniform(0, 1.2 * c.length)
-            assert realized_at_s(c, s)[0] == point_at_s(c, s)[0]
+            assert realized_at_s(c, s)[0] == point_at_s(c, s)[:2]
 
     def test_nearest_vertex_ties_to_the_lower_index(self):
         c = Curve([(0, 0), (2, 0), (2, 2), (0, 2), (0, 6)])
@@ -175,13 +181,13 @@ class TestCurvature:
     def test_end_vertices_take_their_neighbours_curvature(self):
         c = circle_curve(10.0, 8)
         k = c.vertex_curvatures
-        assert len(k) == len(c.points)
+        assert len(k) == len(c.xs)
         assert (k[0], k[-1]) == (k[1], k[-2])
         assert Curve([(0, 0), (3, 4)]).vertex_curvatures == (0.0, 0.0)
 
     def test_menger_triple_on_known_circle(self):
         # circumradius of an isoceles right triangle with hypotenuse 2: R = 1
-        assert menger_curvature(Point2(-1, 0), Point2(0, 1), Point2(1, 0)) == pytest.approx(-1.0)
+        assert vertex_curvatures((-1, 0, 1), (0, 1, 0))[1] == pytest.approx(-1.0)
 
 
 class TestProjectPoint:
@@ -211,11 +217,13 @@ class TestProjectPoint:
             c = random_polyline(rng, n=5)
             p = Point2(rng.uniform(-15, 15), rng.uniform(-15, 15))
             s, distance = project_point(c, p)
-            best = min(
-                point_at_s(c, min(k * c.length / 20000, c.length))[0].distance_to(p)
-                for k in range(20001)
-            )
-            found = point_at_s(c, s)[0].distance_to(p)
+
+            def distance_at(s):
+                x, y, _ = point_at_s(c, s)
+                return math.hypot(x - p.x, y - p.y)
+
+            best = min(distance_at(min(k * c.length / 20000, c.length)) for k in range(20001))
+            found = distance_at(s)
             assert found <= best + 1e-6
             assert abs(distance - found) <= 1e-12
 
@@ -224,11 +232,11 @@ class TestProjectPoint:
         for _ in range(30):
             c = random_polyline(rng)
             # stay strictly inside a segment to avoid vertex ambiguity
-            i = rng.randrange(len(c.points) - 1)
+            i = rng.randrange(len(c.xs) - 1)
             u = rng.uniform(0.05, 0.95)
             s = c.cumulative_s[i] + u * (c.cumulative_s[i + 1] - c.cumulative_s[i])
-            pos, _ = point_at_s(c, s)
-            s_back, distance = project_point(c, pos)
+            x, y, _ = point_at_s(c, s)
+            s_back, distance = project_point(c, Point2(x, y))
             assert abs(s_back - s) <= 1e-9
             assert distance <= 1e-9
 
@@ -237,13 +245,13 @@ class TestTailFrom:
     def test_tail_starts_at_cut_point(self):
         c = Curve([(0, 0), (10, 0), (10, 10)])
         tail = tail_from(c, 4.0)
-        assert (tail.points[0].x, tail.points[0].y) == (4.0, 0.0)
+        assert (tail.xs[0], tail.ys[0]) == (4.0, 0.0)
         assert tail.length == pytest.approx(16.0)
 
     def test_cut_at_vertex_drops_upstream(self):
         c = Curve([(0, 0), (10, 0), (10, 10)])
         tail = tail_from(c, 10.0)
-        assert tail.points == c.points[1:]
+        assert (tail.xs, tail.ys) == (c.xs[1:], c.ys[1:])
 
     def test_cut_at_end_rejected(self):
         c = Curve([(0, 0), (10, 0)])

@@ -371,8 +371,8 @@ def oracle_position(rng, kind, map_graph, capture):
     if rng.random() < 0.6:
         longer = int(y_max - y_min > x_max - x_min)
         axis, side = rng.choice((longer, longer, longer, 1 - longer)), rng.choice((-1, 1))
-        vertex = (min if side < 0 else max)(lane.centerline.points, key=lambda p: (p.x, p.y)[axis])
-        coords = [vertex.x, vertex.y]
+        vertices = zip(lane.centerline.xs, lane.centerline.ys)
+        coords = list((min if side < 0 else max)(vertices, key=lambda v: v[axis]))
         coords[axis] = step_ulps(coords[axis] + side * capture, side * rng.randint(-3, 3))
         return Point2(*coords), "edge"
     pad = 2.0 * capture + 1.0
