@@ -19,7 +19,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, JoinError, ParseError, SceneIntegrityError
-from .geometry import Point2
 from .scene import (
     DEFAULT_LATERAL_CAPTURE_M,
     TIME_EPS,
@@ -84,8 +83,7 @@ def label_future_trajectory(
             f"track {track.obstacle_id!r} ends at {track.last_time}, "
             f"before the {horizon}s horizon after anchor {anchor_time}"
         )
-    positions = [track.position_at(anchor_time + rel) for rel in rels]
-    xs, ys = tuple(p.x for p in positions), tuple(p.y for p in positions)
+    xs, ys = columns([track.position_at(anchor_time + rel) for rel in rels], 2)
     return TrajectoryLabel(
         tuple(rels), xs, ys, obstacle_id=track.obstacle_id, anchor_time=anchor_time
     )
@@ -98,22 +96,21 @@ def _future_polyline(
     end_time = min(anchor_time + horizon, track.last_time)
     if end_time <= anchor_time + TIME_EPS:
         return []
-    start, end = track.position_at(anchor_time), track.position_at(end_time)
-    samples = [(anchor_time, start.x, start.y)]
+    samples = [(anchor_time, *track.position_at(anchor_time))]
     for st in track.states:
         if anchor_time < st.timestamp < end_time:
             samples.append((st.timestamp, st.position.x, st.position.y))
-    samples.append((end_time, end.x, end.y))
+    samples.append((end_time, *track.position_at(end_time)))
     return samples
 
 
 def _earliest_capture_time(
-    polyline: Sequence[Tuple[float, float, float]], target: Point2, radius: float
+    polyline: Sequence[Tuple[float, float, float]], x: float, y: float, radius: float
 ) -> Optional[float]:
-    """Earliest time at which the piecewise-linear path enters the capture disk."""
+    """Earliest time at which the piecewise-linear path enters the capture disk at (x, y)."""
     r2 = radius * radius
     for (t0, ax, ay), (t1, bx, by) in zip(polyline, polyline[1:]):
-        dax, day = ax - target.x, ay - target.y
+        dax, day = ax - x, ay - y
         c = dax * dax + day * day - r2
         if c <= 0.0:
             return t0
@@ -130,7 +127,7 @@ def _earliest_capture_time(
             return t0 + u * (t1 - t0)
     if polyline:
         t_last, x_last, y_last = polyline[-1]
-        if math.hypot(x_last - target.x, y_last - target.y) <= radius:
+        if math.hypot(x_last - x, y_last - y) <= radius:
             return t_last
     return None
 
@@ -150,7 +147,7 @@ def label_exit_taken(
         return None
     best: Optional[Tuple[float, str]] = None
     for ex in map_graph.sorted_exits():
-        t_hit = _earliest_capture_time(polyline, ex.position, capture_radius)
+        t_hit = _earliest_capture_time(polyline, ex.x, ex.y, capture_radius)
         if t_hit is None:
             continue
         if best is None or t_hit < best[0]:
@@ -175,7 +172,7 @@ def label_lane_sequence(
         t = anchor_time + rel
         if t > track.last_time + TIME_EPS:
             break
-        lane_id = nearest_lane(map_graph, track.position_at(t), lateral_capture)
+        lane_id = nearest_lane(map_graph, *track.position_at(t), lateral_capture)
         if lane_id is not None and (not sequence or sequence[-1] != lane_id):
             sequence.append(lane_id)
     if not sequence:
@@ -281,8 +278,7 @@ def build_dataset(
                     "heading": st.heading,
                     "speed": st.speed,
                 }
-                for st in track.states
-                if st.timestamp <= anchor + TIME_EPS
+                for st in track.known_at(anchor)
             ]
             records.append(
                 {

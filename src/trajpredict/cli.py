@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from . import annotation, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
-from .scene import MAX_GRID_TIMES, TIME_EPS, ObstacleTrack, load_ego_plan, load_scene, time_grid
+from .scene import MAX_GRID_TIMES, ObstacleTrack, load_ego_plan, load_scene, time_grid
 
 
 def _write_atomic(path: str, lines: Iterable[str]):
@@ -79,15 +79,6 @@ def cmd_annotate(args) -> int:
     return 0
 
 
-def _history_track(track: ObstacleTrack, anchor: float) -> ObstacleTrack:
-    """The track as known at the anchor: states up to and including it."""
-    states = [st for st in track.states if st.timestamp <= anchor + TIME_EPS]
-    at_anchor = track.state_at(anchor)
-    if not states or states[-1].timestamp < at_anchor.timestamp:
-        states.append(at_anchor)
-    return ObstacleTrack(obstacle_id=track.obstacle_id, states=tuple(states))
-
-
 def _candidates_for_anchor(
     track: ObstacleTrack,
     anchor: float,
@@ -105,7 +96,6 @@ def _candidates_for_anchor(
     and one whose candidates' sub-costs sum beyond the float range.
     """
     state = track.state_at(anchor)
-    history = _history_track(track, anchor)
     priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
     if priors is None:
         if not map_graph.exits:
@@ -113,7 +103,12 @@ def _candidates_for_anchor(
                 f"{track.obstacle_id}@{anchor}: no priors supplied and map has no exits"
             )
             return None
-        priors = generation.heuristic_exit_priors(history, map_graph, config.temperature)
+        # the latest state known at the anchor: the last one logged, or the anchor's if later
+        known = track.known_at(anchor)
+        latest = known[-1] if known and known[-1].timestamp >= state.timestamp else state
+        priors = generation.heuristic_exit_priors(
+            ObstacleTrack(track.obstacle_id, (latest,)), map_graph, config.temperature
+        )
 
     profiles = generation.sample_profiles(
         state.speed, config.accel_set, config.horizon_secs, config.resolution_secs, config.limits
@@ -272,12 +267,13 @@ def cmd_eval(args) -> int:
         raise PipelineError(f"{args.predictions}, {args.dataset}: {exc}") from exc
     _write_atomic(args.out, [jsonio.dumps(report) + "\n"])
 
+    def cell(value: Optional[float]) -> str:
+        return f"{'-':>10}" if value is None else f"{value:>10.4f}"
+
     print(f"{'horizon':>8}  {'ade':>10}  {'fde':>10}  {'count':>6}")
     for entry in report["horizons"]:
-        print(
-            f"{entry['h']:>8.2f}  {entry['ade']:>10.4f}  {entry['fde']:>10.4f}  "
-            f"{entry['count']:>6d}"
-        )
+        h, count = entry["h"], entry["count"]
+        print(f"{h:>8.2f}  {cell(entry['ade'])}  {cell(entry['fde'])}  {count:>6d}")
     return 0
 
 

@@ -81,8 +81,9 @@ def evaluate_run(
     against the labeled future; the records are as load_prediction_records
     and load_dataset_records return them. Anchors whose label or prediction
     is too short for a horizon, or starts after it, are excluded from that
-    horizon only. An empty join produces a zero-count report rather than an
-    error.
+    horizon only. A horizon that no anchor covers reports a count of 0 and
+    null ADE and FDE, so an empty join produces such a report rather than
+    an error.
     """
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
 
@@ -111,8 +112,8 @@ def evaluate_run(
         horizon_entries.append(
             {
                 "h": h,
-                "ade": math.fsum(ade_sums[h]) / count if count else 0.0,
-                "fde": math.fsum(fde_sums[h]) / count if count else 0.0,
+                "ade": math.fsum(ade_sums[h]) / count if count else None,
+                "fde": math.fsum(fde_sums[h]) / count if count else None,
                 "count": count,
             }
         )

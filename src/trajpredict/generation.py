@@ -95,7 +95,7 @@ def heuristic_exit_priors(
     state = track.latest
     scores = []
     for ex in map_graph.sorted_exits():
-        bearing = math.atan2(ex.position.y - state.position.y, ex.position.x - state.position.x)
+        bearing = math.atan2(ex.y - state.position.y, ex.x - state.position.x)
         misalignment = abs(wrap_angle(bearing - state.heading))
         scores.append((ex.exit_id, -misalignment / temperature))
     peak = max(score for _, score in scores)
@@ -124,16 +124,16 @@ def _concat_centerlines(map_graph: MapGraph, lane_ids: Sequence[str]) -> Curve:
     return Curve(rows)
 
 
-def _trimmed_curve(curve: Curve, start: ObstacleState) -> Curve:
-    """Cut the concatenated centerline at the projection of the start position.
+def _trimmed_curve(curve: Curve, x: float, y: float) -> Curve:
+    """Cut the concatenated centerline at the projection of the start position (x, y).
 
     A start at (or past) the curve end degenerates to a short tangent stub so
     downstream interpolation can extrapolate forward.
     """
-    s, _ = project_point(curve, start.position)
+    s, _ = project_point(curve, x, y)
     if s >= curve.length - 1e-9:
-        x, y, heading = point_at_s(curve, curve.length)
-        return Curve([(x, y), (x + math.cos(heading), y + math.sin(heading))])
+        end_x, end_y, heading = point_at_s(curve, curve.length)
+        return Curve([(end_x, end_y), (end_x + math.cos(heading), end_y + math.sin(heading))])
     return tail_from(curve, s)
 
 
@@ -193,6 +193,7 @@ def search_paths(
     if max_lanes < 1:
         raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
 
+    x, y = start.position.x, start.position.y
     required_lane: Optional[str] = None
     pinned: Optional[List[str]] = None
     if intention_id in map_graph.exits:
@@ -207,7 +208,7 @@ def search_paths(
         each load can still join at a vertex lost to rounding."""
         try:
             curve = _concat_centerlines(map_graph, lane_ids)
-            return _trimmed_curve(curve, start) if trim else curve
+            return _trimmed_curve(curve, x, y) if trim else curve
         except ValueError as exc:
             raise AssociationError(
                 f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(lane_ids)!r} "
@@ -219,7 +220,7 @@ def search_paths(
     ) -> List[Tuple[str, ...]]:
         """Sequences extending prefix, whose curve must be within the capture
         distance, that pass through the required lane if one is given."""
-        s0, distance = project_point(curve, start.position)
+        s0, distance = project_point(curve, x, y)
         if distance > DEFAULT_LATERAL_CAPTURE_M:
             raise AssociationError(
                 f"intention {intention_id!r}: lanes {LANE_SEQUENCE_SEPARATOR.join(prefix)!r} "
@@ -238,7 +239,7 @@ def search_paths(
                 )
         sequences = from_prefix(pinned, path_curve(pinned, trim=False))
     else:
-        root = nearest_lane(map_graph, start.position)
+        root = nearest_lane(map_graph, x, y)
         if root is None and required_lane is None:
             raise AssociationError(
                 f"obstacle {start.obstacle_id!r} does not associate with any lane "

@@ -1,10 +1,10 @@
 """Planar polyline curves with arc-length parametrization.
 
-A Curve holds its vertices as x and y columns, with no Point2 per vertex,
-and the cumulative arc length per vertex. Interpolation, discrete
-curvature, and point projection are the primitives that path construction,
-sampling, and costing build on. All operations are pure functions of
-immutable inputs.
+A Curve holds its vertices as x and y columns and the cumulative arc length
+per vertex, and a projected position is two floats: Point2 is left only as a
+logged state's position. Interpolation, discrete curvature, and point
+projection are the primitives that path construction, sampling, and costing
+build on. All operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Point2:
-    """A point in the local planar frame, meters."""
+    """A logged obstacle state's position in the local planar frame, meters."""
 
     x: float
     y: float
@@ -132,8 +132,8 @@ def vertex_curvatures(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, 
     return tuple(inner[:1] + inner + inner[-1:]) if inner else (0.0,) * len(xs)
 
 
-def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
-    """Arc length of the closest point on the curve, and the distance to it.
+def project_point(curve: Curve, x: float, y: float) -> Tuple[float, float]:
+    """Arc length of the curve's closest point to (x, y), and the distance to it.
 
     Queries beyond the curve ends clamp to the end vertices; equidistant
     segments resolve to the smaller arc length. A point whose squared
@@ -142,15 +142,14 @@ def project_point(curve: Curve, p: Point2) -> Tuple[float, float]:
     """
     best_d2 = math.inf
     best = (0.0, math.inf)
-    px, py = p.x, p.y
     xs, ys, cum = curve.xs, curve.ys, curve.cumulative_s
     for i in range(len(xs) - 1):
         ax, ay = xs[i], ys[i]
         vx, vy = xs[i + 1] - ax, ys[i + 1] - ay
-        t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
+        t = ((x - ax) * vx + (y - ay) * vy) / (vx * vx + vy * vy)
         t = min(max(t, 0.0), 1.0)
-        dx = px - (ax + t * vx)
-        dy = py - (ay + t * vy)
+        dx = x - (ax + t * vx)
+        dy = y - (ay + t * vy)
         d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best_d2 = d2

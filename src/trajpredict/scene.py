@@ -8,11 +8,11 @@ immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
 one trajectory shape (Positions, float columns of times and positions with
 no Point2 per point, which candidates, labels and the ego plan extend; lane
-centerlines are geometry.Curve columns, and Point2 is left only as the
-position of obstacle states and exits), the one time grid of anchors,
-labels and candidates (time_grid, with its tolerance TIME_EPS in seconds
-and its ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego
-plan, and lane association (nearest_lane) with its capture distance.
+centerlines are geometry.Curve columns, every other position is two floats,
+and Point2 is left only as a logged state's position), the one time grid of
+anchors, labels and candidates (time_grid, with its tolerance TIME_EPS in
+seconds and its ceiling MAX_GRID_TIMES), time interpolation of tracks and
+the ego plan, and lane association (nearest_lane) with its capture distance.
 
 Lane association projects few lanes and gives the full scan's result: each
 Lane keeps its centerline's bounding box, and nearest_lane projects only the
@@ -101,8 +101,8 @@ def _bracket(times: Sequence[float], t: float) -> Tuple[int, float]:
     return i, min(max(u, 0.0), 1.0)
 
 
-def _lerp(a: Point2, b: Point2, u: float) -> Point2:
-    return Point2(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+def _lerp(a: Point2, b: Point2, u: float) -> Tuple[float, float]:
+    return a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,12 @@ class ObstacleTrack:
         i, u = _bracket(self.times, t)
         return self.states[i], self.states[min(i + 1, len(self.states) - 1)], u
 
-    def position_at(self, t: float) -> Point2:
-        """Linearly interpolated position; t must be within the track span."""
+    def known_at(self, t: float) -> Tuple[ObstacleState, ...]:
+        """The states logged up to t (within TIME_EPS): the track as known at t."""
+        return self.states[: bisect_right(self.times, t + TIME_EPS)]
+
+    def position_at(self, t: float) -> Tuple[float, float]:
+        """Linearly interpolated (x, y); t must be within the track span."""
         a, b, u = self._interval(t)
         return _lerp(a.position, b.position, u)
 
@@ -186,7 +190,7 @@ class ObstacleTrack:
         heading = wrap_angle(a.heading + u * wrap_angle(b.heading - a.heading))
         return ObstacleState(
             timestamp=t,
-            position=_lerp(a.position, b.position, u),
+            position=Point2(*_lerp(a.position, b.position, u)),
             heading=heading,
             speed=a.speed + u * (b.speed - a.speed),
             obstacle_id=self.obstacle_id,
@@ -252,7 +256,8 @@ class Lane:
 @dataclass(frozen=True)
 class IntersectionExit:
     exit_id: str
-    position: Point2
+    x: float
+    y: float
     associated_lane_id: str
 
 
@@ -310,15 +315,15 @@ DEFAULT_LATERAL_CAPTURE_M = 2.0
 
 
 def nearest_lane(
-    map_graph: MapGraph, position: Point2, lateral_capture: float = DEFAULT_LATERAL_CAPTURE_M
+    map_graph: MapGraph, x: float, y: float, lateral_capture: float = DEFAULT_LATERAL_CAPTURE_M
 ) -> Optional[str]:
-    """Lane whose centerline is nearest to position within the capture
-    distance; ties resolve to the smaller lane id.
+    """Lane whose centerline is nearest to the position (x, y) within the
+    capture distance; ties resolve to the smaller lane id.
 
     Distance is to the closest on-curve point, so a lane does not capture
     positions beyond its endpoints along its extended line.
 
-    A lane is projected only when position lies within reach of its box on
+    A lane is projected only when (x, y) lies within reach of its box on
     both axes, reach being the capture distance C plus a margin of 8 units U,
     U the ulp of max(M, |C|) and M the map's largest absolute lane
     coordinate. This prefilter changes no result, whatever the rounding:
@@ -334,7 +339,6 @@ def nearest_lane(
     Every lane the full scan keeps is still projected, in id order, so the
     result is the full scan's.
     """
-    x, y = position.x, position.y
     magnitude = max(map_graph.coordinate_magnitude, abs(lateral_capture))
     reach = lateral_capture + 8.0 * math.ulp(magnitude)
     best: Optional[Tuple[float, str]] = None
@@ -342,7 +346,7 @@ def nearest_lane(
         x_min, y_min, x_max, y_max = lane.box
         if x_min - x > reach or x - x_max > reach or y_min - y > reach or y - y_max > reach:
             continue
-        _, distance = project_point(lane.centerline, position)
+        _, distance = project_point(lane.centerline, x, y)
         if distance > lateral_capture:
             continue
         if best is None or distance < best[0]:
@@ -357,12 +361,18 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     """Parse a JSON-lines obstacle log into tracks sorted by obstacle id.
 
     Rows may arrive out of order and are re-sorted per obstacle; duplicate
-    timestamps within one obstacle are an error.
+    timestamps within one obstacle are an error, and so is a position whose
+    norm exceeds jsonio.MAX_ROW_NORM, the bound on the rows annotate writes
+    (it also keeps every interpolated position finite).
     """
     states_by_id: Dict[str, list[ObstacleState]] = {}
     for where, record in jsonio.iter_jsonl(path, ("obstacle_id",) + _STATE_KEYS):
         obstacle_id = jsonio.string(record, "obstacle_id", where)
         t, x, y, heading, speed = (jsonio.number(record, k, where) for k in _STATE_KEYS)
+        if math.hypot(x, y) > jsonio.MAX_ROW_NORM:
+            raise ParseError(
+                f"{where}: position ({x}, {y}) must have a norm of at most {jsonio.MAX_ROW_NORM}"
+            )
         try:
             state = ObstacleState(
                 timestamp=t,
@@ -428,7 +438,7 @@ def load_map(path: str) -> MapGraph:
             lane_id = jsonio.string(entry, "lane_id", where)
         except KeyError as exc:
             raise ParseError(f"{where}: missing key {exc}") from exc
-        exits[exit_id] = IntersectionExit(exit_id, Point2(x, y), lane_id)
+        exits[exit_id] = IntersectionExit(exit_id, x, y, lane_id)
 
     try:
         return MapGraph(lanes=lanes, exits=exits)

@@ -71,8 +71,8 @@ class TestFutureTrajectoryLabel:
         track = make_track("a", rows)
         label = label_future_trajectory(track, anchor_time=1.3, horizon=4.0)
         for rel, x, y in zip(label.times, label.xs, label.ys):
-            q = track.position_at(1.3 + rel)
-            assert math.hypot(x - q.x, y - q.y) <= 1e-9
+            qx, qy = track.position_at(1.3 + rel)
+            assert math.hypot(x - qx, y - qy) <= 1e-9
 
 
 class TestExitLabel:
@@ -85,12 +85,12 @@ class TestExitLabel:
     def test_capture_time_matches_brute_force(self, imap):
         track = straight_track(v=10.0, n=120, x0=-60.0, y=0.3)
         # brute force: first dense sample within the capture radius
-        target = imap.exits["exit_e"].position
+        target = imap.exits["exit_e"]
         first_hit = None
         for k in range(80000):
             t = k * 1e-4
-            p = track.position_at(t)
-            if math.hypot(p.x - target.x, p.y - target.y) <= 3.0:
+            px, py = track.position_at(t)
+            if math.hypot(px - target.x, py - target.y) <= 3.0:
                 first_hit = t
                 break
         assert first_hit is not None
@@ -171,10 +171,10 @@ class TestLaneSequenceLabel:
         label = label_lane_sequence(track, 0.0, imap, horizon=8.0)
         seq = []
         for k in range(1, 81):
-            p = track.position_at(0.1 * k)
+            px, py = track.position_at(0.1 * k)
             best = None
             for lane_id in sorted(dense):
-                d = min(math.hypot(p.x - qx, p.y - qy) for qx, qy in dense[lane_id])
+                d = min(math.hypot(px - qx, py - qy) for qx, qy in dense[lane_id])
                 if d <= 2.0 and (best is None or d < best[0] - 1e-6):
                     best = (d, lane_id)
             if best and (not seq or seq[-1] != best[1]):

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajpredict
-from conftest import write_json, write_jsonl
-from trajpredict import cli, costing, generation, scene
+from conftest import make_track, write_json, write_jsonl
+from trajpredict import annotation, cli, costing, generation, scene
 from trajpredict.cli import main
 from trajpredict.generation import GenerationConfig
 from trajpredict.geometry import project_point
@@ -126,6 +126,27 @@ def bare_overflow(text):
 def append_state(**changes):
     """Append a copy of the log's first state with changes applied."""
     return lambda text: text + json.dumps({**json.loads(text.split("\n", 1)[0]), **changes}) + "\n"
+
+
+def edit_log_rows(change):
+    """Apply change(index, row) to every row of an obstacle log."""
+
+    def edit(text):
+        rows = [json.loads(line) for line in text.splitlines()]
+        return "".join(json.dumps(change(k, row)) + "\n" for k, row in enumerate(rows))
+
+    return edit
+
+
+def _overflowing_veh_1_step(k, row):
+    """veh_1's 4th and 5th rows at x = 1.7e308 and -1.7e308: each is finite,
+    but an interpolated position between them is not."""
+    return {**row, "x": {3: 1.7e308, 4: -1.7e308}.get(k, row["x"])}
+
+
+def _far_veh_1(k, row):
+    """veh_1 shifted by 1e200 m, beyond the norm of the rows annotate writes."""
+    return {**row, "x": row["x"] + 1e200} if row["obstacle_id"] == "veh_1" else row
 
 
 # Each case corrupts one input of one stage. JSON-lines inputs must be
@@ -526,6 +547,22 @@ MALFORMED_INPUTS = [
         None,
         id="stride_lost_to_rounding_predict",
     ),
+    pytest.param(
+        run_predict,
+        "--scene",
+        fixture("obstacles.jsonl"),
+        edit_log_rows(_overflowing_veh_1_step),
+        4,
+        id="log_positions_whose_difference_overflows",
+    ),
+    pytest.param(
+        run_annotate,
+        "--log",
+        fixture("obstacles.jsonl"),
+        edit_log_rows(_far_veh_1),
+        1,
+        id="log_position_beyond_the_row_norm",
+    ),
 ]
 
 
@@ -540,6 +577,36 @@ def test_malformed_input_is_reported_with_its_file(
     assert code in (1, 2)
     location = f"{bad}:{line}:" if line else str(bad)
     assert capsys.readouterr().err.startswith(f"error: {location}")
+    assert not os.path.exists(out)
+
+
+# An obstacle-log position is bounded as the rows annotate writes are, so a
+# dataset that annotate writes is one that tune and eval read.
+@pytest.mark.parametrize("runner, flag", [(run_annotate, "--log"), (run_predict, "--scene")])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(
+            _overflowing_veh_1_step,
+            "4: position (1.7e+308, 0.0) must have a norm of at most 1e+100",
+            id="difference_overflows",
+        ),
+        pytest.param(
+            _far_veh_1,
+            "1: position (1e+200, 0.0) must have a norm of at most 1e+100",
+            id="beyond_the_row_norm",
+        ),
+    ],
+)
+def test_log_position_beyond_the_row_norm_is_refused(
+    tmp_path, capsys, runner, flag, change, message
+):
+    bad = tmp_path / "bad_obstacles.jsonl"
+    with open(fixture("obstacles.jsonl"), encoding="utf-8") as fh:
+        bad.write_text(edit_log_rows(change)(fh.read()), encoding="utf-8")
+    code, out = runner(tmp_path, **{flag: str(bad)})
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:{message}\n"
     assert not os.path.exists(out)
 
 
@@ -1031,21 +1098,32 @@ class TestPredictCommand:
         assert "lost" in captured.err
         assert json.loads(captured.out)["skipped"] == 3
 
-    def test_obstacle_too_far_for_squared_distances_is_skipped(self, tmp_path, capsys):
-        # every squared distance to the map overflows, so no lane may capture it
-        rows = [json.loads(line) for line in open(fixture("obstacles.jsonl"), encoding="utf-8")]
-        for row in rows:
-            if row["obstacle_id"] == "veh_2":
-                row["x"] = 1e200
-        log = write_jsonl(tmp_path / "far.jsonl", rows)
-        code, out = run_predict(tmp_path, **{"--scene": log})
-        assert code == 0
-        records = [json.loads(line) for line in open(out, encoding="utf-8")]
-        assert records and all(r["obstacle_id"] == "veh_1" for r in records)
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["skipped"] == 10
-        assert captured.err.count("predict: veh_2@") > 10
-        assert "veh_2@9.0: no realizable intention" in captured.err
+    def test_obstacle_too_far_for_squared_distances_is_skipped(self):
+        # every squared distance to the map overflows, so no lane may capture it;
+        # the log loader refuses such a position, so predict's anchor loop runs
+        # on tracks built in memory
+        tracks, map_graph, ego = scene.load_scene(
+            fixture("obstacles.jsonl"), fixture("map.json"), fixture("ego.jsonl")
+        )
+        far = lambda tr: [(s.timestamp, 1e200, s.position.y, s.heading, s.speed) for s in tr.states]
+        tracks = [make_track("veh_2", far(t)) if t.obstacle_id == "veh_2" else t for t in tracks]
+        weights = costing.CostWeights.from_file(fixture("weights.json"))
+        config = GenerationConfig.from_file(fixture("genconfig.json"))
+        priors_table = generation.load_priors(fixture("priors.jsonl"))
+        predicted, skipped, diagnostics = [], 0, []
+        for track in tracks:
+            for anchor in annotation.anchor_times(track, 1.0):
+                result = cli._candidates_for_anchor(
+                    track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
+                )
+                if result is None:
+                    skipped += 1
+                else:
+                    predicted.append(result.obstacle_id)
+        assert predicted and all(oid == "veh_1" for oid in predicted)
+        assert skipped == 10
+        assert sum(message.startswith("veh_2@") for message in diagnostics) > 10
+        assert "veh_2@9.0: no realizable intention" in diagnostics
 
     def test_lanes_that_do_not_join_skip_the_intention(self, tmp_path, capsys):
         # each lane loads, but the joined curve loses a vertex to rounding after 1e50
@@ -1097,9 +1175,9 @@ class TestPredictCommand:
         both = write_json(tmp_path / "both.json", {**doc, "lanes": doc["lanes"] + far})
         projected = []
 
-        def counting_project_point(curve, p):
+        def counting_project_point(curve, x, y):
             projected.append(curve)
-            return project_point(curve, p)
+            return project_point(curve, x, y)
 
         for module in (scene, generation):
             monkeypatch.setattr(module, "project_point", counting_project_point)
@@ -1264,7 +1342,7 @@ class TestEvalCommand:
             report = json.load(fh)
         with open(golden("report.json"), encoding="utf-8") as fh:
             expected = json.load(fh)
-        assert report["horizons"][0] == {"h": 0.05, "ade": 0.0, "fde": 0.0, "count": 0}
+        assert report["horizons"][0] == {"h": 0.05, "ade": None, "fde": None, "count": 0}
         assert report["horizons"][1] == expected["horizons"][0]
 
     def test_horizons_parsing_contract(self, tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import intersection_map_dict, straight_track, write_json, write_jsonl
 from test_scene import reference_position_at
 from trajpredict import jsonio
-from trajpredict.annotation import label_future_trajectory, load_dataset_records
+from trajpredict.annotation import build_dataset, label_future_trajectory, load_dataset_records
 from trajpredict.autotune import extract_examples
 from trajpredict.costing import (
     CostWeights,
@@ -46,6 +46,7 @@ from trajpredict.scene import (
     ObstacleState,
     load_ego_plan,
     load_map,
+    load_scene,
     nearest_lane,
     time_grid,
 )
@@ -250,7 +251,7 @@ def reference_exit_search(exit_id, start, map_graph, min_length, max_lanes):
 
     def from_prefix(prefix, require=None):
         curve = map_graph.lanes[prefix[0]].centerline
-        s0, distance = project_point(curve, start.position)
+        s0, distance = project_point(curve, start.position.x, start.position.y)
         if distance > DEFAULT_LATERAL_CAPTURE_M:
             raise AssociationError(
                 f"intention {exit_id!r}: lanes {prefix[0]!r} "
@@ -261,7 +262,7 @@ def reference_exit_search(exit_id, start, map_graph, min_length, max_lanes):
         )
         return [seq for seq in sequences if require is None or require in seq]
 
-    root = nearest_lane(map_graph, start.position)
+    root = nearest_lane(map_graph, start.position.x, start.position.y)
     sequences = []
     if root is not None:
         require = required_lane
@@ -316,7 +317,7 @@ class TestSuccessorClosure:
                         continue
                     paths = search_paths(exit_id, start, imap, 60.0, 4)
                     assert [p.lane_ids for p in paths] == expected
-                    root = nearest_lane(imap, start.position)
+                    root = nearest_lane(imap, start.position.x, start.position.y)
                     outcomes["re_rooted" if expected[0][0] == required else "rooted"] += 1
                     outcomes["skipped"] += (
                         root is not None and required not in imap.successor_closure[root]
@@ -413,8 +414,8 @@ class TestRealizeTrajectory:
         for path in paths:
             for profile in profiles:
                 traj = realize_trajectory(path, profile)
-                for _, position in traj.points:
-                    s, distance = project_point(path.curve, position)
+                for x, y in zip(traj.xs, traj.ys):
+                    s, distance = project_point(path.curve, x, y)
                     if s < path.curve.length - 1e-6:
                         assert distance <= 1e-6
 
@@ -713,6 +714,21 @@ class TestColumnarCosting:
         starts = {(p.curve.xs[0], p.curve.ys[0]) for found in paths.values() for p in found}
         assert starts == {(-40.0, 0.0)}
         assert (len(examples), skipped) == (16, 6)
+
+    def test_labeling_and_exit_priors_build_no_point2(self):
+        tests = os.path.dirname(__file__)
+        fixture = lambda name: os.path.join(tests, "fixtures", name)
+        tracks, map_graph, _ = load_scene(fixture("obstacles.jsonl"), fixture("map.json"))
+        priors = [heuristic_exit_priors(track, map_graph) for track in tracks]
+        no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
+        with no_point2:
+            records, skipped = build_dataset(
+                tracks, map_graph, road_test_id="obstacles", stride=1.0, horizon=3.0
+            )
+            assert [heuristic_exit_priors(track, map_graph) for track in tracks] == priors
+        assert len(priors) == 2 and skipped > 0
+        with open(os.path.join(tests, "golden", "dataset.jsonl"), encoding="utf-8") as fh:
+            assert "".join(jsonio.dumps(r) + "\n" for r in records) == fh.read()
 
     def test_loading_the_ego_plan_and_evaluating_build_no_point2(self):
         tests = os.path.dirname(__file__)

@@ -192,35 +192,35 @@ class TestCurvature:
 
 class TestProjectPoint:
     def test_perpendicular_drop(self):
-        assert project_point(Curve([(0, 0), (10, 0)]), Point2(5, 2)) == (5.0, 2.0)
+        assert project_point(Curve([(0, 0), (10, 0)]), 5, 2) == (5.0, 2.0)
 
     def test_clamped_to_start(self):
-        assert project_point(Curve([(0, 0), (10, 0)]), Point2(-1, 0)) == (0.0, 1.0)
+        assert project_point(Curve([(0, 0), (10, 0)]), -1, 0) == (0.0, 1.0)
 
     def test_far_point_is_not_at_distance_zero(self):
         # the squared distance overflows on every segment
         c = Curve([(0, 0), (10, 0), (10, 10)])
-        assert project_point(c, Point2(1e155, 0)) == (0.0, math.inf)
-        assert project_point(c, Point2(-1e200, 1e200)) == (0.0, math.inf)
+        assert project_point(c, 1e155, 0) == (0.0, math.inf)
+        assert project_point(c, -1e200, 1e200) == (0.0, math.inf)
         # just inside the float range of the squares, the distance is the true one
-        assert project_point(c, Point2(1e153, 0)) == (10.0, 1e153 - 10.0)
+        assert project_point(c, 1e153, 0) == (10.0, 1e153 - 10.0)
 
     def test_corner_tie_breaks_to_smaller_s(self):
         # the corner of an L is equidistant from both segments
         c = Curve([(0, 0), (10, 0), (10, 10)])
-        s, _ = project_point(c, Point2(11, -1))
+        s, _ = project_point(c, 11, -1)
         assert s == 10.0
 
     def test_matches_dense_scan(self):
         rng = random.Random(13)
         for _ in range(20):
             c = random_polyline(rng, n=5)
-            p = Point2(rng.uniform(-15, 15), rng.uniform(-15, 15))
-            s, distance = project_point(c, p)
+            px, py = rng.uniform(-15, 15), rng.uniform(-15, 15)
+            s, distance = project_point(c, px, py)
 
             def distance_at(s):
                 x, y, _ = point_at_s(c, s)
-                return math.hypot(x - p.x, y - p.y)
+                return math.hypot(x - px, y - py)
 
             best = min(distance_at(min(k * c.length / 20000, c.length)) for k in range(20001))
             found = distance_at(s)
@@ -236,7 +236,7 @@ class TestProjectPoint:
             u = rng.uniform(0.05, 0.95)
             s = c.cumulative_s[i] + u * (c.cumulative_s[i + 1] - c.cumulative_s[i])
             x, y, _ = point_at_s(c, s)
-            s_back, distance = project_point(c, Point2(x, y))
+            s_back, distance = project_point(c, x, y)
             assert abs(s_back - s) <= 1e-9
             assert distance <= 1e-9
 

@@ -204,7 +204,7 @@ class TestTrackInterpolation:
 
     def test_single_state_track_answers_at_its_time(self):
         track = make_track("a", [(2.0, 3.0, 4.0, 0.0, 5.0)])
-        assert track.position_at(2.0) == Point2(3.0, 4.0)
+        assert track.position_at(2.0) == (3.0, 4.0)
         assert track.state_at(2.0) is track.states[0]
 
     def test_state_at_exact_timestamp(self):
@@ -229,9 +229,9 @@ class TestTrackInterpolation:
             u = (q - times[i]) / (times[i + 1] - times[i])
             expect_x = rows[i][1] + u * (rows[i + 1][1] - rows[i][1])
             expect_y = rows[i][2] + u * (rows[i + 1][2] - rows[i][2])
-            p = track.position_at(q)
-            assert p.x == pytest.approx(expect_x, abs=1e-12)
-            assert p.y == pytest.approx(expect_y, abs=1e-12)
+            px, py = track.position_at(q)
+            assert px == pytest.approx(expect_x, abs=1e-12)
+            assert py == pytest.approx(expect_y, abs=1e-12)
 
     def test_heading_interpolates_across_wrap(self):
         track = make_track(
@@ -310,12 +310,12 @@ class TestEgoPlan:
             EgoPlan((0.0, 1.0), (0.0, x), (0.0, y))
 
 
-def reference_nearest_lane(map_graph, position, lateral_capture=DEFAULT_LATERAL_CAPTURE_M):
+def reference_nearest_lane(map_graph, x, y, lateral_capture=DEFAULT_LATERAL_CAPTURE_M):
     """nearest_lane before the box prefilter: every lane projected, in id
     order; kept as the reference nearest_lane must match."""
     best = None
     for lane_id in sorted(map_graph.lanes):
-        _, distance = project_point(map_graph.lanes[lane_id].centerline, position)
+        _, distance = project_point(map_graph.lanes[lane_id].centerline, x, y)
         if distance > lateral_capture:
             continue
         if best is None or distance < best[0]:
@@ -374,12 +374,12 @@ def oracle_position(rng, kind, map_graph, capture):
         vertices = zip(lane.centerline.xs, lane.centerline.ys)
         coords = list((min if side < 0 else max)(vertices, key=lambda v: v[axis]))
         coords[axis] = step_ulps(coords[axis] + side * capture, side * rng.randint(-3, 3))
-        return Point2(*coords), "edge"
+        return tuple(coords), "edge"
     pad = 2.0 * capture + 1.0
     if kind == "lattice":
-        return Point2(rng.randint(-16, 16) / 2, rng.randint(-16, 16) / 2), "near"
+        return (rng.randint(-16, 16) / 2, rng.randint(-16, 16) / 2), "near"
     x, y = rng.uniform(x_min - pad, x_max + pad), rng.uniform(y_min - pad, y_max + pad)
-    return Point2(x, y), "near"
+    return (x, y), "near"
 
 
 class TestNearestLane:
@@ -396,22 +396,21 @@ class TestNearestLane:
                 continue
             capture = rng.choice([2.0, 2.0, 0.5, 3.0, 0.0])
             for _ in range(3):
-                position, where = oracle_position(rng, kind, map_graph, capture)
-                expected = reference_nearest_lane(map_graph, position, capture)
-                assert nearest_lane(map_graph, position, capture) == expected, (
-                    map_graph.lanes, position, capture
+                (x, y), where = oracle_position(rng, kind, map_graph, capture)
+                expected = reference_nearest_lane(map_graph, x, y, capture)
+                assert nearest_lane(map_graph, x, y, capture) == expected, (
+                    map_graph.lanes, (x, y), capture
                 )
                 if expected is None:
                     continue
                 lane = map_graph.lanes[expected]
-                s, distance = project_point(lane.centerline, position)
+                s, distance = project_point(lane.centerline, x, y)
                 kept = [
                     lane_id
                     for lane_id, other in map_graph.lanes.items()
-                    if project_point(other.centerline, position)[1] == distance
+                    if project_point(other.centerline, x, y)[1] == distance
                 ]
                 x_min, y_min, x_max, y_max = lane.box
-                x, y = position.x, position.y
                 gap = max(x_min - x, x - x_max, y_min - y, y - y_max)
                 seen["edge"] += where == "edge"
                 seen["tie"] += len(kept) > 1
@@ -425,12 +424,12 @@ class TestNearestLane:
         map_graph = load_map(os.path.join(os.path.dirname(__file__), "fixtures", "map.json"))
         calls = []
 
-        def counting_project_point(curve, p):
+        def counting_project_point(curve, x, y):
             calls.append(curve)
-            return project_point(curve, p)
+            return project_point(curve, x, y)
 
         monkeypatch.setattr(scene, "project_point", counting_project_point)
-        assert nearest_lane(map_graph, Point2(500.0, -500.0)) is None
+        assert nearest_lane(map_graph, 500.0, -500.0) is None
         assert calls == []
-        assert nearest_lane(map_graph, Point2(-60.0, 0.3)) == "ln_approach_e"
+        assert nearest_lane(map_graph, -60.0, 0.3) == "ln_approach_e"
         assert 0 < len(calls) < len(map_graph.lanes)
