@@ -7,6 +7,12 @@ predictions against labels. All inputs and outputs are JSON documents or
 JSON-lines files; outputs are written atomically (temp file + rename) and
 every command is deterministic given identical inputs.
 
+predict ranks its anchors in one process per CPU in its affinity mask,
+each bound to one of those CPUs (taskset limits them): forked children rank
+every N-th anchor and stream each record back, and this process writes them
+in anchor order, so its bytes do not depend on the process count. Each
+process holds one anchor's candidates at a time.
+
 Exit codes: 0 success, 1 data/runtime error, 2 usage or validation error.
 """
 
@@ -17,7 +23,7 @@ import contextlib
 import math
 import os
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import annotation, costing, evaluation, generation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
@@ -163,6 +169,111 @@ def _candidates_for_anchor(
         ) from exc
 
 
+def _process_count() -> int:
+    """The CPUs in this process's affinity mask, or 1 where fork or the
+    mask is unavailable."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _start_share(fn: Callable, jobs: list, children: list, cpu: int) -> Tuple[int, BinaryIO]:
+    """Fork a child that binds itself to cpu and pickles (True, fn(job)) for
+    each of jobs in turn, or (False, exc) for the exception fn raised and
+    then stops, into a pipe; return its pid and the pipe's read end. The
+    child closes the read ends of the earlier children, so each pipe's only
+    reader is this process: a write after this process is gone breaks the
+    pipe and ends the child. It leaves only through os._exit, so it never
+    flushes this process's buffers or runs its exit handlers."""
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.close(r)
+        for _, reader in children:
+            reader.close()
+        with open(w, "wb") as pipe:
+            for job in jobs:
+                try:
+                    item = (True, fn(job))
+                except Exception as exc:
+                    item = (False, exc)
+                pipe.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+                if not item[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _in_job_order(fn: Callable, jobs: list, shares: int):
+    """fn(job) for each job, in job order, computed in `shares` processes.
+
+    Share k computes jobs k, k + shares, k + 2 * shares, ... on the k-th CPU
+    of the affinity mask (modulo its size). This process is share 0; each
+    other share is a forked child (_start_share) that streams its results
+    back, and a share that cannot be forked is computed here.
+    Results are read strictly in job order, so the first job that raises
+    raises here as it would in one process, and a child runs at most one
+    pipe buffer ahead. Every child is killed and reaped on leaving, on every
+    path. With one share nothing is forked.
+    """
+    if shares == 1:
+        yield map(fn, jobs)
+        return
+    import pickle  # only a forked run loads pickle and signal
+    import signal
+
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    children: List[Tuple[int, BinaryIO]] = []
+
+    def results() -> Iterator:
+        for i, job in enumerate(jobs):
+            k = i % shares
+            if k == 0 or k > len(children):  # this process's share, or one not forked
+                yield fn(job)
+                continue
+            pid, reader = children[k - 1]
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):  # it exited before sending the result whole
+                raise PipelineError(f"process {pid} ended before computing its share") from None
+            if not ok:
+                raise value
+            yield value
+
+    try:
+        for k in range(1, shares):
+            try:
+                children.append(_start_share(fn, jobs[k::shares], children, cpus[k % len(cpus)]))
+            except OSError:  # no process to spare: the unforked shares run here
+                break
+        # one CPU per process: on a 2-vCPU VM, left free, the scheduler kept
+        # both processes on one CPU for minutes at a time
+        os.sched_setaffinity(0, {cpus[0]})
+        yield results()
+    finally:
+        os.sched_setaffinity(0, mask)
+        for pid, reader in children:
+            os.kill(pid, signal.SIGKILL)
+            reader.close()
+            os.waitpid(pid, 0)
+
+
 def cmd_predict(args) -> int:
     _positive(args.stride, "stride")
     tracks, map_graph, ego = load_scene(args.scene, args.map, args.ego)
@@ -170,37 +281,54 @@ def cmd_predict(args) -> int:
     config = generation.GenerationConfig.from_file(args.config)
     priors_table = generation.load_priors(args.priors) if args.priors else {}
 
+    def predict_anchor(job: Tuple[ObstacleTrack, float]) -> Tuple[Optional[str], List[str]]:
+        """One anchor's record line, or None when it is skipped, and its diagnostics."""
+        track, anchor = job
+        diagnostics: List[str] = []
+        try:
+            result = _candidates_for_anchor(
+                track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+        if result is None:
+            return None, diagnostics
+        totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
+        if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
+            raise ConfigError(
+                f"{args.weights}: the weights give non-finite costs for obstacle "
+                f"{track.obstacle_id!r} at anchor {anchor}"
+            )
+        return jsonio.dumps(costing.result_to_record(result, weights)) + "\n", diagnostics
+
+    # an obstacle whose anchors cannot be gridded is refused once the anchors
+    # before it are ranked, where a serial run would refuse it
+    jobs: List[Tuple[ObstacleTrack, float]] = []
+    refused: Optional[SceneIntegrityError] = None
+    for track in tracks:
+        try:
+            jobs += [(track, anchor) for anchor in annotation.anchor_times(track, args.stride)]
+        except SceneIntegrityError as exc:
+            refused = exc
+            break
+
     counts = {"predictions": 0, "skipped": 0}
     diagnostics: List[str] = []
 
-    def records() -> Iterator[dict]:
-        """Each anchor's record as soon as it is ranked, so no more than one
-        anchor's candidates and record are held at a time."""
-        for track in tracks:
-            try:
-                anchors = annotation.anchor_times(track, args.stride)
-            except SceneIntegrityError as exc:
-                raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
-            for anchor in anchors:
-                try:
-                    result = _candidates_for_anchor(
-                        track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
-                    )
-                except ConfigError as exc:
-                    raise ConfigError(f"{args.config}: {exc}") from exc
-                if result is None:
-                    counts["skipped"] += 1
-                    continue
-                totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
-                if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
-                    raise ConfigError(
-                        f"{args.weights}: the weights give non-finite costs for obstacle "
-                        f"{track.obstacle_id!r} at anchor {anchor}"
-                    )
-                counts["predictions"] += 1
-                yield costing.result_to_record(result, weights)
+    def lines(results: Iterable[Tuple[Optional[str], List[str]]]) -> Iterator[str]:
+        for line, messages in results:
+            diagnostics.extend(messages)
+            if line is None:
+                counts["skipped"] += 1
+                continue
+            counts["predictions"] += 1
+            yield line
+        if refused is not None:
+            raise SceneIntegrityError(f"{args.scene}: {refused}") from refused
 
-    _write_jsonl(args.out, records())
+    shares = max(1, min(_process_count(), len(jobs)))
+    with _in_job_order(predict_anchor, jobs, shares) as results:
+        _write_atomic(args.out, lines(results))
     for message in diagnostics:
         print(f"predict: {message}", file=sys.stderr)
     print(jsonio.dumps({**counts, "out": args.out}))

@@ -5,8 +5,10 @@ import json
 import math
 import operator
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -810,6 +812,7 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
     monkeypatch.setattr(costing, "result_to_record", counting_result_to_record)
+    monkeypatch.setattr(cli, "_process_count", lambda: 1)  # a forked share's calls are not counted here
     code, out = run_predict(tmp_path, **{"--scene": log})
     assert code == 2
     assert "would hold more than 300 points" in capsys.readouterr().err
@@ -1150,6 +1153,7 @@ class TestPredictCommand:
 
         monkeypatch.setattr(costing, "rank_intentions", counting_rank)
         monkeypatch.setattr(EgoPlan, "positions_at", counting_positions_at)
+        monkeypatch.setattr(cli, "_process_count", lambda: 1)  # count every anchor's calls here
         code, _ = run_predict(tmp_path)
         assert code == 0
         config = GenerationConfig.from_file(fixture("genconfig.json"))
@@ -1181,6 +1185,7 @@ class TestPredictCommand:
 
         for module in (scene, generation):
             monkeypatch.setattr(module, "project_point", counting_project_point)
+        monkeypatch.setattr(cli, "_process_count", lambda: 1)  # see every anchor's projections
         assert run_annotate(tmp_path, out="near.jsonl")[0] == 0
         assert run_annotate(tmp_path, out="both.jsonl", **{"--map": both})[0] == 0
         assert run_predict(tmp_path, out="near_p.jsonl")[0] == 0
@@ -1499,3 +1504,194 @@ class TestCliContract:
         run_annotate(tmp_path)
         run_predict(tmp_path)
         assert open(fixture("obstacles.jsonl"), "rb").read() == before
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fixture_rows(first_time=0.0):
+    with open(fixture("obstacles.jsonl"), encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    return [r for r in rows if r["obstacle_id"] == "veh_2" or r["t"] >= first_time]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="predict forks its shares only where CPU affinity exists"
+)
+class TestPredictShares:
+    """predict ranks anchor k in share k mod N, forcing N through the
+    cli._process_count seam whatever the host's CPU count."""
+
+    def run_in_shares(self, tmp_path, monkeypatch, capsys, shares, **overrides):
+        """Exit code, output bytes (None when absent), stdout and stderr."""
+        monkeypatch.setattr(cli, "_process_count", lambda: shares)
+        code, out = run_predict(tmp_path, **overrides)
+        captured = capsys.readouterr()
+        assert_no_child_left()
+        written = None
+        if os.path.exists(out):
+            with open(out, "rb") as fh:
+                written = fh.read()
+            os.remove(out)
+        return code, written, captured.out, captured.err
+
+    @pytest.mark.parametrize("with_off_map_obstacle", [False, True])
+    def test_bytes_do_not_depend_on_the_share_count(
+        self, tmp_path, monkeypatch, capsys, with_off_map_obstacle
+    ):
+        overrides = {}
+        if with_off_map_obstacle:  # its skipped anchors add stderr lines and a skip count
+            lost = [
+                {"obstacle_id": "lost", "t": 0.1 * k, "x": 500.0 + k, "y": 500.0, "heading": 0.0, "speed": 10.0}
+                for k in range(30)
+            ]
+            overrides["--scene"] = write_jsonl(tmp_path / "log.jsonl", fixture_rows() + lost)
+        runs = [
+            self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+            for shares in (1, 2, 3)
+        ]
+        assert runs[0][0] == 0 and runs[0][3].startswith("predict: ")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        if not with_off_map_obstacle:
+            with open(golden("predictions.jsonl"), "rb") as fh:
+                assert runs[0][1] == fh.read()
+
+    @pytest.mark.parametrize(
+        "first_time, shares, owner",
+        [(7.0, 2, "child"), (7.0, 3, "child"), (6.0, 2, "parent"), (6.0, 3, "parent")],
+    )
+    def test_the_first_refused_anchor_raises_whichever_share_ranks_it(
+        self, tmp_path, monkeypatch, capsys, first_time, shares, owner
+    ):
+        # as in test_refusal_on_a_later_anchor_leaves_no_output: veh_2's first
+        # anchor, job 5 from 7 s on and job 6 from 6 s on, is refused
+        log = write_jsonl(tmp_path / "log.jsonl", fixture_rows(first_time))
+        monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
+        serial = self.run_in_shares(tmp_path, monkeypatch, capsys, 1, **{"--scene": log})
+        assert serial[:3] == (2, None, "")
+        assert "would hold more than 300 points" in serial[3]
+        ranked_here = []  # the anchors this process ranks; a child's are not seen here
+        candidates_for_anchor = cli._candidates_for_anchor
+
+        def recording(track, anchor, *rest):
+            ranked_here.append(track.obstacle_id)
+            return candidates_for_anchor(track, anchor, *rest)
+
+        monkeypatch.setattr(cli, "_candidates_for_anchor", recording)
+        assert self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **{"--scene": log}) == serial
+        assert ("veh_2" in ranked_here) == (owner == "parent")
+        assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_an_anchor_refused_before_an_ungriddable_obstacle_raises_first(
+        self, tmp_path, monkeypatch, capsys, shares
+    ):
+        # zz_lone sorts last, and its anchors cannot be gridded (a 1 s stride
+        # at 1e20 s); veh_2's first anchor is refused before it
+        log = fixture_rows(7.0) + [{**fixture_rows()[0], "obstacle_id": "zz_lone", "t": 1e20}]
+        overrides = {"--scene": write_jsonl(tmp_path / "log.jsonl", log)}
+        code, written, out, err = self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+        assert (code, written, out) == (1, None, "")
+        assert err.startswith(f"error: {tmp_path / 'log.jsonl'}: obstacle 'zz_lone': anchors: ")
+        monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
+        code, written, out, err = self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+        assert (code, written, out) == (2, None, "")
+        assert "obstacle 'veh_2' at anchor 0.0: the candidates would hold more than 300 points" in err
+        assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
+
+    def test_each_share_runs_its_jobs_on_its_own_cpu(self):
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        where = lambda job: (job, os.getpid(), os.sched_getaffinity(0))
+        with cli._in_job_order(where, list(range(7)), 3) as results:
+            got = list(results)
+        assert [job for job, _, _ in got] == list(range(7))
+        for job, pid, share_cpus in got:
+            assert share_cpus == {cpus[job % 3 % len(cpus)]}
+            assert (pid == os.getpid()) == (job % 3 == 0)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left()
+
+    def test_a_share_that_cannot_be_forked_is_ranked_here(self, tmp_path, monkeypatch, capsys):
+        fork, forks = os.fork, []
+
+        def second_fork_fails():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(None)
+            return fork()
+
+        serial = self.run_in_shares(tmp_path, monkeypatch, capsys, 1)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert self.run_in_shares(tmp_path, monkeypatch, capsys, 3) == serial
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("how", ["exits", "raises"])
+    def test_a_failing_child_fails_predict(self, tmp_path, monkeypatch, capsys, how):
+        parent = os.getpid()
+        candidates_for_anchor = cli._candidates_for_anchor
+
+        def failing_in_a_child(track, anchor, *rest):
+            if os.getpid() != parent:
+                if how == "exits":
+                    os._exit(3)
+                raise ValueError(f"{track.obstacle_id}@{anchor}")
+            return candidates_for_anchor(track, anchor, *rest)
+
+        monkeypatch.setattr(cli, "_candidates_for_anchor", failing_in_a_child)
+        monkeypatch.setattr(cli, "_process_count", lambda: 2)
+        if how == "exits":
+            code, out = run_predict(tmp_path)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: process ") and err.endswith(" ended before computing its share\n")
+        else:  # the first anchor of share 1 is job 1, veh_1's second anchor
+            with pytest.raises(ValueError, match=r"^veh_1@1\.0$"):
+                run_predict(tmp_path)
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_no_share_outlives_a_killed_predict(self, tmp_path):
+        # sixty copies of the fixture scene at a 0.1 s stride take each share
+        # longer to rank than the few seconds it may outlive its parent
+        rows = fixture_rows()
+        copies = [{**r, "obstacle_id": f"{r['obstacle_id']}_{k}"} for k in range(60) for r in rows]
+        out = tmp_path / "p.jsonl"
+        script = (
+            "import sys\nfrom trajpredict import cli\n"
+            "cli._process_count = lambda: 3\nsys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        log = write_jsonl(tmp_path / "log.jsonl", copies)
+        argv = [sys.executable, "-c", script, "predict", "--scene", log]
+        argv += ["--map", fixture("map.json"), "--weights", fixture("weights.json")]
+        argv += ["--config", fixture("genconfig.json"), "--stride", "0.1", "--out", str(out)]
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        proc = subprocess.Popen(
+            argv,
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            # the shares are forked before the temp file is opened
+            tmp, deadline = f"{out}.{proc.pid}.tmp", time.monotonic() + 60
+            while not os.path.exists(tmp):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a share outlived its killed parent"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
