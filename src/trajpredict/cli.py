@@ -13,6 +13,11 @@ every N-th anchor and stream each record back, and this process writes them
 in anchor order, so its bytes do not depend on the process count. Each
 process holds one anchor's candidates at a time.
 
+tune reads and joins its inputs in a forked process while this one imports
+numpy for the descent (with one CPU in the mask, as under taskset -c 0, it
+does both here); either way a bad input fails before a missing numpy does.
+annotate and eval run in one process.
+
 Exit codes: 0 success, 1 data/runtime error, 2 usage or validation error.
 """
 
@@ -336,23 +341,41 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from . import autotune  # only tune loads the tuner; numpy loads when its descent runs
+    # only tune loads the tuner and numpy: a forked share reads the inputs while
+    # this process imports numpy, so the decoded records never share a process
+    # with numpy (with one CPU in the mask, as under taskset -c 0, both run here)
+    from . import autotune
 
-    predictions = costing.load_prediction_records(args.predictions)
-    dataset = annotation.load_dataset_records(args.dataset)
-    config = autotune.TunerConfig.from_file(args.tuner_config)
-    ego = load_ego_plan(args.ego) if args.ego else None
-    try:
-        examples, skipped = autotune.extract_examples(predictions, dataset, ego)
-    except JoinError as exc:
-        raise JoinError(f"{args.predictions}, {args.dataset}: {exc}") from exc
-    if not examples:
-        raise PipelineError("no tuning examples: prediction and dataset keys do not overlap")
+    def import_numpy() -> Optional[ImportError]:
+        """numpy's ImportError, returned so that a bad input still fails first."""
+        try:
+            import numpy  # noqa: F401
+        except ImportError as exc:
+            return exc
+        return None
 
-    normalizers = {(float(r["z1"]), float(r["z2"])) for r in predictions}
-    if len(normalizers) != 1:
-        raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
-    z1, z2 = next(iter(normalizers))
+    def read_inputs():
+        predictions = costing.load_prediction_records(args.predictions)
+        dataset = annotation.load_dataset_records(args.dataset)
+        config = autotune.TunerConfig.from_file(args.tuner_config)
+        ego = load_ego_plan(args.ego) if args.ego else None
+        try:
+            examples, skipped = autotune.extract_examples(predictions, dataset, ego)
+        except JoinError as exc:
+            raise JoinError(f"{args.predictions}, {args.dataset}: {exc}") from exc
+        if not examples:
+            raise PipelineError("no tuning examples: prediction and dataset keys do not overlap")
+
+        normalizers = {(float(r["z1"]), float(r["z2"])) for r in predictions}
+        if len(normalizers) != 1:
+            raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
+        return examples, skipped, config, next(iter(normalizers))
+
+    jobs = [import_numpy, read_inputs]
+    with _in_job_order(lambda job: job(), jobs, min(_process_count(), len(jobs))) as results:
+        missing_numpy, (examples, skipped, config, (z1, z2)) = results
+    if missing_numpy is not None:
+        raise missing_numpy
 
     try:
         theta, history = autotune.tune_weights(examples, config)

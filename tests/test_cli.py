@@ -1517,25 +1517,27 @@ def fixture_rows(first_time=0.0):
     return [r for r in rows if r["obstacle_id"] == "veh_2" or r["t"] >= first_time]
 
 
+def run_in_shares(runner, tmp_path, monkeypatch, capsys, shares, **overrides):
+    """Exit code, output bytes (None when absent), stdout and stderr of a run
+    in `shares` processes, forced through the cli._process_count seam
+    whatever the host's CPU count."""
+    monkeypatch.setattr(cli, "_process_count", lambda: shares)
+    code, out = runner(tmp_path, **overrides)
+    captured = capsys.readouterr()
+    assert_no_child_left()
+    written = None
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            written = fh.read()
+        os.remove(out)
+    return code, written, captured.out, captured.err
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="predict forks its shares only where CPU affinity exists"
 )
 class TestPredictShares:
-    """predict ranks anchor k in share k mod N, forcing N through the
-    cli._process_count seam whatever the host's CPU count."""
-
-    def run_in_shares(self, tmp_path, monkeypatch, capsys, shares, **overrides):
-        """Exit code, output bytes (None when absent), stdout and stderr."""
-        monkeypatch.setattr(cli, "_process_count", lambda: shares)
-        code, out = run_predict(tmp_path, **overrides)
-        captured = capsys.readouterr()
-        assert_no_child_left()
-        written = None
-        if os.path.exists(out):
-            with open(out, "rb") as fh:
-                written = fh.read()
-            os.remove(out)
-        return code, written, captured.out, captured.err
+    """predict ranks anchor k in share k mod N."""
 
     @pytest.mark.parametrize("with_off_map_obstacle", [False, True])
     def test_bytes_do_not_depend_on_the_share_count(
@@ -1549,7 +1551,7 @@ class TestPredictShares:
             ]
             overrides["--scene"] = write_jsonl(tmp_path / "log.jsonl", fixture_rows() + lost)
         runs = [
-            self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+            run_in_shares(run_predict, tmp_path, monkeypatch, capsys, shares, **overrides)
             for shares in (1, 2, 3)
         ]
         assert runs[0][0] == 0 and runs[0][3].startswith("predict: ")
@@ -1569,7 +1571,7 @@ class TestPredictShares:
         # anchor, job 5 from 7 s on and job 6 from 6 s on, is refused
         log = write_jsonl(tmp_path / "log.jsonl", fixture_rows(first_time))
         monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
-        serial = self.run_in_shares(tmp_path, monkeypatch, capsys, 1, **{"--scene": log})
+        serial = run_in_shares(run_predict, tmp_path, monkeypatch, capsys, 1, **{"--scene": log})
         assert serial[:3] == (2, None, "")
         assert "would hold more than 300 points" in serial[3]
         ranked_here = []  # the anchors this process ranks; a child's are not seen here
@@ -1580,7 +1582,7 @@ class TestPredictShares:
             return candidates_for_anchor(track, anchor, *rest)
 
         monkeypatch.setattr(cli, "_candidates_for_anchor", recording)
-        assert self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **{"--scene": log}) == serial
+        assert run_in_shares(run_predict, tmp_path, monkeypatch, capsys, shares, **{"--scene": log}) == serial
         assert ("veh_2" in ranked_here) == (owner == "parent")
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
 
@@ -1592,11 +1594,15 @@ class TestPredictShares:
         # at 1e20 s); veh_2's first anchor is refused before it
         log = fixture_rows(7.0) + [{**fixture_rows()[0], "obstacle_id": "zz_lone", "t": 1e20}]
         overrides = {"--scene": write_jsonl(tmp_path / "log.jsonl", log)}
-        code, written, out, err = self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+        code, written, out, err = run_in_shares(
+            run_predict, tmp_path, monkeypatch, capsys, shares, **overrides
+        )
         assert (code, written, out) == (1, None, "")
         assert err.startswith(f"error: {tmp_path / 'log.jsonl'}: obstacle 'zz_lone': anchors: ")
         monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
-        code, written, out, err = self.run_in_shares(tmp_path, monkeypatch, capsys, shares, **overrides)
+        code, written, out, err = run_in_shares(
+            run_predict, tmp_path, monkeypatch, capsys, shares, **overrides
+        )
         assert (code, written, out) == (2, None, "")
         assert "obstacle 'veh_2' at anchor 0.0: the candidates would hold more than 300 points" in err
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
@@ -1623,9 +1629,9 @@ class TestPredictShares:
             forks.append(None)
             return fork()
 
-        serial = self.run_in_shares(tmp_path, monkeypatch, capsys, 1)
+        serial = run_in_shares(run_predict, tmp_path, monkeypatch, capsys, 1)
         monkeypatch.setattr(os, "fork", second_fork_fails)
-        assert self.run_in_shares(tmp_path, monkeypatch, capsys, 3) == serial
+        assert run_in_shares(run_predict, tmp_path, monkeypatch, capsys, 3) == serial
         assert len(forks) == 1
 
     @pytest.mark.parametrize("how", ["exits", "raises"])
@@ -1695,3 +1701,150 @@ class TestPredictShares:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
+
+
+def bad_copy(tmp_path, source, edit):
+    """A copy of source in tmp_path with edit applied to its bytes."""
+    with open(source, "rb") as fh:
+        data = edit(fh.read())
+    bad = tmp_path / ("bad_" + os.path.basename(source))
+    bad.write_bytes(data)
+    return str(bad)
+
+
+def text_edit(edit):
+    return lambda data: edit(data.decode("utf-8")).encode("utf-8")
+
+
+def outside_the_intentions(data):
+    return data.replace(b'"selected_intention":"exit_e"', b'"selected_intention":"exit_q"')
+
+
+def invalid_utf8_on_line(line):
+    def edit(data):
+        lines = data.split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b"1", b"\xff1", 1)
+        return b"\n".join(lines)
+
+    return edit
+
+
+NOBODY = {
+    "road_test_id": "r",
+    "obstacle_id": "nobody",
+    "anchor_time": 0.0,
+    "history": [],
+    "future": [[0.1, 0.0, 0.0]],
+    "exit_label": None,
+    "lane_sequence_label": None,
+}
+
+# each of tune's failures, as one input replaced: (flag, source, edit of its bytes)
+TUNE_FAILURES = [
+    pytest.param(
+        "--tuner-config", fixture("tunerconfig.json"), invalid_utf8_on_line(7), id="invalid_utf8_tuner_config"
+    ),
+    pytest.param(
+        "--predictions",
+        golden("predictions.jsonl"),
+        outside_the_intentions,
+        id="selected_intention_outside_the_intentions",
+    ),
+    pytest.param(
+        "--dataset",
+        golden("dataset.jsonl"),
+        lambda data: data.replace(b'"future":[[0.1,-59.0,0.0]', b'"future":[[0.1,-59.0,true]', 1),
+        id="boolean_future_row",
+    ),
+    pytest.param(
+        "--dataset",
+        golden("dataset.jsonl"),
+        # a bent path sampled every 1e-120 s: its sub-costs overflow at the join
+        text_edit(edit_first_line(future=[[1e-120, 0.0, 0.0], [2e-120, 1.0, 0.0], [3e-120, 1.0, 1.0]])),
+        id="future_whose_sub_costs_overflow",
+    ),
+    pytest.param(
+        "--dataset",
+        golden("dataset.jsonl"),
+        lambda data: json.dumps(NOBODY).encode() + b"\n",
+        id="no_overlapping_keys",
+    ),
+    pytest.param(
+        "--tuner-config",
+        fixture("tunerconfig.json"),
+        text_edit(edit_document(learning_rate=1e308, max_iters=5)),
+        id="overflowing_descent_step",
+    ),
+    pytest.param("--dataset", golden("missing.jsonl"), None, id="missing_dataset"),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="tune forks its share only where CPU affinity exists"
+)
+class TestTuneShares:
+    """tune reads its inputs in share 1 while share 0 imports numpy."""
+
+    def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, capsys):
+        runs = [run_in_shares(run_tune, tmp_path, monkeypatch, capsys, shares) for shares in (1, 2)]
+        with open(golden("tuned.json"), "rb") as fh:
+            assert runs[0][:2] == (0, fh.read())
+        assert runs[0][2].startswith('{"examples":16,') and runs[0][3] == ""
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("flag, source, edit", TUNE_FAILURES)
+    def test_each_failure_does_not_depend_on_the_share_count(
+        self, tmp_path, monkeypatch, capsys, flag, source, edit
+    ):
+        bad = bad_copy(tmp_path, source, edit) if edit else source
+        runs = [
+            run_in_shares(run_tune, tmp_path, monkeypatch, capsys, shares, **{flag: bad})
+            for shares in (1, 2)
+        ]
+        code, written, out, err = runs[0]
+        assert code in (1, 2) and (written, out) == (None, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert runs[1] == runs[0]
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_a_share_that_dies_fails_tune(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        load_prediction_records = costing.load_prediction_records
+
+        def dying_in_a_child(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return load_prediction_records(path)
+
+        monkeypatch.setattr(costing, "load_prediction_records", dying_in_a_child)
+        code, written, out, err = run_in_shares(run_tune, tmp_path, monkeypatch, capsys, 2)
+        assert (code, written, out) == (1, None, "")
+        assert err.startswith("error: process ") and err.endswith(" ended before computing its share\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("shares", [1, 2])
+    def test_a_bad_input_fails_before_a_missing_numpy(self, tmp_path, shares):
+        bad = bad_copy(tmp_path, golden("predictions.jsonl"), outside_the_intentions)
+        script = (
+            "import sys\nsys.modules['numpy'] = None  # import numpy raises ImportError\n"
+            f"from trajpredict import cli\ncli._process_count = lambda: {shares}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        out = tmp_path / "tuned.json"
+
+        def tune(predictions):
+            argv = [sys.executable, "-c", script, "tune", "--predictions", predictions]
+            argv += ["--dataset", golden("dataset.jsonl"), "--tuner-config", fixture("tunerconfig.json")]
+            argv += ["--out", str(out)]
+            return subprocess.run(
+                argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+            )
+
+        result = tune(bad)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {bad}:1: selected intention 'exit_q' not among intentions\n"
+        result = tune(golden("predictions.jsonl"))  # inputs that read cleanly reach the missing numpy
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.endswith("ModuleNotFoundError: import of numpy halted; None in sys.modules\n")
+        assert not out.exists()
