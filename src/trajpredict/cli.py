@@ -51,10 +51,6 @@ def _write_atomic(path: str, lines: Iterable[str]):
         raise
 
 
-def _write_jsonl(path: str, records: Iterable[dict]) -> None:
-    _write_atomic(path, (jsonio.dumps(r) + "\n" for r in records))
-
-
 def _positive(value: float, name: str) -> float:
     if not 0.0 < value < math.inf:
         raise ConfigError(f"--{name} must be positive and finite, got {value}")
@@ -85,7 +81,7 @@ def cmd_annotate(args) -> int:
         )
     except SceneIntegrityError as exc:  # an obstacle's anchor grid
         raise SceneIntegrityError(f"{args.log}: {exc}") from exc
-    _write_jsonl(args.out, records)
+    _write_atomic(args.out, (jsonio.dumps(r) + "\n" for r in records))
     print(jsonio.dumps({"records": len(records), "skipped": skipped, "out": args.out}))
     return 0
 
@@ -121,15 +117,9 @@ def _candidates_for_anchor(
             ObstacleTrack(track.obstacle_id, (latest,)), map_graph, config.temperature
         )
 
-    profiles = generation.sample_profiles(
+    profiles = generation.sample_profiles(  # nonempty: the config keeps an admissible acceleration
         state.speed, config.accel_set, config.horizon_secs, config.resolution_secs, config.limits
     )
-    if not profiles:
-        diagnostics.append(
-            f"{track.obstacle_id}@{anchor}: no admissible accelerations within limits"
-        )
-        return None
-
     candidates_by_intention = {}
     kept = []
     points = 0
@@ -182,60 +172,27 @@ def _process_count() -> int:
     return 1
 
 
-def _start_share(fn: Callable, jobs: list, children: list, cpu: int) -> Tuple[int, BinaryIO]:
-    """Fork a child that binds itself to cpu and pickles (True, fn(job)) for
-    each of jobs in turn, or (False, exc) for the exception fn raised and
-    then stops, into a pipe; return its pid and the pipe's read end. The
-    child closes the read ends of the earlier children, so each pipe's only
-    reader is this process: a write after this process is gone breaks the
-    pipe and ends the child. It leaves only through os._exit, so it never
-    flushes this process's buffers or runs its exit handlers."""
-    import pickle
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    code = 1
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.close(r)
-        for _, reader in children:
-            reader.close()
-        with open(w, "wb") as pipe:
-            for job in jobs:
-                try:
-                    item = (True, fn(job))
-                except Exception as exc:
-                    item = (False, exc)
-                pipe.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
-                if not item[0]:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
-
-
 @contextlib.contextmanager
-def _in_job_order(fn: Callable, jobs: list, shares: int):
-    """fn(job) for each job, in job order, computed in `shares` processes.
+def _in_job_order(fn: Callable, jobs: list):
+    """fn(job) for each job, in job order, computed in one process per CPU
+    of the affinity mask (_process_count), and in no more processes than jobs.
 
-    Share k computes jobs k, k + shares, k + 2 * shares, ... on the k-th CPU
-    of the affinity mask (modulo its size). This process is share 0; each
-    other share is a forked child (_start_share) that streams its results
-    back, and a share that cannot be forked is computed here.
+    With N processes, share k computes jobs k, k + N, k + 2N, ... on the
+    k-th CPU of the mask (modulo its size). This process is share 0; each
+    other share is a forked child that binds itself to its CPU and pickles
+    (True, fn(job)) for each of its jobs in turn, or (False, exc) for the
+    exception fn raised and then stops, into a pipe. A child closes the read
+    ends of the earlier children, so each pipe's only reader is this
+    process: a write after this process is gone breaks the pipe and ends the
+    child. A child leaves only through os._exit, so it never flushes this
+    process's buffers or runs its exit handlers. A share that cannot be
+    forked is computed here.
     Results are read strictly in job order, so the first job that raises
     raises here as it would in one process, and a child runs at most one
     pipe buffer ahead. Every child is killed and reaped on leaving, on every
     path. With one share nothing is forked.
     """
+    shares = max(1, min(_process_count(), len(jobs)))
     if shares == 1:
         yield map(fn, jobs)
         return
@@ -263,10 +220,40 @@ def _in_job_order(fn: Callable, jobs: list, shares: int):
 
     try:
         for k in range(1, shares):
+            # no descriptor or process to spare: the unforked shares run here
             try:
-                children.append(_start_share(fn, jobs[k::shares], children, cpus[k % len(cpus)]))
-            except OSError:  # no process to spare: the unforked shares run here
+                r, w = os.pipe()
+            except OSError:
                 break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid:
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+                continue
+            code = 1
+            try:
+                os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                os.close(r)
+                for _, reader in children:
+                    reader.close()
+                with open(w, "wb") as pipe:
+                    for job in jobs[k::shares]:
+                        try:
+                            item = (True, fn(job))
+                        except Exception as exc:
+                            item = (False, exc)
+                        pipe.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                        pipe.flush()
+                        if not item[0]:
+                            break
+                code = 0
+            finally:
+                os._exit(code)
         # one CPU per process: on a 2-vCPU VM, left free, the scheduler kept
         # both processes on one CPU for minutes at a time
         os.sched_setaffinity(0, {cpus[0]})
@@ -331,8 +318,7 @@ def cmd_predict(args) -> int:
         if refused is not None:
             raise SceneIntegrityError(f"{args.scene}: {refused}") from refused
 
-    shares = max(1, min(_process_count(), len(jobs)))
-    with _in_job_order(predict_anchor, jobs, shares) as results:
+    with _in_job_order(predict_anchor, jobs) as results:
         _write_atomic(args.out, lines(results))
     for message in diagnostics:
         print(f"predict: {message}", file=sys.stderr)
@@ -371,8 +357,7 @@ def cmd_tune(args) -> int:
             raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
         return examples, skipped, config, next(iter(normalizers))
 
-    jobs = [import_numpy, read_inputs]
-    with _in_job_order(lambda job: job(), jobs, min(_process_count(), len(jobs))) as results:
+    with _in_job_order(lambda job: job(), [import_numpy, read_inputs]) as results:
         missing_numpy, (examples, skipped, config, (z1, z2)) = results
     if missing_numpy is not None:
         raise missing_numpy

@@ -124,23 +124,13 @@ def _proximity_cost(trajectory: Trajectory, ego: EgoColumns, z2: float) -> float
     return math.fsum([math.exp(-d * d) for d in distances]) / z2
 
 
-def weighted_total(
-    weights: CostWeights, c_acc_value: float, c_centripetal_value: float, c_collision_value: float
-) -> float:
-    """The dot product of the weight vector with the three sub-costs."""
-    return (
-        weights.theta_acc * c_acc_value
-        + weights.theta_centripetal * c_centripetal_value
-        + weights.theta_collision * c_collision_value
-    )
-
-
 def total_cost(
     trajectory: CandidateTrajectory,
     ego: Optional[EgoColumns],
     weights: CostWeights,
 ) -> CostBreakdown:
-    """Sub-costs plus their weighted total for one candidate trajectory.
+    """Sub-costs plus their weighted total, the dot product of the weight
+    vector with them, for one candidate trajectory.
 
     ego holds the ego plan's x and y at each point's absolute time, as
     cost_collision interpolates them; None, without an ego plan, costs the
@@ -149,19 +139,13 @@ def total_cost(
     ca = cost_acc(trajectory)
     cc = cost_centripetal(trajectory, weights.z1)
     ccol = 0.0 if ego is None else _proximity_cost(trajectory, ego, weights.z2)
+    total = weights.theta_acc * ca + weights.theta_centripetal * cc + weights.theta_collision * ccol
     return CostBreakdown(
         c_acc=ca,
         c_centripetal=cc,
         c_collision=ccol,
-        total=weighted_total(weights, ca, cc, ccol),
+        total=total,
     )
-
-
-def likelihood(cost: float) -> float:
-    """exp(-C): strictly decreasing in the cost, 1 at zero cost."""
-    if cost < 0.0:
-        raise ValueError(f"cost must be nonnegative, got {cost}")
-    return math.exp(-cost)
 
 
 @dataclass(frozen=True)
@@ -245,7 +229,7 @@ def rank_intentions(
             intention_id=p.intention_id,
             prior=p.prior,
             min_cost=min_cost,
-            likelihood=likelihood(min_cost),
+            likelihood=math.exp(-min_cost),
             posterior=mass / z,
             best_trajectory=best_trajectory,
             candidate_breakdowns=breakdowns,

@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from .annotation import columns, join_on_anchor
 from .errors import CoverageError
-from .scene import TIME_EPS, Positions, Trajectory
+from .scene import TIME_EPS, Positions
 
 
 def _check_alignment(pred: Positions, truth: Positions):
@@ -54,17 +54,11 @@ def fde(pred: Positions, truth: Positions, horizon: float) -> float:
 
 
 def mse(pred: Positions, truth: Positions) -> float:
-    """Mean of squared x plus squared y displacements over equal-length
-    sequences on the same time grid."""
-    if len(pred.times) != len(truth.times):
-        raise ValueError(f"length mismatch: {len(pred.times)} vs {len(truth.times)}")
-    if not pred.times:
+    """Mean of squared x plus squared y displacements over the points that
+    pred and truth share, a prefix of each on the same time grid; neither
+    may be empty."""
+    if not pred.times or not truth.times:
         raise ValueError("empty sequences")
-    return _shared_mse(pred, truth)
-
-
-def _shared_mse(pred: Positions, truth: Positions) -> float:
-    """mse over the nonempty prefix that pred and truth share."""
     _check_alignment(pred, truth)
     pairs = list(zip(pred.xs, pred.ys, truth.xs, truth.ys))
     return math.fsum((px - tx) ** 2 + (py - ty) ** 2 for px, py, tx, ty in pairs) / len(pairs)
@@ -93,10 +87,10 @@ def evaluate_run(
     for _, prediction, label in joined:
         selected = prediction["selected_intention"]
         best = next(e for e in prediction["intentions"] if e["intention_id"] == selected)
-        pred = Trajectory(*columns(best["best_trajectory"]["points"], 6))
+        pred = Positions(*columns(best["best_trajectory"]["points"], 3))
         truth = Positions(*columns(label["future"], 3))
         if pred.times and truth.times:
-            mse_values.append(_shared_mse(pred, truth))
+            mse_values.append(mse(pred, truth))
         for h in horizons:
             try:
                 ade_value = ade(pred, truth, h)

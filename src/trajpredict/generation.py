@@ -92,7 +92,7 @@ def heuristic_exit_priors(
         raise ValueError("map has no intersection exits")
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    state = track.latest
+    state = track.states[-1]
     scores = []
     for ex in map_graph.sorted_exits():
         bearing = math.atan2(ex.y - state.position.y, ex.x - state.position.x)
@@ -419,6 +419,10 @@ class GenerationConfig:
             raise ConfigError("v_max must be positive")
         if self.a_min > self.a_max:
             raise ConfigError("a_min must not exceed a_max")
+        if not any(self.a_min <= a <= self.a_max for a in self.accel_set):
+            raise ConfigError(
+                f"accel_set has no acceleration within [a_min, a_max] = [{self.a_min}, {self.a_max}]"
+            )
         if self.max_lanes < 1:
             raise ConfigError("max_lanes must be >= 1")
         # heading misalignments reach pi, so a finite pi / temperature keeps the exit priors finite

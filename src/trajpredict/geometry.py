@@ -1,10 +1,10 @@
 """Planar polyline curves with arc-length parametrization.
 
 A Curve holds its vertices as x and y columns and the cumulative arc length
-per vertex, and a projected position is two floats: Point2 is left only as a
-logged state's position. Interpolation, discrete curvature, and point
-projection are the primitives that path construction, sampling, and costing
-build on. All operations are pure functions of immutable inputs.
+per vertex; a projected position is two floats, and Point2 is a logged
+state's position. Interpolation, discrete curvature, and point projection
+are the primitives that path construction, sampling, and costing build on.
+All operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ planned trajectory from an optional JSON-lines file. The loaders read only
 the keys some stage uses and ignore all others. Loaded scenes are
 immutable; concurrent readers need no synchronization. Four decisions
 that labeling, generation, costing and evaluation share live here too: the
-one trajectory shape (Positions, float columns of times and positions with
-no Point2 per point, which candidates, labels and the ego plan extend; lane
-centerlines are geometry.Curve columns, every other position is two floats,
-and Point2 is left only as a logged state's position), the one time grid of
-anchors, labels and candidates (time_grid, with its tolerance TIME_EPS in
-seconds and its ceiling MAX_GRID_TIMES), time interpolation of tracks and
-the ego plan, and lane association (nearest_lane) with its capture distance.
+one trajectory shape (Positions, float columns of times and positions, which
+candidates, labels and the ego plan extend; lane centerlines are
+geometry.Curve columns, a logged state's position is a Point2, and every
+other position is two floats), the one time grid of anchors, labels and
+candidates (time_grid, with its tolerance TIME_EPS in seconds and its
+ceiling MAX_GRID_TIMES), time interpolation of tracks and the ego plan, and
+lane association (nearest_lane) with its capture distance.
 
 Lane association projects few lanes and gives the full scan's result: each
 Lane keeps its centerline's bounding box, and nearest_lane projects only the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import jsonio
 from .errors import CoverageError, ParseError, SceneIntegrityError
@@ -91,16 +91,6 @@ def time_grid(stop: float, step: float, start: float = 0.0) -> list[float]:
     return [start + k * step for k in range(1, n + 1)]
 
 
-def _bracket(times: Sequence[float], t: float) -> Tuple[int, float]:
-    """Index i and fraction u in [0, 1] placing t between times[i] and times[i + 1],
-    clamped to the first and last interval; (0, 0.0) for a single time."""
-    if len(times) == 1:
-        return 0, 0.0
-    i = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
-    u = (t - times[i]) / (times[i + 1] - times[i])
-    return i, min(max(u, 0.0), 1.0)
-
-
 def _lerp(a: Point2, b: Point2, u: float) -> Tuple[float, float]:
     return a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)
 
@@ -157,21 +147,22 @@ class ObstacleTrack:
     def last_time(self) -> float:
         return self.states[-1].timestamp
 
-    @property
-    def latest(self) -> ObstacleState:
-        return self.states[-1]
-
-    def covers(self, t: float) -> bool:
-        return self.first_time - TIME_EPS <= t <= self.last_time + TIME_EPS
-
     def _interval(self, t: float) -> Tuple[ObstacleState, ObstacleState, float]:
-        if not self.covers(t):
+        """The states a and b around t and the fraction u in [0, 1] placing t
+        between them, clamped to the first and last interval; (a, a, 0.0) for
+        a single state. CoverageError refuses a t outside the span (within
+        TIME_EPS)."""
+        if not self.first_time - TIME_EPS <= t <= self.last_time + TIME_EPS:
             raise CoverageError(
                 f"time {t} outside track {self.obstacle_id!r} span "
                 f"[{self.first_time}, {self.last_time}]"
             )
-        i, u = _bracket(self.times, t)
-        return self.states[i], self.states[min(i + 1, len(self.states) - 1)], u
+        times = self.times
+        if len(times) == 1:
+            return self.states[0], self.states[0], 0.0
+        i = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
+        u = (t - times[i]) / (times[i + 1] - times[i])
+        return self.states[i], self.states[i + 1], min(max(u, 0.0), 1.0)
 
     def known_at(self, t: float) -> Tuple[ObstacleState, ...]:
         """The states logged up to t (within TIME_EPS): the track as known at t."""
@@ -304,9 +295,6 @@ class MapGraph:
             closure[lane_id] = frozenset(seen)
         object.__setattr__(self, "successor_closure", closure)
 
-    def sorted_lanes(self) -> Sequence[Lane]:
-        return self.lane_order
-
     def sorted_exits(self) -> Sequence[IntersectionExit]:
         return self.exit_order
 
@@ -342,7 +330,7 @@ def nearest_lane(
     magnitude = max(map_graph.coordinate_magnitude, abs(lateral_capture))
     reach = lateral_capture + 8.0 * math.ulp(magnitude)
     best: Optional[Tuple[float, str]] = None
-    for lane in map_graph.sorted_lanes():
+    for lane in map_graph.lane_order:
         x_min, y_min, x_max, y_max = lane.box
         if x_min - x > reach or x - x_max > reach or y_min - y > reach or y - y_max > reach:
             continue
@@ -395,11 +383,22 @@ def load_obstacle_log(path: str) -> list[ObstacleTrack]:
     return tracks
 
 
-def _map_entries(doc: dict, key: str, path: str) -> list:
+def _map_entries(doc: dict, key: str, path: str) -> Iterator[Tuple[str, str, dict]]:
+    """(id, where, entry) for each entry of the map's list doc[key], of
+    "lanes" or "exits", refusing an entry without a string id and a repeated id."""
     entries = doc.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ParseError(f"{path}: {key!r} must be a list of objects")
-    return entries
+    kind = key[:-1]
+    seen = set()
+    for entry in entries:
+        entry_id = entry.get("id")
+        if not isinstance(entry_id, str):
+            raise ParseError(f"{path}: {kind} entry without a string 'id'")
+        if entry_id in seen:
+            raise SceneIntegrityError(f"{path}: duplicate {kind} id {entry_id!r}")
+        seen.add(entry_id)
+        yield entry_id, f"{path}: {kind} {entry_id!r}", entry
 
 
 def load_map(path: str) -> MapGraph:
@@ -409,13 +408,7 @@ def load_map(path: str) -> MapGraph:
         raise ParseError(f"{path}:1: map file must be a JSON object")
 
     lanes: Dict[str, Lane] = {}
-    for entry in _map_entries(doc, "lanes", path):
-        lane_id = entry.get("id")
-        if not isinstance(lane_id, str):
-            raise ParseError(f"{path}: lane entry without a string 'id'")
-        if lane_id in lanes:
-            raise SceneIntegrityError(f"{path}: duplicate lane id {lane_id!r}")
-        where = f"{path}: lane {lane_id!r}"
+    for lane_id, where, entry in _map_entries(doc, "lanes", path):
         try:
             centerline = Curve(jsonio.rows(entry, "centerline", 2, where))
         except ValueError as exc:
@@ -426,13 +419,7 @@ def load_map(path: str) -> MapGraph:
         lanes[lane_id] = Lane(lane_id, centerline, tuple(successors))
 
     exits: Dict[str, IntersectionExit] = {}
-    for entry in _map_entries(doc, "exits", path):
-        exit_id = entry.get("id")
-        if not isinstance(exit_id, str):
-            raise ParseError(f"{path}: exit entry without a string 'id'")
-        if exit_id in exits:
-            raise SceneIntegrityError(f"{path}: duplicate exit id {exit_id!r}")
-        where = f"{path}: exit {exit_id!r}"
+    for exit_id, where, entry in _map_entries(doc, "exits", path):
         try:
             x, y = (jsonio.number(entry, k, where) for k in ("x", "y"))
             lane_id = jsonio.string(entry, "lane_id", where)

@@ -211,11 +211,11 @@ def test_criterion_5_sampling_exactness():
             profile = SpeedProfile(v0=v0, a=a, duration=8.0, resolution=0.1, v_max=v_max)
             traj = realize_trajectory(path, profile)
             s_oracle = 0.0
-            for k, (_, position) in enumerate(traj.points, start=1):
+            for k, x in enumerate(traj.xs, start=1):
                 mids = (k - 1) * 0.1 + (np.arange(10000) + 0.5) * h
                 block = np.minimum(v_max, np.maximum(0.0, v0 + a * mids))
                 s_oracle += float(block.sum()) * h
-                assert abs(position.x - s_oracle) < 1e-9
+                assert abs(x - s_oracle) < 1e-9
 
 
 def test_criterion_6_cost_formula_oracles():
@@ -353,13 +353,13 @@ def test_criterion_9_annotation_fidelity(tmp_path):
             anchor = rng.choice([0.0, 0.7, 1.3, 2.0])
             label = label_future_trajectory(track, anchor, horizon=4.0, resolution=0.1)
             times = [r[0] for r in rows]
-            for rel, p in label.future_points:
+            for rel, x, y in zip(label.times, label.xs, label.ys):
                 q = min(anchor + rel, times[-1])
                 i = next(k for k in range(len(times) - 1) if times[k + 1] >= q - 1e-12)
                 u = (q - times[i]) / (times[i + 1] - times[i])
                 ex = rows[i][1] + u * (rows[i + 1][1] - rows[i][1])
                 ey = rows[i][2] + u * (rows[i + 1][2] - rows[i][2])
-                assert math.hypot(p.x - ex, p.y - ey) <= 1e-9
+                assert math.hypot(x - ex, y - ey) <= 1e-9
 
         # exit labels on the intersection fixture match hand-computed passages:
         # the eastbound track crosses x = 15 - 3 at t = 7.2 s, inside the 3 s

@@ -25,11 +25,11 @@ class TestFutureTrajectoryLabel:
     def test_constant_velocity_interpolates_linearly(self):
         track = straight_track(v=10.0, n=120, x0=0.0, y=0.0)
         label = label_future_trajectory(track, anchor_time=0.0, horizon=3.0, resolution=0.1)
-        assert len(label.future_points) == 30
-        for k, (rel, p) in enumerate(label.future_points, start=1):
+        assert len(label.times) == 30
+        for k, (rel, x, y) in enumerate(zip(label.times, label.xs, label.ys), start=1):
             assert rel == pytest.approx(0.1 * k, abs=1e-12)
-            assert p.x == pytest.approx(10.0 * 0.1 * k, abs=1e-9)
-            assert p.y == 0.0
+            assert x == pytest.approx(10.0 * 0.1 * k, abs=1e-9)
+            assert y == 0.0
 
     def test_insufficient_coverage_raises(self):
         track = straight_track(n=11)  # covers t in [0, 1.0]
@@ -51,13 +51,13 @@ class TestFutureTrajectoryLabel:
         track = make_track("a", rows)
         label = label_future_trajectory(track, anchor_time=0.55, horizon=3.0, resolution=0.1)
         times = [r[0] for r in rows]
-        for rel, p in label.future_points:
+        for rel, x, y in zip(label.times, label.xs, label.ys):
             q = 0.55 + rel
             i = next(k for k in range(len(times) - 1) if times[k + 1] >= q - 1e-12)
             u = (q - times[i]) / (times[i + 1] - times[i])
             ex = rows[i][1] + u * (rows[i + 1][1] - rows[i][1])
             ey = rows[i][2] + u * (rows[i + 1][2] - rows[i][2])
-            assert math.hypot(p.x - ex, p.y - ey) <= 1e-9
+            assert math.hypot(x - ex, y - ey) <= 1e-9
 
     def test_label_points_lie_on_track_interpolant(self):
         rng = random.Random(5)

@@ -795,6 +795,19 @@ def test_non_finite_costs_name_the_file_at_fault(tmp_path, capsys, flag, source,
     assert not os.path.exists(out)
 
 
+def test_accel_set_without_an_admissible_acceleration_is_blamed_on_the_config(tmp_path, capsys):
+    bad = tmp_path / "bad_genconfig.json"
+    with open(fixture("genconfig.json"), encoding="utf-8") as fh:
+        bad.write_text(edit_document(accel_set=[5.0])(fh.read()), encoding="utf-8")
+    code, out = run_predict(tmp_path, **{"--config": str(bad)})
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {bad}: accel_set has no acceleration within [a_min, a_max] = [-6.0, 4.0]\n",
+    )
+    assert not os.path.exists(out)
+
+
 def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsys):
     # veh_1 from 6 s on reaches one lane path per anchor (160 points), veh_2 at
     # its first anchor three (480): the ceiling of 300 refuses veh_2 after
@@ -1143,7 +1156,7 @@ class TestPredictCommand:
         def counting_rank(obstacle_id, anchor, candidates_by_intention, *rest):
             counts["anchors"] += 1
             for candidates in candidates_by_intention.values():
-                counts["candidate_points"] += sum(len(c.points) for c in candidates)
+                counts["candidate_points"] += sum(len(c.times) for c in candidates)
             return rank(obstacle_id, anchor, candidates_by_intention, *rest)
 
         def counting_positions_at(ego, times):
@@ -1607,11 +1620,12 @@ class TestPredictShares:
         assert "obstacle 'veh_2' at anchor 0.0: the candidates would hold more than 300 points" in err
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
 
-    def test_each_share_runs_its_jobs_on_its_own_cpu(self):
+    def test_each_share_runs_its_jobs_on_its_own_cpu(self, monkeypatch):
         mask = os.sched_getaffinity(0)
         cpus = sorted(mask)
         where = lambda job: (job, os.getpid(), os.sched_getaffinity(0))
-        with cli._in_job_order(where, list(range(7)), 3) as results:
+        monkeypatch.setattr(cli, "_process_count", lambda: 3)
+        with cli._in_job_order(where, list(range(7))) as results:
             got = list(results)
         assert [job for job, _, _ in got] == list(range(7))
         for job, pid, share_cpus in got:

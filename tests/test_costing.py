@@ -10,11 +10,9 @@ from trajpredict.costing import (
     cost_acc,
     cost_centripetal,
     cost_collision,
-    likelihood,
     rank_intentions,
     result_to_record,
     total_cost,
-    weighted_total,
 )
 from trajpredict.generation import (
     CandidateTrajectory,
@@ -170,11 +168,16 @@ class TestTotalCost:
         assert breakdown.total == 0.0
 
     def test_unit_weights_sum_subcosts(self):
-        assert weighted_total(CostWeights(1.0, 1.0, 1.0, 1.0, 1.0), 2.0, 3.0, 5.0) == 10.0
+        traj = synth_trajectory(constant_rows(n=2, accel=1.0, curvature=0.1))
+        b = total_cost(traj, static_ego(1.0, 0.0).positions_at(traj.times), CostWeights())
+        assert (b.c_acc, b.c_centripetal) == (2.0, 200.0) and b.c_collision > 0.0
+        assert b.total == b.c_acc + b.c_centripetal + b.c_collision
 
     def test_weighted_dot_product(self):
+        traj = synth_trajectory(constant_rows(n=2, accel=1.0, curvature=0.1))
         weights = CostWeights(0.5, 2.0, 0.0, 1.0, 1.0)
-        assert weighted_total(weights, 2.0, 3.0, 5.0) == pytest.approx(7.0)
+        b = total_cost(traj, static_ego(1.0, 0.0).positions_at(traj.times), weights)
+        assert b.total == pytest.approx(0.5 * 2.0 + 2.0 * 200.0)
 
     def test_breakdown_is_linear_in_each_weight(self):
         rng = random.Random(9)
@@ -189,27 +192,40 @@ class TestTotalCost:
                 rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 3), 2.0, 3.0
             )
             b = total_cost(traj, ego.positions_at(traj.times), w)
-            recomposed = weighted_total(w, b.c_acc, b.c_centripetal, b.c_collision)
+            recomposed = (
+                w.theta_acc * b.c_acc
+                + w.theta_centripetal * b.c_centripetal
+                + w.theta_collision * b.c_collision
+            )
             assert b.total == pytest.approx(recomposed, abs=1e-12)
+
+
+def ranked_likelihoods(*costs):
+    """(min_cost, likelihood) of each intention that rank_intentions ranks, one
+    intention per cost, every cost in its acceleration term."""
+    candidates = {f"i{k}": [trajectory_with_cost(c)] for k, c in enumerate(costs)}
+    priors = [Prior(f"i{k}", 1.0) for k in range(len(costs))]
+    result = rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
+    return [(r.min_cost, r.likelihood) for r in result.intentions]
 
 
 class TestLikelihood:
     def test_zero_cost_is_certain(self):
-        assert likelihood(0.0) == 1.0
+        assert ranked_likelihoods(0.0) == [(0.0, 1.0)]
 
     def test_log_two_halves(self):
-        assert likelihood(math.log(2.0)) == pytest.approx(0.5)
+        [(min_cost, likelihood)] = ranked_likelihoods(math.log(2.0))
+        assert likelihood == math.exp(-min_cost)
+        assert likelihood == pytest.approx(0.5)
 
     def test_strictly_decreasing(self):
         rng = random.Random(1)
         for _ in range(50):
             c1 = rng.uniform(0, 10)
             c2 = c1 + rng.uniform(1e-6, 5)
-            assert likelihood(c1) > likelihood(c2)
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            likelihood(-0.1)
+            (cost1, l1), (cost2, l2) = ranked_likelihoods(c1, c2)
+            assert (l1, l2) == (math.exp(-cost1), math.exp(-cost2))
+            assert l1 > l2
 
 
 class Prior:

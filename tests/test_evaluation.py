@@ -125,9 +125,22 @@ class TestMse:
         truth = timed([(0.1, 0, 0), (0.2, 0, 2)])
         assert mse(pred, truth) == pytest.approx(2.5)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mse(timed([(0.1, 0, 0)]), timed([(0.1, 0, 0), (0.2, 1, 1)]))
+    def test_shared_prefix_is_scored(self):
+        pred_points = [(0.1 * k, 1.0 * k, 0.5 * k) for k in range(1, 81)]
+        truth_points = [(0.1 * k, 1.0 * k + 3.0, 0.5 * k - 4.0) for k in range(1, 31)]
+        got = mse(timed(pred_points), timed(truth_points))
+        assert got == mse(timed(pred_points[:30]), timed(truth_points))
+        assert got == pytest.approx(25.0)
+        report = evaluate_run(
+            [prediction_record("veh", 0.0, pred_points)],
+            [dataset_record("veh", 0.0, truth_points)],
+            horizons=[3.0],
+        )
+        assert report["mse"] == got
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            mse(timed([(0.1, 0, 0)]), Positions((), (), ()))
 
     def test_misaligned_grids_rejected(self):
         with pytest.raises(ValueError, match="time grids differ"):

@@ -343,7 +343,7 @@ class TestSampleProfiles:
             v_max = rng.uniform(5.0, 15.0)
             profile = SpeedProfile(v0=v0, a=a, duration=8.0, resolution=0.1, v_max=v_max)
             traj = realize_trajectory(PathCandidate(("l",), Curve([(0, 0), (1, 0)])), profile)
-            for (t, _), v in zip(traj.points, traj.speeds):
+            for t, v in zip(traj.times, traj.speeds):
                 assert v == pytest.approx(min(v_max, max(0.0, v0 + a * t)), abs=1e-12)
 
 
@@ -360,7 +360,7 @@ class TestSampleTimes:
         profile = SpeedProfile(v0=10.0, a=0.0, duration=horizon, resolution=resolution)
         candidate = realize_trajectory(path, profile)
         label = label_future_trajectory(straight_track(n=2, dt=horizon + 1.0), 0.0, horizon, resolution)
-        assert [t for t, _ in candidate.points] == [t for t, _ in label.future_points]
+        assert list(candidate.times) == list(label.times)
 
 
 class TestRealizeTrajectory:
@@ -370,21 +370,21 @@ class TestRealizeTrajectory:
     def test_uniform_motion_spacing(self):
         profile = SpeedProfile(v0=10.0, a=0.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(self._straight_path(), profile)
-        assert len(traj.points) == 30
-        for k, (_, position) in enumerate(traj.points, start=1):
-            assert position.x == pytest.approx(1.0 * k, abs=1e-9)
+        assert len(traj.times) == 30
+        for k, x in enumerate(traj.xs, start=1):
+            assert x == pytest.approx(1.0 * k, abs=1e-9)
         assert set(traj.curvatures) == {0.0}
         assert set(traj.accels) == {0.0}
 
     def test_constant_acceleration_closed_form(self):
         profile = SpeedProfile(v0=5.0, a=2.0, duration=3.0, resolution=0.1, v_max=1e9)
         traj = realize_trajectory(self._straight_path(), profile)
-        assert traj.points[-1][1].x == pytest.approx(24.0, abs=1e-9)
+        assert traj.xs[-1] == pytest.approx(24.0, abs=1e-9)
 
     def test_stops_and_saturates(self):
         profile = SpeedProfile(v0=2.0, a=-2.0, duration=3.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(self._straight_path(), profile)
-        assert traj.points[-1][1].x == pytest.approx(1.0, abs=1e-12)
+        assert traj.xs[-1] == pytest.approx(1.0, abs=1e-12)
         assert traj.speeds[-1] == 0.0
         assert traj.accels[-1] == 0.0
 
@@ -403,8 +403,8 @@ class TestRealizeTrajectory:
             speeds = np.minimum(v_max, np.maximum(0.0, v0 + a * midpoints))
             chunk_sums = [math.fsum(chunk) for chunk in speeds.reshape(40, -1).tolist()]
             traj = realize_trajectory(self._straight_path(), profile)
-            for k, (_, position) in enumerate(traj.points, start=1):
-                assert abs(position.x - math.fsum(chunk_sums[:k]) * h) < 1e-8
+            for k, x in enumerate(traj.xs, start=1):
+                assert abs(x - math.fsum(chunk_sums[:k]) * h) < 1e-8
 
     def test_point_positions_stay_on_path(self, imap):
         profiles = sample_profiles(
@@ -448,7 +448,7 @@ class TestRealizeTrajectory:
         short = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (5, 0)]))
         profile = SpeedProfile(v0=10.0, a=0.0, duration=2.0, resolution=0.1, v_max=30.0)
         traj = realize_trajectory(short, profile)
-        assert traj.points[-1][1].x == pytest.approx(20.0, abs=1e-9)
+        assert traj.xs[-1] == pytest.approx(20.0, abs=1e-9)
         assert traj.curvatures[-1] == 0.0
 
 
@@ -577,10 +577,7 @@ class TestRealizationOracle:
             profile = oracle_profile(rng, kind)
             expected = reference_rows(curve, profile)
             traj = realize_trajectory(PathCandidate(("l",), curve), profile)
-            got = [
-                (t, p.x, p.y, v, k, a)
-                for (t, p), v, k, a in zip(traj.points, traj.speeds, traj.curvatures, traj.accels)
-            ]
+            got = list(zip(traj.times, traj.xs, traj.ys, traj.speeds, traj.curvatures, traj.accels))
             assert got == expected, (curve.xs, curve.ys, profile)
 
             times = profile.times
@@ -779,3 +776,15 @@ class TestGenerationConfig:
         path = write_json(tmp_path / "gen.json", {"acel_set": [1]})
         with pytest.raises(ConfigError, match="acel_set"):
             GenerationConfig.from_file(path)
+
+    def test_empty_accel_set_rejected(self):
+        with pytest.raises(ConfigError, match="^accel_set must be nonempty$"):
+            GenerationConfig(accel_set=())
+
+    @pytest.mark.parametrize("accel_set", [(5.0,), (-6.5, 4.5)])
+    def test_accel_set_without_an_admissible_acceleration_rejected(self, accel_set):
+        with pytest.raises(ConfigError, match=r"no acceleration within \[a_min, a_max\] = \[-6.0, 4.0\]"):
+            GenerationConfig(accel_set=accel_set)
+
+    def test_accel_set_with_one_admissible_acceleration_accepted(self):
+        assert GenerationConfig(accel_set=(5.0, 4.0, -7.0)).accel_set == (5.0, 4.0, -7.0)
