@@ -390,6 +390,8 @@ def _parse_horizons(raw: str) -> List[float]:
         raise ConfigError(f"--horizons must be comma-separated numbers, got {raw!r}") from exc
     if not all(0.0 < h < math.inf for h in horizons):
         raise ConfigError(f"--horizons must be positive and finite, got {raw!r}")
+    if len(set(horizons)) < len(horizons):
+        raise ConfigError(f"--horizons must not repeat a horizon, got {raw!r}")
     return horizons
 
 

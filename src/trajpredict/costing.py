@@ -1,11 +1,13 @@
-"""Trajectory costing, likelihood, and posterior ranking.
+"""Trajectory costing, posterior ranking, and prediction records.
 
 Every trajectory, a sampled candidate or a labeled ground truth, is scored
 by three penalties: squared longitudinal acceleration (comfort), squared
 centripetal acceleration (lateral comfort), and an exponential proximity
-kernel against the ego vehicle's planned trajectory (safety). The weighted
-total maps to a likelihood exp(-C), and per-intention likelihoods reweight
-the intention priors into posteriors.
+kernel against the ego vehicle's planned trajectory (safety). Each
+intention's likelihood exp(-C) of its cheapest candidate reweights the
+intention priors into posteriors. A prediction record holds each fact once:
+the likelihood is left to its min cost, and a best trajectory's speeds and
+accelerations to its speed profile, so its points are [t, x, y] rows.
 
 The exponential collision kernel exp(-d^2) decays with distance, so closer
 encounters cost more; the per-point distance d aligns the candidate point
@@ -155,7 +157,6 @@ class IntentionRanking:
     intention_id: str
     prior: float
     min_cost: float
-    likelihood: float
     posterior: float
     best_trajectory: CandidateTrajectory
     candidate_breakdowns: Tuple[CostBreakdown, ...]
@@ -229,7 +230,6 @@ def rank_intentions(
             intention_id=p.intention_id,
             prior=p.prior,
             min_cost=min_cost,
-            likelihood=math.exp(-min_cost),
             posterior=mass / z,
             best_trajectory=best_trajectory,
             candidate_breakdowns=breakdowns,
@@ -254,23 +254,6 @@ def _profile_to_dict(profile: SpeedProfile) -> dict:
     }
 
 
-def _trajectory_to_dict(trajectory: CandidateTrajectory) -> dict:
-    return {
-        "profile": _profile_to_dict(trajectory.source_profile),
-        "points": [
-            list(row)
-            for row in zip(
-                trajectory.times,
-                trajectory.xs,
-                trajectory.ys,
-                trajectory.speeds,
-                trajectory.curvatures,
-                trajectory.accels,
-            )
-        ],
-    }
-
-
 def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
     """Serialize a PredictionResult to the JSON-lines prediction schema.
 
@@ -289,9 +272,16 @@ def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
                 "intention_id": r.intention_id,
                 "prior": r.prior,
                 "min_cost": r.min_cost,
-                "likelihood": r.likelihood,
                 "posterior": r.posterior,
-                "best_trajectory": _trajectory_to_dict(r.best_trajectory),
+                "best_trajectory": {
+                    "profile": _profile_to_dict(r.best_trajectory.source_profile),
+                    "points": [
+                        [t, x, y]
+                        for t, x, y in zip(
+                            r.best_trajectory.times, r.best_trajectory.xs, r.best_trajectory.ys
+                        )
+                    ],
+                },
                 "candidates": [
                     [b.c_acc, b.c_centripetal, b.c_collision, b.total]
                     for b in r.candidate_breakdowns
@@ -307,7 +297,10 @@ def load_prediction_records(path: str) -> List[dict]:
 
     Every record carries positive normalizers z1 and z2 (the tuner divides by
     them) and intentions, the selected one among them, whose best-trajectory
-    points are [t, x, y, v, kappa, a] rows and candidates sub-cost rows.
+    points are [t, x, y] rows and candidates sub-cost rows. A file written
+    with [t, x, y, v, kappa, a] points and each intention's likelihood still
+    loads: rows are read to their first three entries, and keys no stage
+    reads are ignored.
     """
     records = []
     keys = ("selected_intention", "intentions", "z1", "z2")
@@ -321,7 +314,7 @@ def load_prediction_records(path: str) -> List[dict]:
         ):
             raise ParseError(f"{where}: 'intentions' must be a list of intention objects")
         for entry in intentions:
-            jsonio.rows(entry.get("best_trajectory"), "points", 6, where)
+            jsonio.rows(entry.get("best_trajectory"), "points", 3, where)
             jsonio.rows(entry, "candidates", 4, where)
         selected = record["selected_intention"]
         if selected not in [entry["intention_id"] for entry in intentions]:

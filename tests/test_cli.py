@@ -945,16 +945,50 @@ def test_any_predict_input_entry_is_read_or_reported(tmp_path_factory, data):
         assert err.getvalue().startswith(f"error: {bad}")
 
 
-def test_dataset_without_unread_keys_tunes_and_evaluates(tmp_path):
+def old_shape_predictions(tmp_path, monkeypatch):
+    """The golden predictions in the shape written before a best trajectory held
+    only [t, x, y] rows: each row with its candidate's v, kappa and a after
+    them, and each intention with its likelihood exp(-min_cost)."""
+    record_of = costing.result_to_record
+
+    def old_record(result, weights):
+        record = record_of(result, weights)
+        for ranking, entry in zip(result.intentions, record["intentions"]):
+            best = ranking.best_trajectory
+            entry["best_trajectory"]["points"] = [
+                list(row)
+                for row in zip(
+                    best.times, best.xs, best.ys, best.speeds, best.curvatures, best.accels
+                )
+            ]
+            # the likelihood went between min_cost and posterior
+            tail = {key: entry.pop(key) for key in ("posterior", "best_trajectory", "candidates")}
+            entry.update(likelihood=math.exp(-ranking.min_cost), **tail)
+        return record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(costing, "result_to_record", old_record)
+        code, path = run_predict(tmp_path, out="old_predictions.jsonl")
+    assert code == 0
+    return path
+
+
+def test_unread_record_keys_do_not_change_tune_and_eval(tmp_path, monkeypatch):
     with open(golden("dataset.jsonl"), encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     for record in records:
         del record["road_test_id"], record["history"]
     lean = write_jsonl(tmp_path / "lean.jsonl", records)
-    for runner, name in ((run_tune, "tuned.json"), (run_eval, "report.json")):
-        code, out = runner(tmp_path, **{"--dataset": lean})
-        assert code == 0
-        assert open(out, "rb").read() == open(golden(name), "rb").read()
+    old = old_shape_predictions(tmp_path, monkeypatch)
+    with open(old, encoding="utf-8") as fh:
+        entries = [entry for line in fh for entry in json.loads(line)["intentions"]]
+    assert all("likelihood" in entry for entry in entries)
+    assert {len(row) for entry in entries for row in entry["best_trajectory"]["points"]} == {6}
+    for inputs in ({"--dataset": lean}, {"--predictions": old}):
+        for runner, name in ((run_tune, "tuned.json"), (run_eval, "report.json")):
+            code, out = runner(tmp_path, **inputs)
+            assert code == 0
+            assert open(out, "rb").read() == open(golden(name), "rb").read()
 
 
 def rewrite_times(name, tmp_path, edit):
@@ -1331,11 +1365,10 @@ class TestEvalCommand:
                             "intention_id": "truth",
                             "prior": 1.0,
                             "min_cost": 0.0,
-                            "likelihood": 1.0,
                             "posterior": 1.0,
                             "best_trajectory": {
                                 "profile": {"v0": 0, "a": 0, "duration": 3.0, "resolution": 0.1, "v_max": None},
-                                "points": [[t, x, y, 0.0, 0.0, 0.0] for t, x, y in r["future"]],
+                                "points": [[t, x, y] for t, x, y in r["future"]],
                             },
                             "candidates": [[0.0, 0.0, 0.0, 0.0]],
                         }
@@ -1373,23 +1406,13 @@ class TestEvalCommand:
         assert code == 0
         assert len(json.load(open(out))["horizons"]) == 2
 
-    def test_malformed_horizons_is_usage_error(self, tmp_path):
-        _, dataset = run_annotate(tmp_path)
-        _, predictions = run_predict(tmp_path)
-        code = main(
-            [
-                "eval",
-                "--predictions",
-                predictions,
-                "--dataset",
-                dataset,
-                "--horizons",
-                "1;;3",
-                "--out",
-                str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 2
+    def test_malformed_horizons_is_usage_error(self, tmp_path, capsys):
+        # a repeated horizon would score every anchor twice under it
+        for horizons in ("1;;3", "3,3"):
+            code, out = run_eval(tmp_path, **{"--horizons": horizons})
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: --horizons")
+            assert not os.path.exists(out)
 
     def test_prints_aligned_table(self, tmp_path, capsys):
         _, dataset = run_annotate(tmp_path)

@@ -21,7 +21,7 @@ from trajpredict.generation import (
     realize_trajectory,
 )
 from trajpredict.geometry import Curve
-from trajpredict.scene import EgoPlan, Trajectory
+from trajpredict.scene import EgoPlan
 
 
 def synth_trajectory(rows, a=0.0, v0=10.0):
@@ -200,32 +200,34 @@ class TestTotalCost:
             assert b.total == pytest.approx(recomposed, abs=1e-12)
 
 
-def ranked_likelihoods(*costs):
-    """(min_cost, likelihood) of each intention that rank_intentions ranks, one
-    intention per cost, every cost in its acceleration term."""
+def ranked_posteriors(*costs):
+    """(min_cost, posterior) of each intention that rank_intentions ranks under
+    equal priors, one intention per cost, every cost in its acceleration term."""
     candidates = {f"i{k}": [trajectory_with_cost(c)] for k, c in enumerate(costs)}
     priors = [Prior(f"i{k}", 1.0) for k in range(len(costs))]
     result = rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
-    return [(r.min_cost, r.likelihood) for r in result.intentions]
+    return [(r.min_cost, r.posterior) for r in result.intentions]
 
 
 class TestLikelihood:
+    """The likelihood exp(-min cost), as the posteriors it weights show it."""
+
     def test_zero_cost_is_certain(self):
-        assert ranked_likelihoods(0.0) == [(0.0, 1.0)]
+        assert ranked_posteriors(0.0) == [(0.0, 1.0)]
 
     def test_log_two_halves(self):
-        [(min_cost, likelihood)] = ranked_likelihoods(math.log(2.0))
-        assert likelihood == math.exp(-min_cost)
-        assert likelihood == pytest.approx(0.5)
+        (cost1, p1), (cost2, p2) = ranked_posteriors(0.0, math.log(2.0))
+        assert p1 / p2 == pytest.approx(math.exp(cost2 - cost1), rel=1e-12)
+        assert p1 / p2 == pytest.approx(2.0)
 
     def test_strictly_decreasing(self):
         rng = random.Random(1)
         for _ in range(50):
             c1 = rng.uniform(0, 10)
             c2 = c1 + rng.uniform(1e-6, 5)
-            (cost1, l1), (cost2, l2) = ranked_likelihoods(c1, c2)
-            assert (l1, l2) == (math.exp(-cost1), math.exp(-cost2))
-            assert l1 > l2
+            (cost1, p1), (cost2, p2) = ranked_posteriors(c1, c2)
+            assert p1 / p2 == pytest.approx(math.exp(cost2 - cost1), rel=1e-9)
+            assert p1 > p2
 
 
 class Prior:
@@ -375,7 +377,6 @@ class TestRankIntentions:
             "veh", 0.0, candidates, [Prior("a", 0.5), Prior("b", 0.5)], None, weights
         )
         by_id = {r.intention_id: r for r in result.intentions}
-        assert by_id["a"].likelihood == 0.0  # raw likelihood does underflow
         assert by_id["a"].posterior == pytest.approx(0.75, abs=1e-9)
         assert by_id["b"].posterior == pytest.approx(0.25, abs=1e-9)
 
@@ -416,19 +417,38 @@ class TestRankIntentions:
 class TestSerialization:
     def test_record_roundtrip(self):
         weights = CostWeights(1.0, 2.0, 3.0, 4.0, 5.0)
-        candidates = {
-            "a": [trajectory_with_cost(1.0)],
-            "b": [trajectory_with_cost(2.0)],
+        path = PathCandidate(lane_ids=("l",), curve=Curve([(0, 0), (50, 0), (50, 50)]))
+        profiles = {
+            "a": SpeedProfile(v0=10.0, a=-1.0, duration=1.0, resolution=0.1),
+            "b": SpeedProfile(v0=10.0, a=4.0, duration=1.0, resolution=0.1, v_max=12.0),
         }
+        candidates = {name: [realize_trajectory(path, p)] for name, p in profiles.items()}
         result = rank_intentions(
             "veh", 1.5, candidates, [Prior("a", 0.6), Prior("b", 0.4)], None, weights
         )
         record = json.loads(json.dumps(result_to_record(result, weights)))
         assert record["obstacle_id"] == "veh"
         assert record["z1"] == 4.0 and record["z2"] == 5.0
-        assert {e["intention_id"] for e in record["intentions"]} == {"a", "b"}
-        selected = record["selected_intention"]
-        best = next(e for e in record["intentions"] if e["intention_id"] == selected)
-        points = Trajectory(*columns(best["best_trajectory"]["points"], 6))
-        assert len(points.times) == 10
-        assert points.times[0] == pytest.approx(0.1)
+        assert record["selected_intention"] == result.selected_intention
+        # an unbounded v_max is written as null
+        assert [e["best_trajectory"]["profile"]["v_max"] for e in record["intentions"]] == [
+            None, 12.0
+        ]
+        for ranking, entry in zip(result.intentions, record["intentions"], strict=True):
+            assert set(entry) == {
+                "intention_id", "prior", "min_cost", "posterior", "best_trajectory", "candidates"
+            }
+            assert entry["min_cost"] == ranking.min_cost
+            best = ranking.best_trajectory
+            points = entry["best_trajectory"]["points"]
+            assert len(points) == 10 and all(len(row) == 3 for row in points)
+            assert points[0][0] == pytest.approx(0.1)
+            assert columns(points, 3) == [tuple(best.times), tuple(best.xs), tuple(best.ys)]
+            # t, v and a are the speed profile's own, which the record keeps
+            profile = entry["best_trajectory"]["profile"]
+            v_max = math.inf if profile["v_max"] is None else profile["v_max"]
+            rebuilt = SpeedProfile(**{**profile, "v_max": v_max})
+            assert rebuilt == best.source_profile
+            assert (rebuilt.times, rebuilt.speeds, rebuilt.accels) == (
+                best.times, best.speeds, best.accels
+            )

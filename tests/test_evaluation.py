@@ -167,11 +167,10 @@ def prediction_record(obstacle_id, anchor, points, intention="go"):
                 "intention_id": intention,
                 "prior": 1.0,
                 "min_cost": 0.0,
-                "likelihood": 1.0,
                 "posterior": 1.0,
                 "best_trajectory": {
                     "profile": {"v0": 0.0, "a": 0.0, "duration": 1.0, "resolution": 0.1, "v_max": None},
-                    "points": [[t, x, y, 0.0, 0.0, 0.0] for t, x, y in points],
+                    "points": [[t, x, y] for t, x, y in points],
                 },
                 "candidates": [[0.0, 0.0, 0.0, 0.0]],
             }
