@@ -119,12 +119,15 @@ def _stack(examples: Sequence[TuningExample]) -> np.ndarray:
     """All (ground truth - candidate) sub-cost differences as one matrix."""
     import numpy as np
 
-    rows = []
-    for ex in examples:
-        gt = np.asarray(ex.gt_subcosts, dtype=float)
-        for cand in ex.candidate_subcosts:
-            rows.append(gt - np.asarray(cand, dtype=float))
-    return np.asarray(rows, dtype=float)
+    # fromiter takes one row at a time, so the rows never exist all at once as lists
+    return np.fromiter(
+        (
+            [g - c for g, c in zip(ex.gt_subcosts, cand)]
+            for ex in examples
+            for cand in ex.candidate_subcosts
+        ),
+        dtype=(float, 3),
+    )
 
 
 def _hinge(diffs: np.ndarray, theta: np.ndarray, delta: float) -> Tuple[float, np.ndarray]:

@@ -111,8 +111,7 @@ def _candidates_for_anchor(
             )
             return None
         # the latest state known at the anchor: the last one logged, or the anchor's if later
-        known = track.known_at(anchor)
-        latest = known[-1] if known and known[-1].timestamp >= state.timestamp else state
+        latest = max(track.known_at(anchor)[-1], state, key=lambda st: st.timestamp)
         priors = generation.heuristic_exit_priors(
             ObstacleTrack(track.obstacle_id, (latest,)), map_graph, config.temperature
         )
@@ -293,16 +292,14 @@ def cmd_predict(args) -> int:
             )
         return jsonio.dumps(costing.result_to_record(result, weights)) + "\n", diagnostics
 
-    # an obstacle whose anchors cannot be gridded is refused once the anchors
-    # before it are ranked, where a serial run would refuse it
-    jobs: List[Tuple[ObstacleTrack, float]] = []
-    refused: Optional[SceneIntegrityError] = None
-    for track in tracks:
-        try:
-            jobs += [(track, anchor) for anchor in annotation.anchor_times(track, args.stride)]
-        except SceneIntegrityError as exc:
-            refused = exc
-            break
+    try:
+        jobs = [
+            (track, anchor)
+            for track in tracks
+            for anchor in annotation.anchor_times(track, args.stride)
+        ]
+    except SceneIntegrityError as exc:  # an obstacle's anchor grid
+        raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
 
     counts = {"predictions": 0, "skipped": 0}
     diagnostics: List[str] = []
@@ -315,8 +312,6 @@ def cmd_predict(args) -> int:
                 continue
             counts["predictions"] += 1
             yield line
-        if refused is not None:
-            raise SceneIntegrityError(f"{args.scene}: {refused}") from refused
 
     with _in_job_order(predict_anchor, jobs) as results:
         _write_atomic(args.out, lines(results))

@@ -296,11 +296,11 @@ def load_prediction_records(path: str) -> List[dict]:
     """Parse a JSON-lines prediction file, validating the record shape.
 
     Every record carries positive normalizers z1 and z2 (the tuner divides by
-    them) and intentions, the selected one among them, whose best-trajectory
-    points are [t, x, y] rows and candidates sub-cost rows. A file written
-    with [t, x, y, v, kappa, a] points and each intention's likelihood still
-    loads: rows are read to their first three entries, and keys no stage
-    reads are ignored.
+    them) and intentions with distinct string ids, the selected one among
+    them, whose best-trajectory points are [t, x, y] rows and candidates
+    sub-cost rows. A file written with [t, x, y, v, kappa, a] points and
+    each intention's likelihood still loads: rows are read to their first
+    three entries, and keys no stage reads are ignored.
     """
     records = []
     keys = ("selected_intention", "intentions", "z1", "z2")
@@ -313,11 +313,14 @@ def load_prediction_records(path: str) -> List[dict]:
             isinstance(entry, dict) and "intention_id" in entry for entry in intentions
         ):
             raise ParseError(f"{where}: 'intentions' must be a list of intention objects")
+        ids = [jsonio.string(entry, "intention_id", where) for entry in intentions]
+        if len(set(ids)) < len(ids):
+            raise ParseError(f"{where}: repeated intention id")
         for entry in intentions:
             jsonio.rows(entry.get("best_trajectory"), "points", 3, where)
             jsonio.rows(entry, "candidates", 4, where)
         selected = record["selected_intention"]
-        if selected not in [entry["intention_id"] for entry in intentions]:
+        if selected not in ids:
             raise ParseError(f"{where}: selected intention {selected!r} not among intentions")
         records.append(record)
     return records

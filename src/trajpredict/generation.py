@@ -180,28 +180,22 @@ def search_paths(
 ) -> List[PathCandidate]:
     """Lane-sequence search for one intention from the obstacle's position.
 
-    The search roots at the lane the obstacle laterally associates with. An
-    exit intention must route through the exit's associated lane unless the
+    An intention id names an exit or lanes joined by '->'. An exit
+    intention's search roots at the lane the obstacle laterally associates
+    with and must route through the exit's associated lane unless the
     obstacle has already passed it (the root is a successor-descendant of
     it); when no rooted sequence reaches that lane, the search re-roots
-    there provided the obstacle lies within the capture distance of it. An
-    intention id naming lanes joined by '->' pins the sequence prefix
-    explicitly. AssociationError means the intention is not realizable from
-    the obstacle's position: off-map with no pinned lanes, an exit whose
-    lane is out of reach, or a lane path whose curve cannot be built.
+    there provided the obstacle lies within the capture distance of it. A
+    lane sequence pins the sequence prefix explicitly. AssociationError
+    means the intention is not realizable from the obstacle's position: an
+    id that names no exit and no lane sequence, an exit whose lane is out of
+    reach, pinned lanes that are not successors or are out of reach, or a
+    lane path whose curve cannot be built.
     """
     if max_lanes < 1:
         raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
 
     x, y = start.position.x, start.position.y
-    required_lane: Optional[str] = None
-    pinned: Optional[List[str]] = None
-    if intention_id in map_graph.exits:
-        required_lane = map_graph.exits[intention_id].associated_lane_id
-    else:
-        parts = intention_id.split(LANE_SEQUENCE_SEPARATOR)
-        if all(part in map_graph.lanes for part in parts):
-            pinned = parts
 
     def path_curve(lane_ids: Sequence[str], trim: bool) -> Curve:
         """The lanes' joined centerline, cut at the obstacle if trim; lanes that
@@ -231,7 +225,10 @@ def search_paths(
         )
         return [seq for seq in sequences if require is None or require in seq]
 
-    if pinned is not None:
+    if intention_id not in map_graph.exits:
+        pinned = intention_id.split(LANE_SEQUENCE_SEPARATOR)
+        if not all(part in map_graph.lanes for part in pinned):
+            raise AssociationError(f"intention {intention_id!r} names no exit and no lane sequence")
         for cur, nxt in zip(pinned, pinned[1:]):
             if nxt not in map_graph.lanes[cur].successor_ids:
                 raise AssociationError(
@@ -239,17 +236,13 @@ def search_paths(
                 )
         sequences = from_prefix(pinned, path_curve(pinned, trim=False))
     else:
+        required_lane = map_graph.exits[intention_id].associated_lane_id
         root = nearest_lane(map_graph, x, y)
-        if root is None and required_lane is None:
-            raise AssociationError(
-                f"obstacle {start.obstacle_id!r} does not associate with any lane "
-                f"within {DEFAULT_LATERAL_CAPTURE_M} m"
-            )
         sequences = []
         if root is not None:
             closure = map_graph.successor_closure
             require = required_lane
-            if require is not None and root in closure[require]:
+            if root in closure[require]:
                 require = None  # the exit's lane is the root or already behind the obstacle
             # a rooted sequence holds only lanes reachable from the root, so one
             # that must pass an unreachable exit lane does not exist

@@ -151,6 +151,14 @@ def _far_veh_1(k, row):
     return {**row, "x": row["x"] + 1e200} if row["obstacle_id"] == "veh_1" else row
 
 
+def repeat_first_intention(text):
+    """text with the first record's first intention repeated at its end."""
+    first, rest = text.split("\n", 1)
+    record = json.loads(first)
+    record["intentions"].append(record["intentions"][0])
+    return json.dumps(record) + "\n" + rest
+
+
 # Each case corrupts one input of one stage. JSON-lines inputs must be
 # reported with their line, JSON documents with their file.
 MALFORMED_INPUTS = [
@@ -281,6 +289,22 @@ MALFORMED_INPUTS = [
         lambda text: text.replace('"candidates":[[', '"candidates":[[1.0],[', 1),
         1,
         id="short_candidate_row",
+    ),
+    pytest.param(
+        run_tune,
+        "--predictions",
+        golden("predictions.jsonl"),
+        repeat_first_intention,
+        1,
+        id="repeated_intention_id_tune",
+    ),
+    pytest.param(
+        run_eval,
+        "--predictions",
+        golden("predictions.jsonl"),
+        repeat_first_intention,
+        1,
+        id="repeated_intention_id_eval",
     ),
     pytest.param(
         run_tune,
@@ -1175,6 +1199,19 @@ class TestPredictCommand:
         assert sum(message.startswith("veh_2@") for message in diagnostics) > 10
         assert "veh_2@9.0: no realizable intention" in diagnostics
 
+    def test_a_mistyped_intention_id_is_skipped_at_its_anchor(self, tmp_path, capsys):
+        typo = "ln_approach_e->ln_x_lefty"
+        with open(fixture("priors.jsonl"), encoding="utf-8") as fh:
+            priors = tmp_path / "priors.jsonl"
+            priors.write_text(fh.read().replace('"exit_s"', json.dumps(typo)), encoding="utf-8")
+        code, out = run_predict(tmp_path, **{"--priors": str(priors)})
+        assert code == 0
+        message = f"predict: veh_1@2.0: intention {typo!r} names no exit and no lane sequence\n"
+        assert message in capsys.readouterr().err
+        records = [json.loads(line) for line in open(out)]
+        at_two = next(r for r in records if (r["obstacle_id"], r["anchor_time"]) == ("veh_1", 2.0))
+        assert sorted(e["intention_id"] for e in at_two["intentions"]) == ["exit_e", "exit_n"]
+
     def test_lanes_that_do_not_join_skip_the_intention(self, tmp_path, capsys):
         # each lane loads, but the joined curve loses a vertex to rounding after 1e50
         doc = json.loads(open(fixture("map.json"), encoding="utf-8").read())
@@ -1623,24 +1660,31 @@ class TestPredictShares:
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
 
     @pytest.mark.parametrize("shares", [1, 2, 3])
-    def test_an_anchor_refused_before_an_ungriddable_obstacle_raises_first(
+    def test_an_ungriddable_obstacle_is_refused_before_any_anchor_is_ranked(
         self, tmp_path, monkeypatch, capsys, shares
     ):
         # zz_lone sorts last, and its anchors cannot be gridded (a 1 s stride
-        # at 1e20 s); veh_2's first anchor is refused before it
+        # at 1e20 s); with MAX_GRID_TIMES at 300, veh_2's first anchor would
+        # be refused if it were ranked
         log = fixture_rows(7.0) + [{**fixture_rows()[0], "obstacle_id": "zz_lone", "t": 1e20}]
         overrides = {"--scene": write_jsonl(tmp_path / "log.jsonl", log)}
-        code, written, out, err = run_in_shares(
-            run_predict, tmp_path, monkeypatch, capsys, shares, **overrides
-        )
-        assert (code, written, out) == (1, None, "")
-        assert err.startswith(f"error: {tmp_path / 'log.jsonl'}: obstacle 'zz_lone': anchors: ")
-        monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
-        code, written, out, err = run_in_shares(
-            run_predict, tmp_path, monkeypatch, capsys, shares, **overrides
-        )
-        assert (code, written, out) == (2, None, "")
-        assert "obstacle 'veh_2' at anchor 0.0: the candidates would hold more than 300 points" in err
+        ranked = []  # the anchors this process ranks
+        candidates_for_anchor = cli._candidates_for_anchor
+
+        def recording(track, anchor, *rest):
+            ranked.append((track.obstacle_id, anchor))
+            return candidates_for_anchor(track, anchor, *rest)
+
+        monkeypatch.setattr(cli, "_candidates_for_anchor", recording)
+        for max_grid_times in (cli.MAX_GRID_TIMES, 300):
+            monkeypatch.setattr(cli, "MAX_GRID_TIMES", max_grid_times)
+            code, written, out, err = run_in_shares(
+                run_predict, tmp_path, monkeypatch, capsys, shares, **overrides
+            )
+            assert (code, written, out) == (1, None, "")
+            assert err.startswith(f"error: {tmp_path / 'log.jsonl'}: obstacle 'zz_lone': anchors: ")
+            assert err.count("\n") == 1
+        assert ranked == []
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
 
     def test_each_share_runs_its_jobs_on_its_own_cpu(self, monkeypatch):

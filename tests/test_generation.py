@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 from bisect import bisect_right
 from unittest import mock
 
@@ -169,15 +170,15 @@ class TestSearchPaths:
         assert paths[0].lane_ids == ("lane_a", "lane_b")
 
     def test_off_map_obstacle_raises(self, tmp_path):
-        # an opaque intention id needs the obstacle itself to associate
         map_graph = chain_map(tmp_path)
-        with pytest.raises(AssociationError, match="associate"):
-            search_paths("cruise", obstacle_at(0.0, 50.0), map_graph, 50.0, 5)
+        with pytest.raises(AssociationError, match="out of reach"):
+            search_paths("lane_a", obstacle_at(0.0, 50.0), map_graph, 50.0, 5)
 
-    def test_opaque_intention_roots_at_nearest_lane(self, tmp_path):
-        map_graph = chain_map(tmp_path)
-        paths = search_paths("cruise", obstacle_at(35.0, 0.4), map_graph, 40.0, 5)
-        assert paths[0].lane_ids == ("lane_b", "lane_c")
+    @pytest.mark.parametrize("intention_id", ["cruise", "", "ln_approach_e->ln_x_lefty"])
+    def test_an_id_naming_no_exit_and_no_lane_sequence_is_refused(self, imap, intention_id):
+        message = f"intention {intention_id!r} names no exit and no lane sequence"
+        with pytest.raises(AssociationError, match=f"^{re.escape(message)}$"):
+            search_paths(intention_id, obstacle_at(-60.0, 0.0), imap, 60.0, 4)
 
     def test_curve_trimmed_to_projection(self, tmp_path):
         map_graph = chain_map(tmp_path)
