@@ -30,7 +30,6 @@ from .scene import (
 )
 
 DEFAULT_RESOLUTION_S = 0.1
-DEFAULT_HORIZON_S = 8.0
 DEFAULT_EXIT_CAPTURE_M = 3.0
 
 AnchorKey = Tuple[str, float]
@@ -182,9 +181,9 @@ def label_lane_sequence(
     )
 
 
-def anchor_times(track: ObstacleTrack, stride: float, min_history: float = 0.0) -> list[float]:
-    """Anchor grid for a track: first_time + min_history, then scene.time_grid's
-    steps of stride after it, within the span.
+def anchor_times(track: ObstacleTrack, stride: float) -> list[float]:
+    """Anchor grid for a track: its first time, then scene.time_grid's steps
+    of stride after it, within the span.
 
     Shared by the dataset builder and the prediction driver so that both
     sides of a keyed join compute bit-identical anchor timestamps. A grid
@@ -192,11 +191,8 @@ def anchor_times(track: ObstacleTrack, stride: float, min_history: float = 0.0) 
     """
     if stride <= 0.0:
         raise ValueError(f"stride must be positive, got {stride}")
-    start = track.first_time + min_history
-    if start > track.last_time + TIME_EPS:
-        return []
     try:
-        return [start] + time_grid(track.last_time, stride, start)
+        return [track.first_time] + time_grid(track.last_time, stride, track.first_time)
     except ValueError as exc:
         raise SceneIntegrityError(f"obstacle {track.obstacle_id!r}: anchors: {exc}") from exc
 
@@ -250,9 +246,8 @@ def build_dataset(
     *,
     road_test_id: str,
     stride: float,
-    horizon: float = DEFAULT_HORIZON_S,
+    horizon: float,
     resolution: float = DEFAULT_RESOLUTION_S,
-    min_history: float = 0.0,
 ) -> Tuple[list[dict], int]:
     """One labeled record per (obstacle, anchor) with enough future coverage.
 
@@ -262,7 +257,7 @@ def build_dataset(
     records = []
     skipped = 0
     for track in sorted(tracks, key=lambda tr: tr.obstacle_id):
-        for anchor in anchor_times(track, stride, min_history):
+        for anchor in anchor_times(track, stride):
             try:
                 label = label_future_trajectory(track, anchor, horizon, resolution)
             except CoverageError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .annotation import AnchorKey, TrajectoryLabel, columns, join_on_anchor
+from .annotation import TrajectoryLabel, columns, join_on_anchor
 from .costing import cost_acc, cost_centripetal, cost_collision
 from .errors import ConfigError, JoinError, PipelineError
 from .geometry import vertex_curvatures
@@ -36,7 +36,6 @@ class TuningExample:
 
     gt_subcosts: SubCosts
     candidate_subcosts: Tuple[SubCosts, ...]
-    key: Optional[AnchorKey] = None
 
     def __post_init__(self):
         if not self.candidate_subcosts:
@@ -162,7 +161,9 @@ def tune_weights(
 ) -> Tuple[np.ndarray, List[float]]:
     """Projected subgradient descent on the hinge objective.
 
-    Starts at config.theta_init, steps theta against the subgradient,
+    Takes the examples in the order given (extract_examples gives them in
+    anchor-key order), since the summation order sets the last bits of the
+    loss. Starts at config.theta_init, steps theta against the subgradient,
     clamping componentwise at zero, and stops at max_iters, at zero loss,
     or when the loss change over a full pass drops below convergence_tol.
     Returns the final weights and the per-iteration loss history (the first
@@ -175,8 +176,7 @@ def tune_weights(
 
     if not examples:
         raise ValueError("cannot tune on an empty example list")
-    ordered = sorted(examples, key=lambda ex: (ex.key is None, ex.key))
-    diffs = _stack(ordered)
+    diffs = _stack(examples)
     theta = np.asarray(config.theta_init, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are refused below
         loss, grad = _hinge(diffs, theta, config.delta)
@@ -205,10 +205,11 @@ def extract_examples(
 ) -> Tuple[List[TuningExample], int]:
     """Join prediction and dataset files on (obstacle_id, anchor_time).
 
-    Candidate sub-costs come from the per-candidate breakdowns embedded in
-    the prediction records; ground-truth sub-costs are recomputed from each
-    label with the same normalizers the predictions carry. Anchors present
-    on only one side are skipped and counted; duplicate keys are an error.
+    The examples come in the join's anchor-key order. Candidate sub-costs
+    come from the cost rows embedded in the prediction records; ground-truth
+    sub-costs are recomputed from each label with the same normalizers the
+    predictions carry. Anchors present on only one side are skipped and
+    counted; duplicate keys are an error.
     """
     joined, skipped = join_on_anchor(prediction_records, dataset_records)
     examples = []
@@ -219,7 +220,7 @@ def extract_examples(
             candidates = tuple(
                 tuple(c[:3]) for entry in pred["intentions"] for c in entry["candidates"]
             )
-            examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates, key=key))
+            examples.append(TuningExample(gt_subcosts=gt, candidate_subcosts=candidates))
         except (ValueError, OverflowError) as exc:
             raise JoinError(f"anchor {key}: {exc}") from exc
     return examples, skipped

@@ -61,10 +61,9 @@ def cmd_annotate(args) -> int:
     _positive(args.horizon, "horizon")
     _positive(args.stride, "stride")
     _positive(args.resolution, "resolution")
-    if not 0.0 <= args.min_history < math.inf:
-        raise ConfigError(f"--min-history must be nonnegative and finite, got {args.min_history}")
     try:
-        time_grid(args.horizon, args.resolution)
+        if not time_grid(args.horizon, args.resolution):
+            raise ValueError("the horizon must be at least one resolution step")
     except ValueError as exc:
         raise ConfigError(f"--horizon/--resolution: {exc}") from exc
     tracks, map_graph, _ = load_scene(args.log, args.map)
@@ -77,7 +76,6 @@ def cmd_annotate(args) -> int:
             stride=args.stride,
             horizon=args.horizon,
             resolution=args.resolution,
-            min_history=args.min_history,
         )
     except SceneIntegrityError as exc:  # an obstacle's anchor grid
         raise SceneIntegrityError(f"{args.log}: {exc}") from exc
@@ -284,7 +282,7 @@ def cmd_predict(args) -> int:
             raise ConfigError(f"{args.config}: {exc}") from exc
         if result is None:
             return None, diagnostics
-        totals = [b.total for r in result.intentions for b in r.candidate_breakdowns]
+        totals = [row[3] for r in result.intentions for row in r.candidate_costs]
         if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
             raise ConfigError(
                 f"{args.weights}: the weights give non-finite costs for obstacle "
@@ -422,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="lane/exit map (JSON)")
     p.add_argument("--horizon", type=float, required=True, help="label horizon, seconds")
     p.add_argument("--stride", type=float, required=True, help="anchor stride, seconds")
-    p.add_argument("--resolution", type=float, default=0.1, help="label resolution, seconds")
-    p.add_argument("--min-history", type=float, default=0.0, help="history required per anchor, seconds")
+    p.add_argument("--resolution", type=float, default=annotation.DEFAULT_RESOLUTION_S,
+                   help="label resolution, seconds")
     p.add_argument("--road-test-id", default=None, help="record key; defaults to the log file stem")
     p.add_argument("--out", required=True, help="dataset output path (JSON-lines)")
     p.set_defaults(func=cmd_annotate)

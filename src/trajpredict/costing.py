@@ -7,7 +7,9 @@ kernel against the ego vehicle's planned trajectory (safety). Each
 intention's likelihood exp(-C) of its cheapest candidate reweights the
 intention priors into posteriors. A prediction record holds each fact once:
 the likelihood is left to its min cost, and a best trajectory's speeds and
-accelerations to its speed profile, so its points are [t, x, y] rows.
+accelerations to its speed profile, so its points are [t, x, y] rows. A
+candidate's costs are the row total_cost returns, (c_acc, c_centripetal,
+c_collision, total), which the record's candidates hold as it is.
 
 The exponential collision kernel exp(-d^2) decays with distance, so closer
 encounters cost more; the per-point distance d aligns the candidate point
@@ -31,6 +33,8 @@ from .scene import EgoPlan, Trajectory
 
 # The ego plan's x and y at each point of a trajectory (EgoPlan.positions_at).
 EgoColumns = Tuple[Sequence[float], Sequence[float]]
+# (c_acc, c_centripetal, c_collision, total): a candidate's row in a prediction record.
+CostRow = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,6 @@ class CostWeights:
     def to_dict(self) -> dict:
         """The weights-file document: the five fields in declaration order."""
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    c_acc: float
-    c_centripetal: float
-    c_collision: float
-    total: float
 
 
 def _finite_sum(terms: Iterable[float]) -> float:
@@ -130,9 +126,9 @@ def total_cost(
     trajectory: CandidateTrajectory,
     ego: Optional[EgoColumns],
     weights: CostWeights,
-) -> CostBreakdown:
-    """Sub-costs plus their weighted total, the dot product of the weight
-    vector with them, for one candidate trajectory.
+) -> CostRow:
+    """The cost row of one candidate trajectory: its three sub-costs and
+    their weighted total, the dot product of the weight vector with them.
 
     ego holds the ego plan's x and y at each point's absolute time, as
     cost_collision interpolates them; None, without an ego plan, costs the
@@ -142,12 +138,7 @@ def total_cost(
     cc = cost_centripetal(trajectory, weights.z1)
     ccol = 0.0 if ego is None else _proximity_cost(trajectory, ego, weights.z2)
     total = weights.theta_acc * ca + weights.theta_centripetal * cc + weights.theta_collision * ccol
-    return CostBreakdown(
-        c_acc=ca,
-        c_centripetal=cc,
-        c_collision=ccol,
-        total=total,
-    )
+    return ca, cc, ccol, total
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ class IntentionRanking:
     min_cost: float
     posterior: float
     best_trajectory: CandidateTrajectory
-    candidate_breakdowns: Tuple[CostBreakdown, ...]
+    candidate_costs: Tuple[CostRow, ...]
 
 
 @dataclass(frozen=True)
@@ -212,12 +203,12 @@ def rank_intentions(
             raise ValueError(
                 f"intention {p.intention_id!r} has a prior but no candidate trajectories"
             )
-        breakdowns = tuple(total_cost(c, ego_at(c), weights) for c in candidates)
+        costs = tuple(total_cost(c, ego_at(c), weights) for c in candidates)
         best = min(
             range(len(candidates)),
-            key=lambda i: (breakdowns[i].total, abs(candidates[i].source_profile.a), i),
+            key=lambda i: (costs[i][3], abs(candidates[i].source_profile.a), i),
         )
-        costed.append((p, candidates[best], breakdowns[best].total, breakdowns))
+        costed.append((p, candidates[best], costs[best][3], costs))
 
     cheapest = min(min_cost for p, _, min_cost, _ in costed if p.prior > 0.0)
     masses = [
@@ -232,9 +223,9 @@ def rank_intentions(
             min_cost=min_cost,
             posterior=mass / z,
             best_trajectory=best_trajectory,
-            candidate_breakdowns=breakdowns,
+            candidate_costs=costs,
         )
-        for (p, best_trajectory, min_cost, breakdowns), mass in zip(costed, masses)
+        for (p, best_trajectory, min_cost, costs), mass in zip(costed, masses)
     )
     return PredictionResult(
         obstacle_id=obstacle_id,
@@ -257,9 +248,9 @@ def _profile_to_dict(profile: SpeedProfile) -> dict:
 def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
     """Serialize a PredictionResult to the JSON-lines prediction schema.
 
-    The record embeds the normalizers (z1, z2) used for its sub-costs and a
-    full per-candidate sub-cost breakdown per intention, so the weight tuner
-    can consume prediction files without re-running generation.
+    The record embeds the normalizers (z1, z2) used for its sub-costs and
+    each intention's candidate cost rows, so the weight tuner can consume
+    prediction files without re-running generation.
     """
     return {
         "obstacle_id": result.obstacle_id,
@@ -282,10 +273,7 @@ def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
                         )
                     ],
                 },
-                "candidates": [
-                    [b.c_acc, b.c_centripetal, b.c_collision, b.total]
-                    for b in r.candidate_breakdowns
-                ],
+                "candidates": r.candidate_costs,
             }
             for r in result.intentions
         ],

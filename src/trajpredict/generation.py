@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import jsonio
-from .annotation import AnchorKey, anchor_key, iter_anchor_records
+from .annotation import DEFAULT_RESOLUTION_S, AnchorKey, anchor_key, iter_anchor_records
 from .errors import AssociationError, ConfigError, ParseError
 from .geometry import Curve, point_at_s, project_point, tail_from, wrap_angle
 from .scene import (
@@ -261,9 +261,9 @@ def search_paths(
 class KinematicLimits:
     """Vehicle physical limits bounding the sampled speed profiles."""
 
-    a_min: float = -6.0
-    a_max: float = 4.0
-    v_max: float = 25.0
+    a_min: float
+    a_max: float
+    v_max: float
 
 
 @dataclass(frozen=True)
@@ -395,7 +395,7 @@ class GenerationConfig:
     a_max: float = 4.0
     v_max: float = 25.0
     horizon_secs: float = 8.0
-    resolution_secs: float = 0.1
+    resolution_secs: float = DEFAULT_RESOLUTION_S
     min_path_length_m: float = 60.0
     max_lanes: int = 4
     temperature: float = 1.0

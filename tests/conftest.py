@@ -132,7 +132,6 @@ def planted_examples(rng, count, delta=0.1, margin=0.4):
             TuningExample(
                 gt_subcosts=gt,
                 candidate_subcosts=tuple(candidates),
-                key=("synthetic", float(j)),
             )
         )
     return examples

@@ -11,6 +11,7 @@ import math
 import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,10 +330,10 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         first = run(str(tmp_path / "run1"))
         second = run(str(tmp_path / "run2"))
         for a, b in zip(first, second):
-            assert open(a, "rb").read() == open(b, "rb").read(), f"nondeterministic: {a}"
+            assert Path(a).read_bytes() == Path(b).read_bytes(), f"nondeterministic: {a}"
         for produced in first:
             golden = os.path.join(GOLDEN, os.path.basename(produced))
-            assert open(produced, "rb").read() == open(golden, "rb").read(), (
+            assert Path(produced).read_bytes() == Path(golden).read_bytes(), (
                 f"{produced} does not match the checked-in golden file"
             )
 

@@ -209,13 +209,6 @@ class TestBuildDataset:
         assert keys == sorted(keys)
         assert {k[0] for k in keys} == {"veh_a", "veh_b"}
 
-    def test_min_history_shifts_first_anchor(self, imap):
-        track = straight_track(v=10.0, n=100, x0=-60.0, y=0.3)
-        records, _ = build_dataset(
-            [track], imap, road_test_id="r", stride=1.0, horizon=3.0, min_history=2.0
-        )
-        assert records[0]["anchor_time"] == 2.0
-
     def test_rerun_is_byte_identical(self, imap):
         track = straight_track(v=10.0, n=100, x0=-60.0, y=0.3)
         first, _ = build_dataset([track], imap, road_test_id="r", stride=1.0, horizon=3.0)
@@ -250,12 +243,11 @@ class TestAnchorTimes:
             anchor_times(track, 0.0)
 
     def test_matches_the_anchor_loop_on_random_tracks(self):
-        def loop_oracle(first, last, stride, min_history):
+        def loop_oracle(first, last, stride):
             """The anchor loop that anchor_times replaced."""
-            start = first + min_history
             anchors, k = [], 0
-            while start + k * stride <= last + 1e-9:
-                anchors.append(start + k * stride)
+            while first + k * stride <= last + 1e-9:
+                anchors.append(first + k * stride)
                 k += 1
             return anchors
 
@@ -263,17 +255,14 @@ class TestAnchorTimes:
         for _ in range(10_000):
             stride = 10 ** rng.uniform(-3, 1)
             first = rng.uniform(-100.0, 100.0)
-            min_history = rng.choice([0.0, rng.uniform(0.0, 5.0)])
             # spans of up to 200 strides, most within rounding of the tolerance's edge
             steps = rng.randint(0, 200)
-            last = first + min_history + steps * stride
+            last = first + steps * stride
             last += rng.choice([-1e-9, -1e-9, 0.0, 2e-9, -2e-9, rng.uniform(0, stride)])
             if last <= first:
                 last = first + stride
             track = make_track("v", [(first, 0.0, 0.0, 0.0, 1.0), (last, 1.0, 0.0, 0.0, 1.0)])
-            assert anchor_times(track, stride, min_history) == loop_oracle(
-                first, last, stride, min_history
-            )
+            assert anchor_times(track, stride) == loop_oracle(first, last, stride)
 
     def test_stride_lost_to_rounding_is_refused_naming_the_obstacle(self):
         track = make_track("lone", [(1e20, 0.0, 0.0, 0.0, 1.0)])

@@ -69,8 +69,8 @@ class TestGroundTruthSubcosts:
         assert c_coll == pytest.approx(10.0 / 2.0)
 
 
-def simple_example(gt, candidates, key=None):
-    return TuningExample(gt_subcosts=gt, candidate_subcosts=tuple(candidates), key=key)
+def simple_example(gt, candidates):
+    return TuningExample(gt_subcosts=gt, candidate_subcosts=tuple(candidates))
 
 
 class TestHingeObjective:

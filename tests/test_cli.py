@@ -5,11 +5,13 @@ import json
 import math
 import operator
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -836,7 +838,7 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
     # veh_1 from 6 s on reaches one lane path per anchor (160 points), veh_2 at
     # its first anchor three (480): the ceiling of 300 refuses veh_2 after
     # veh_1's records have gone to the temp file
-    rows = [json.loads(line) for line in open(fixture("obstacles.jsonl"), encoding="utf-8")]
+    rows = [json.loads(line) for line in Path(fixture("obstacles.jsonl")).read_text(encoding="utf-8").splitlines()]
     log = write_jsonl(
         tmp_path / "log.jsonl", [r for r in rows if r["obstacle_id"] == "veh_2" or r["t"] >= 6.0]
     )
@@ -861,7 +863,6 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
     "runner, flag, value",
     [
         (run_annotate, "--stride", "nan"),
-        (run_annotate, "--min-history", "nan"),
         (run_annotate, "--horizon", "nan"),
         (run_annotate, "--resolution", "nan"),
         (run_annotate, "--resolution", "inf"),
@@ -1012,7 +1013,7 @@ def test_unread_record_keys_do_not_change_tune_and_eval(tmp_path, monkeypatch):
         for runner, name in ((run_tune, "tuned.json"), (run_eval, "report.json")):
             code, out = runner(tmp_path, **inputs)
             assert code == 0
-            assert open(out, "rb").read() == open(golden(name), "rb").read()
+            assert Path(out).read_bytes() == Path(golden(name)).read_bytes()
 
 
 def rewrite_times(name, tmp_path, edit):
@@ -1038,7 +1039,7 @@ def test_rounded_times_tune_and_evaluate(tmp_path):
     assert run_tune(tmp_path, **inputs)[0] == 0
     code, out = run_eval(tmp_path, **inputs)
     assert code == 0
-    assert open(out, "rb").read() == open(golden("report.json"), "rb").read()
+    assert Path(out).read_bytes() == Path(golden("report.json")).read_bytes()
 
 
 def test_overflowing_ground_truth_is_refused_at_the_join(tmp_path, capsys):
@@ -1073,7 +1074,7 @@ class TestAnnotateCommand:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["records"] == 16 and summary["skipped"] == 6
-        assert len(open(out).read().splitlines()) == 16
+        assert len(Path(out).read_text().splitlines()) == 16
 
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert main(["annotate", "--map", fixture("map.json")]) == 2
@@ -1087,9 +1088,11 @@ class TestAnnotateCommand:
         assert code == 2
 
     def test_label_grid_beyond_the_ceiling_is_usage_error(self, tmp_path, capsys):
-        code, out = run_annotate(tmp_path, **{"--horizon": "1e12"})
-        assert code == 2 and not os.path.exists(out)
-        assert capsys.readouterr().err.startswith("error: --horizon/--resolution: ")
+        # the second horizon is shorter than the 0.1 s resolution: an empty grid
+        for horizon in ("1e12", "0.05"):
+            code, out = run_annotate(tmp_path, **{"--horizon": horizon})
+            assert code == 2 and not os.path.exists(out)
+            assert capsys.readouterr().err.startswith("error: --horizon/--resolution: ")
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
@@ -1122,7 +1125,7 @@ class TestPredictCommand:
     def test_posteriors_sum_to_one(self, tmp_path, capsys):
         code, out = run_predict(tmp_path)
         assert code == 0
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in Path(out).read_text().splitlines()]
         assert len(records) == 22
         for record in records:
             total = math.fsum(e["posterior"] for e in record["intentions"])
@@ -1130,7 +1133,7 @@ class TestPredictCommand:
 
     def test_supplied_priors_override_heuristic(self, tmp_path):
         _, out = run_predict(tmp_path)
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in Path(out).read_text().splitlines()]
         at_two = next(
             r for r in records if r["obstacle_id"] == "veh_1" and r["anchor_time"] == 2.0
         )
@@ -1141,7 +1144,7 @@ class TestPredictCommand:
         _, out = run_predict(tmp_path)
         keys = [
             (r["obstacle_id"], r["anchor_time"])
-            for r in (json.loads(line) for line in open(out))
+            for r in (json.loads(line) for line in Path(out).read_text().splitlines())
         ]
         assert keys == sorted(keys)
 
@@ -1150,12 +1153,12 @@ class TestPredictCommand:
         empty.write_text("")
         code, out = run_predict(tmp_path, **{"--scene": str(empty)})
         assert code == 0
-        assert open(out).read() == ""
+        assert Path(out).read_text() == ""
 
     def test_rerun_is_byte_identical(self, tmp_path):
         _, first = run_predict(tmp_path, out="a.jsonl")
         _, second = run_predict(tmp_path, out="b.jsonl")
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_off_map_obstacles_skipped_not_fatal(self, tmp_path, capsys):
         log = write_jsonl(
@@ -1167,7 +1170,7 @@ class TestPredictCommand:
         )
         code, out = run_predict(tmp_path, **{"--scene": log})
         assert code == 0
-        assert open(out).read() == ""
+        assert Path(out).read_text() == ""
         captured = capsys.readouterr()
         assert "lost" in captured.err
         assert json.loads(captured.out)["skipped"] == 3
@@ -1208,13 +1211,13 @@ class TestPredictCommand:
         assert code == 0
         message = f"predict: veh_1@2.0: intention {typo!r} names no exit and no lane sequence\n"
         assert message in capsys.readouterr().err
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in Path(out).read_text().splitlines()]
         at_two = next(r for r in records if (r["obstacle_id"], r["anchor_time"]) == ("veh_1", 2.0))
         assert sorted(e["intention_id"] for e in at_two["intentions"]) == ["exit_e", "exit_n"]
 
     def test_lanes_that_do_not_join_skip_the_intention(self, tmp_path, capsys):
         # each lane loads, but the joined curve loses a vertex to rounding after 1e50
-        doc = json.loads(open(fixture("map.json"), encoding="utf-8").read())
+        doc = json.loads(Path(fixture("map.json")).read_text(encoding="utf-8"))
         doc["lanes"][2]["centerline"][11][1] = 1e50
         code, out = run_predict(tmp_path, **{"--map": write_json(tmp_path / "map.json", doc)})
         assert code == 0 and os.path.exists(out)
@@ -1251,7 +1254,7 @@ class TestPredictCommand:
     def test_association_never_projects_a_far_lane(self, tmp_path, monkeypatch):
         # the far copy has lanes only: an exit there would make its lane a
         # re-root target, which search_paths projects by design
-        doc = json.loads(open(fixture("map.json"), encoding="utf-8").read())
+        doc = json.loads(Path(fixture("map.json")).read_text(encoding="utf-8"))
         far = [
             {
                 "id": f"far_{lane['id']}",
@@ -1305,7 +1308,7 @@ class TestTuneCommand:
             ]
         )
         assert code == 0
-        tuned = json.load(open(out))
+        tuned = json.loads(Path(out).read_text())
         assert set(tuned) == {
             "theta_acc",
             "theta_centripetal",
@@ -1323,6 +1326,22 @@ class TestTuneCommand:
         assert code == 0
         code, _ = run_predict(tmp_path, **{"--weights": tuned})
         assert code == 0
+
+    def test_the_join_orders_the_examples(self, tmp_path):
+        """Shuffled input lines tune to the golden weights: the anchor-key
+        order of the join, not the files' line order, sets the summation order."""
+        rng = random.Random(24)
+        shuffled = {}
+        for flag, name in (("--predictions", "predictions.jsonl"), ("--dataset", "dataset.jsonl")):
+            lines = Path(golden(name)).read_text(encoding="utf-8").splitlines(keepends=True)
+            original = list(lines)
+            rng.shuffle(lines)
+            assert lines != original
+            shuffled[flag] = str(tmp_path / f"shuffled_{name}")
+            Path(shuffled[flag]).write_text("".join(lines), encoding="utf-8")
+        code, out = run_tune(tmp_path, **shuffled)
+        assert code == 0
+        assert Path(out).read_bytes() == Path(golden("tuned.json")).read_bytes()
 
     def test_empty_join_is_data_error(self, tmp_path, capsys):
         predictions, _ = self._predictions_and_dataset(tmp_path)
@@ -1379,7 +1398,7 @@ class TestTuneCommand:
                 )
                 == 0
             )
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 
@@ -1388,7 +1407,7 @@ class TestEvalCommand:
         _, dataset = run_annotate(tmp_path)
         # predictions whose best trajectory is the label itself
         records = []
-        for line in open(dataset):
+        for line in Path(dataset).read_text().splitlines():
             r = json.loads(line)
             records.append(
                 {
@@ -1418,7 +1437,7 @@ class TestEvalCommand:
             ["eval", "--predictions", predictions, "--dataset", dataset, "--horizons", "1,3", "--out", out]
         )
         assert code == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert [e["h"] for e in report["horizons"]] == [1.0, 3.0]
         for entry in report["horizons"]:
             assert entry["ade"] == 0.0 and entry["fde"] == 0.0 and entry["count"] == 16
@@ -1441,7 +1460,7 @@ class TestEvalCommand:
             ["eval", "--predictions", predictions, "--dataset", dataset, "--horizons", "1,3", "--out", out]
         )
         assert code == 0
-        assert len(json.load(open(out))["horizons"]) == 2
+        assert len(json.loads(Path(out).read_text())["horizons"]) == 2
 
     def test_malformed_horizons_is_usage_error(self, tmp_path, capsys):
         # a repeated horizon would score every anchor twice under it
@@ -1573,10 +1592,10 @@ class TestCliContract:
         assert sorted(os.listdir(tmp_path)) == ["dataset.jsonl", "dataset.jsonl.tmp"]
 
     def test_inputs_not_mutated(self, tmp_path):
-        before = open(fixture("obstacles.jsonl"), "rb").read()
+        before = Path(fixture("obstacles.jsonl")).read_bytes()
         run_annotate(tmp_path)
         run_predict(tmp_path)
-        assert open(fixture("obstacles.jsonl"), "rb").read() == before
+        assert Path(fixture("obstacles.jsonl")).read_bytes() == before
 
 
 def assert_no_child_left():

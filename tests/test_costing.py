@@ -164,20 +164,22 @@ class TestSubCosts:
 class TestTotalCost:
     def test_zero_subcosts_zero_total(self):
         weights = CostWeights(z1=1.0, z2=1.0)
-        breakdown = total_cost(synth_trajectory(constant_rows(x_far=1000.0)), None, weights)
-        assert breakdown.total == 0.0
+        *_, total = total_cost(synth_trajectory(constant_rows(x_far=1000.0)), None, weights)
+        assert total == 0.0
 
     def test_unit_weights_sum_subcosts(self):
         traj = synth_trajectory(constant_rows(n=2, accel=1.0, curvature=0.1))
-        b = total_cost(traj, static_ego(1.0, 0.0).positions_at(traj.times), CostWeights())
-        assert (b.c_acc, b.c_centripetal) == (2.0, 200.0) and b.c_collision > 0.0
-        assert b.total == b.c_acc + b.c_centripetal + b.c_collision
+        acc, centripetal, collision, total = total_cost(
+            traj, static_ego(1.0, 0.0).positions_at(traj.times), CostWeights()
+        )
+        assert (acc, centripetal) == (2.0, 200.0) and collision > 0.0
+        assert total == acc + centripetal + collision
 
     def test_weighted_dot_product(self):
         traj = synth_trajectory(constant_rows(n=2, accel=1.0, curvature=0.1))
         weights = CostWeights(0.5, 2.0, 0.0, 1.0, 1.0)
-        b = total_cost(traj, static_ego(1.0, 0.0).positions_at(traj.times), weights)
-        assert b.total == pytest.approx(0.5 * 2.0 + 2.0 * 200.0)
+        *_, total = total_cost(traj, static_ego(1.0, 0.0).positions_at(traj.times), weights)
+        assert total == pytest.approx(0.5 * 2.0 + 2.0 * 200.0)
 
     def test_breakdown_is_linear_in_each_weight(self):
         rng = random.Random(9)
@@ -191,13 +193,11 @@ class TestTotalCost:
             w = CostWeights(
                 rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 3), 2.0, 3.0
             )
-            b = total_cost(traj, ego.positions_at(traj.times), w)
+            acc, centripetal, collision, total = total_cost(traj, ego.positions_at(traj.times), w)
             recomposed = (
-                w.theta_acc * b.c_acc
-                + w.theta_centripetal * b.c_centripetal
-                + w.theta_collision * b.c_collision
+                w.theta_acc * acc + w.theta_centripetal * centripetal + w.theta_collision * collision
             )
-            assert b.total == pytest.approx(recomposed, abs=1e-12)
+            assert total == pytest.approx(recomposed, abs=1e-12)
 
 
 def ranked_posteriors(*costs):

@@ -408,9 +408,8 @@ class TestRealizeTrajectory:
                 assert abs(x - math.fsum(chunk_sums[:k]) * h) < 1e-8
 
     def test_point_positions_stay_on_path(self, imap):
-        profiles = sample_profiles(
-            8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, KinematicLimits(v_max=20.0)
-        )
+        limits = KinematicLimits(a_min=-6.0, a_max=4.0, v_max=20.0)
+        profiles = sample_profiles(8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, limits)
         paths = search_paths("exit_n", obstacle_at(-40.0, 0.0, speed=8.0), imap, 60.0, 4)
         for path in paths:
             for profile in profiles:
@@ -433,9 +432,8 @@ class TestRealizeTrajectory:
                 prev = position
 
     def test_candidate_count_is_paths_times_profiles(self, imap):
-        profiles = sample_profiles(
-            10.0, [-2.0, -1.0, 0.0, 1.0], 4.0, 0.1, KinematicLimits()
-        )
+        limits = KinematicLimits(a_min=-6.0, a_max=4.0, v_max=25.0)
+        profiles = sample_profiles(10.0, [-2.0, -1.0, 0.0, 1.0], 4.0, 0.1, limits)
         state = obstacle_at(-60.0, 0.0)
         total = 0
         for intention in ("exit_e", "exit_n", "exit_s"):
@@ -673,13 +671,13 @@ class TestColumnarCosting:
         columns = zip(traj.times, traj.xs, traj.ys, traj.speeds, traj.curvatures, traj.accels)
         assert list(columns) == rows
         ego_xy = None if ego is None else ego.positions_at([anchor_time + t for t in traj.times])
-        b = total_cost(traj, ego_xy, weights)
-        assert (b.c_acc, b.c_centripetal, b.c_collision, b.total) == expected
+        assert total_cost(traj, ego_xy, weights) == expected
         if ego is not None:
             assert cost_collision(traj, ego, weights.z2, anchor_time) == expected[2]
 
     def test_realizing_and_ranking_build_no_point2(self, imap):
-        profiles = sample_profiles(8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, KinematicLimits())
+        limits = KinematicLimits(a_min=-6.0, a_max=4.0, v_max=25.0)
+        profiles = sample_profiles(8.0, [-2.0, 0.0, 2.0], 4.0, 0.1, limits)
         state = obstacle_at(-40.0, 0.0, speed=8.0)
         ego = EgoPlan((0.0, 10.0), (-30.0, 30.0), (1.0, 1.0))
         priors = [IntentionPrior("exit_e", 0.5), IntentionPrior("exit_n", 0.5)]
