@@ -8,6 +8,10 @@ times come from scene.time_grid, the grid candidates are realized on, and
 the anchor grid is the first anchor followed by the same time_grid. The
 anchor key, prediction/label join and the reader of their [t, x, y, ...]
 rows into columns live here too, so every stage meets its labels one way.
+
+label_anchor builds one anchor's dataset record, as annotate writes it. Exits
+and lanes far from the anchor's future are ruled out once, from its bounding
+box, by margins that change no label (label_exit_taken, scene.nearest_lanes).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .scene import (
     MapGraph,
     ObstacleTrack,
     Positions,
-    nearest_lane,
+    nearest_lanes,
     time_grid,
 )
 
@@ -59,20 +63,28 @@ class LaneSequenceLabel:
     lane_ids: Tuple[str, ...]
 
 
+def label_times(horizon: float, resolution: float) -> list[float]:
+    """The label grid, time_grid(horizon, resolution), after the anchor.
+    ValueError refuses an empty one (a horizon shorter than one resolution
+    step) and any grid time_grid refuses."""
+    rels = time_grid(horizon, resolution)
+    if not rels:
+        raise ValueError("the horizon must be at least one resolution step")
+    return rels
+
+
 def label_future_trajectory(
     track: ObstacleTrack,
     anchor_time: float,
     horizon: float,
     resolution: float = DEFAULT_RESOLUTION_S,
 ) -> TrajectoryLabel:
-    """Sample the track's future at anchor_time + t for t in time_grid(horizon, resolution).
+    """Sample the track's future at anchor_time + t for t in label_times(horizon, resolution).
 
-    Raises CoverageError if the track does not cover the full horizon; labels
-    are never extrapolated.
+    Raises ValueError for a grid label_times refuses, and CoverageError if
+    the track does not cover the full horizon; labels are never extrapolated.
     """
-    rels = time_grid(horizon, resolution)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    rels = label_times(horizon, resolution)
     if anchor_time < track.first_time - TIME_EPS:
         raise CoverageError(
             f"anchor {anchor_time} precedes track {track.obstacle_id!r} start {track.first_time}"
@@ -140,12 +152,43 @@ def label_exit_taken(
 ) -> Optional[ExitLabel]:
     """The exit whose position the future sub-track reaches first within
     capture_radius, or None when no exit is captured inside the horizon.
-    Simultaneous captures resolve to the smaller exit id."""
+    Simultaneous captures resolve to the smaller exit id.
+
+    An exit is tested only when it lies within reach of the sub-track's
+    bounding box on both axes, reach being |r| + m for the radius r, with
+    m = 1e-6 * S and S = max(M, |r|, 1), M the largest absolute coordinate
+    of the box and the map. This prefilter changes no result, whatever the
+    rounding in _earliest_capture_time (e = 2**-53, the unit roundoff):
+    - rounding is monotone, so beyond reach on one axis, every vertex's
+      rounded offset from the exit on that axis is beyond reach too, and
+      the rounded segment vectors move the points between vertices by at
+      most 4eM: every point of every segment, as the function sees it,
+      lies more than r + 0.99m from the exit;
+    - so a vertex's c is positive, and the last vertex's hypot is above r;
+    - on each segment the exact quadratic in the rounded offsets exceeds
+      m**2 / 2 = 5e-13 S**2 for u in [0, 1]. The roundings of qa, qb, c,
+      the discriminant and its square root move it there by under
+      200e S**2 = 2.3e-14 S**2, so the quadratic whose smaller root the
+      function computes stays positive on [0, 1], and that root lies
+      outside it: below 0, a sign the last subtraction and division keep,
+      or above 1 by more than the 2e relative error they add;
+    - an overflow gives an infinite or NaN discriminant or root, which
+      captures nothing.
+    So every exit the full scan would capture is still tested, in id order.
+    """
     polyline = _future_polyline(track, anchor_time, horizon)
     if not polyline:
         return None
+    x_lo = min(p[1] for p in polyline)
+    x_hi = max(p[1] for p in polyline)
+    y_lo = min(p[2] for p in polyline)
+    y_hi = max(p[2] for p in polyline)
+    magnitude = max(map_graph.coordinate_magnitude, -x_lo, x_hi, -y_lo, y_hi)
+    reach = abs(capture_radius) + 1e-6 * max(magnitude, abs(capture_radius), 1.0)
     best: Optional[Tuple[float, str]] = None
     for ex in map_graph.sorted_exits():
+        if ex.x - x_hi > reach or x_lo - ex.x > reach or ex.y - y_hi > reach or y_lo - ex.y > reach:
+            continue
         t_hit = _earliest_capture_time(polyline, ex.x, ex.y, capture_radius)
         if t_hit is None:
             continue
@@ -164,28 +207,41 @@ def label_lane_sequence(
     resolution: float = DEFAULT_RESOLUTION_S,
     lateral_capture: float = DEFAULT_LATERAL_CAPTURE_M,
 ) -> Optional[LaneSequenceLabel]:
-    """Ordered lane ids the future sub-track follows, consecutive duplicates
-    collapsed; None when no sample associates with any lane."""
-    sequence: list[str] = []
+    """Ordered lane ids the future sub-track follows, sampled on the label
+    grid up to the track's end, consecutive duplicates collapsed; None when
+    no sample associates with any lane."""
+    samples = []
     for rel in time_grid(horizon, resolution):
         t = anchor_time + rel
         if t > track.last_time + TIME_EPS:
             break
-        lane_id = nearest_lane(map_graph, *track.position_at(t), lateral_capture)
-        if lane_id is not None and (not sequence or sequence[-1] != lane_id):
-            sequence.append(lane_id)
-    if not sequence:
+        samples.append(track.position_at(t))
+    xs, ys = columns(samples, 2)
+    lane_ids = _lane_ids(map_graph, xs, ys, lateral_capture)
+    if lane_ids is None:
         return None
     return LaneSequenceLabel(
-        obstacle_id=track.obstacle_id, anchor_time=anchor_time, lane_ids=tuple(sequence)
+        obstacle_id=track.obstacle_id, anchor_time=anchor_time, lane_ids=lane_ids
     )
+
+
+def _lane_ids(
+    map_graph: MapGraph, xs: Sequence[float], ys: Sequence[float], lateral_capture: float
+) -> Optional[Tuple[str, ...]]:
+    """The lanes the positions associate with, in order, consecutive
+    duplicates collapsed; None when none associates."""
+    sequence: list[str] = []
+    for lane_id in nearest_lanes(map_graph, xs, ys, lateral_capture):
+        if lane_id is not None and (not sequence or sequence[-1] != lane_id):
+            sequence.append(lane_id)
+    return tuple(sequence) or None
 
 
 def anchor_times(track: ObstacleTrack, stride: float) -> list[float]:
     """Anchor grid for a track: its first time, then scene.time_grid's steps
     of stride after it, within the span.
 
-    Shared by the dataset builder and the prediction driver so that both
+    Shared by annotate and predict so that both
     sides of a keyed join compute bit-identical anchor timestamps. A grid
     that time_grid refuses is a SceneIntegrityError naming the obstacle.
     """
@@ -240,53 +296,47 @@ def columns(rows: Sequence[Sequence[float]], width: int) -> List[Tuple[float, ..
     return [tuple(map(itemgetter(k), rows)) for k in range(width)]
 
 
-def build_dataset(
-    tracks: Sequence[ObstacleTrack],
+def label_anchor(
+    track: ObstacleTrack,
+    anchor: float,
     map_graph: MapGraph,
     *,
     road_test_id: str,
-    stride: float,
     horizon: float,
     resolution: float = DEFAULT_RESOLUTION_S,
-) -> Tuple[list[dict], int]:
-    """One labeled record per (obstacle, anchor) with enough future coverage.
+) -> Optional[dict]:
+    """The dataset record of one (obstacle, anchor), or None when the track
+    does not cover the horizon after the anchor.
 
-    Returns the records sorted by (obstacle_id, anchor_time) plus the count
-    of anchors skipped for insufficient coverage.
+    The lane sequence is read at the future label's positions: they are
+    the same position_at calls on the same grid that label_lane_sequence
+    makes when the track covers the horizon.
     """
-    records = []
-    skipped = 0
-    for track in sorted(tracks, key=lambda tr: tr.obstacle_id):
-        for anchor in anchor_times(track, stride):
-            try:
-                label = label_future_trajectory(track, anchor, horizon, resolution)
-            except CoverageError:
-                skipped += 1
-                continue
-            exit_label = label_exit_taken(track, anchor, map_graph, horizon)
-            lane_label = label_lane_sequence(track, anchor, map_graph, horizon, resolution)
-            history = [
-                {
-                    "t": st.timestamp,
-                    "x": st.position.x,
-                    "y": st.position.y,
-                    "heading": st.heading,
-                    "speed": st.speed,
-                }
-                for st in track.known_at(anchor)
-            ]
-            records.append(
-                {
-                    "road_test_id": road_test_id,
-                    "obstacle_id": track.obstacle_id,
-                    "anchor_time": anchor,
-                    "history": history,
-                    "future": [[t, x, y] for t, x, y in zip(label.times, label.xs, label.ys)],
-                    "exit_label": exit_label.exit_id if exit_label else None,
-                    "lane_sequence_label": list(lane_label.lane_ids) if lane_label else None,
-                }
-            )
-    return records, skipped
+    try:
+        label = label_future_trajectory(track, anchor, horizon, resolution)
+    except CoverageError:
+        return None
+    exit_label = label_exit_taken(track, anchor, map_graph, horizon)
+    lane_ids = _lane_ids(map_graph, label.xs, label.ys, DEFAULT_LATERAL_CAPTURE_M)
+    history = [
+        {
+            "t": st.timestamp,
+            "x": st.position.x,
+            "y": st.position.y,
+            "heading": st.heading,
+            "speed": st.speed,
+        }
+        for st in track.known_at(anchor)
+    ]
+    return {
+        "road_test_id": road_test_id,
+        "obstacle_id": track.obstacle_id,
+        "anchor_time": anchor,
+        "history": history,
+        "future": [[t, x, y] for t, x, y in zip(label.times, label.xs, label.ys)],
+        "exit_label": exit_label.exit_id if exit_label else None,
+        "lane_sequence_label": list(lane_ids) if lane_ids else None,
+    }
 
 
 def load_dataset_records(path: str) -> list[dict]:

@@ -7,16 +7,21 @@ predictions against labels. All inputs and outputs are JSON documents or
 JSON-lines files; outputs are written atomically (temp file + rename) and
 every command is deterministic given identical inputs.
 
-predict ranks its anchors in one process per CPU in its affinity mask,
-each bound to one of those CPUs (taskset limits them): forked children rank
-every N-th anchor and stream each record back, and this process writes them
-in anchor order, so its bytes do not depend on the process count. Each
-process holds one anchor's candidates at a time.
+Each command imports the stages it runs, so annotate loads only the
+labelling modules (annotation, scene, geometry, jsonio, errors): predict
+imports costing and generation, eval costing and evaluation, and tune
+autotune and costing.
+
+annotate labels its anchors, and predict ranks them, in one process per CPU
+in the affinity mask, each bound to one of those CPUs (taskset limits them):
+forked children handle every N-th anchor and stream each record back, and
+this process writes them in anchor order, so the bytes do not depend on the
+process count. Each predict process holds one anchor's candidates at a time.
 
 tune reads and joins its inputs in a forked process while this one imports
 numpy for the descent (with one CPU in the mask, as under taskset -c 0, it
 does both here); either way a bad input fails before a missing numpy does.
-annotate and eval run in one process.
+eval runs in one process.
 
 Exit codes: 0 success, 1 data/runtime error, 2 usage or validation error.
 """
@@ -30,9 +35,9 @@ import os
 import sys
 from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from . import annotation, costing, evaluation, generation, jsonio
+from . import annotation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
-from .scene import MAX_GRID_TIMES, ObstacleTrack, load_ego_plan, load_scene, time_grid
+from .scene import MAX_GRID_TIMES, ObstacleTrack, load_ego_plan, load_scene
 
 
 def _write_atomic(path: str, lines: Iterable[str]):
@@ -62,25 +67,44 @@ def cmd_annotate(args) -> int:
     _positive(args.stride, "stride")
     _positive(args.resolution, "resolution")
     try:
-        if not time_grid(args.horizon, args.resolution):
-            raise ValueError("the horizon must be at least one resolution step")
+        annotation.label_times(args.horizon, args.resolution)
     except ValueError as exc:
         raise ConfigError(f"--horizon/--resolution: {exc}") from exc
     tracks, map_graph, _ = load_scene(args.log, args.map)
     road_test_id = args.road_test_id or os.path.splitext(os.path.basename(args.log))[0]
     try:
-        records, skipped = annotation.build_dataset(
-            tracks,
+        jobs = [
+            (track, anchor)
+            for track in tracks
+            for anchor in annotation.anchor_times(track, args.stride)
+        ]
+    except SceneIntegrityError as exc:  # an obstacle's anchor grid
+        raise SceneIntegrityError(f"{args.log}: {exc}") from exc
+
+    def annotate_anchor(job: Tuple[ObstacleTrack, float]) -> Optional[str]:
+        """One anchor's record line, or None when it is skipped."""
+        record = annotation.label_anchor(
+            *job,
             map_graph,
             road_test_id=road_test_id,
-            stride=args.stride,
             horizon=args.horizon,
             resolution=args.resolution,
         )
-    except SceneIntegrityError as exc:  # an obstacle's anchor grid
-        raise SceneIntegrityError(f"{args.log}: {exc}") from exc
-    _write_atomic(args.out, (jsonio.dumps(r) + "\n" for r in records))
-    print(jsonio.dumps({"records": len(records), "skipped": skipped, "out": args.out}))
+        return None if record is None else jsonio.dumps(record) + "\n"
+
+    counts = {"records": 0, "skipped": 0}
+
+    def lines(results: Iterable[Optional[str]]) -> Iterator[str]:
+        for line in results:
+            if line is None:
+                counts["skipped"] += 1
+                continue
+            counts["records"] += 1
+            yield line
+
+    with _in_job_order(annotate_anchor, jobs) as results:
+        _write_atomic(args.out, lines(results))
+    print(jsonio.dumps({**counts, "out": args.out}))
     return 0
 
 
@@ -100,6 +124,8 @@ def _candidates_for_anchor(
     MAX_GRID_TIMES points in all, counted before each intention is realized,
     and one whose candidates' sub-costs sum beyond the float range.
     """
+    from . import costing, generation
+
     state = track.state_at(anchor)
     priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
     if priors is None:
@@ -264,6 +290,8 @@ def _in_job_order(fn: Callable, jobs: list):
 
 
 def cmd_predict(args) -> int:
+    from . import costing, generation
+
     _positive(args.stride, "stride")
     tracks, map_graph, ego = load_scene(args.scene, args.map, args.ego)
     weights = costing.CostWeights.from_file(args.weights)
@@ -323,7 +351,7 @@ def cmd_tune(args) -> int:
     # only tune loads the tuner and numpy: a forked share reads the inputs while
     # this process imports numpy, so the decoded records never share a process
     # with numpy (with one CPU in the mask, as under taskset -c 0, both run here)
-    from . import autotune
+    from . import autotune, costing
 
     def import_numpy() -> Optional[ImportError]:
         """numpy's ImportError, returned so that a bad input still fails first."""
@@ -389,6 +417,8 @@ def _parse_horizons(raw: str) -> List[float]:
 
 
 def cmd_eval(args) -> int:
+    from . import costing, evaluation
+
     horizons = _parse_horizons(args.horizons)
     predictions = costing.load_prediction_records(args.predictions)
     dataset = annotation.load_dataset_records(args.dataset)

@@ -20,8 +20,11 @@ lanes whose box lies within the capture distance plus a margin of the
 position. The margin, 8 ulps of the map's largest coordinate (or of the
 capture distance, if larger), covers every rounding of the projection, so no
 lane that the full scan would keep is skipped (nearest_lane gives the
-proof). A MapGraph computes its lanes and exits in id order, and the
-successor closure that lane search reads, once, when it is built.
+proof). nearest_lanes associates many positions at once: it rules out the
+lanes beyond that reach of the positions' bounding box once, then tests
+each position among the rest. A MapGraph computes its lanes and exits in id
+order, its largest coordinate, and the successor closure that lane search
+reads, once, when it is built.
 """
 
 from __future__ import annotations
@@ -255,9 +258,10 @@ class IntersectionExit:
 @dataclass(frozen=True)
 class MapGraph:
     """Lane graph plus intersection exits, with tables computed once at build
-    time: the lanes and the exits in id order, the largest absolute lane
-    coordinate, and the successor closure (lane id to the ids of every lane
-    reachable from it through successor links, itself included)."""
+    time: the lanes and the exits in id order, the largest absolute
+    coordinate of any lane or exit, and the successor closure (lane id to
+    the ids of every lane reachable from it through successor links, itself
+    included)."""
 
     lanes: Dict[str, Lane] = field(default_factory=dict)
     exits: Dict[str, IntersectionExit] = field(default_factory=dict)
@@ -281,7 +285,10 @@ class MapGraph:
         lane_order = tuple(self.lanes[k] for k in sorted(self.lanes))
         object.__setattr__(self, "lane_order", lane_order)
         object.__setattr__(self, "exit_order", tuple(self.exits[k] for k in sorted(self.exits)))
-        magnitude = max((abs(v) for lane in lane_order for v in lane.box), default=0.0)
+        magnitude = max(
+            max((abs(v) for lane in lane_order for v in lane.box), default=0.0),
+            max((max(abs(ex.x), abs(ex.y)) for ex in self.exits.values()), default=0.0),
+        )
         object.__setattr__(self, "coordinate_magnitude", magnitude)
         closure = {}
         for lane_id in self.lanes:
@@ -313,8 +320,8 @@ def nearest_lane(
 
     A lane is projected only when (x, y) lies within reach of its box on
     both axes, reach being the capture distance C plus a margin of 8 units U,
-    U the ulp of max(M, |C|) and M the map's largest absolute lane
-    coordinate. This prefilter changes no result, whatever the rounding:
+    U the ulp of max(M, |C|) and M the map's largest absolute coordinate.
+    This prefilter changes no result, whatever the rounding:
     - rounding is monotone, so a rounded difference above a float bound is
       above it exactly, and a difference above a float bound rounds to at
       least that bound;
@@ -327,10 +334,54 @@ def nearest_lane(
     Every lane the full scan keeps is still projected, in id order, so the
     result is the full scan's.
     """
+    return _nearest_among(
+        map_graph.lane_order, x, y, lateral_capture, _lane_reach(map_graph, lateral_capture)
+    )
+
+
+def nearest_lanes(
+    map_graph: MapGraph, xs: Sequence[float], ys: Sequence[float], lateral_capture: float
+) -> List[Optional[str]]:
+    """nearest_lane of each position (xs[k], ys[k]), in order.
+
+    The lanes whose box lies beyond nearest_lane's reach of the positions'
+    bounding box, on either axis, are ruled out once; each position is then
+    tested among the rest, in id order, exactly as nearest_lane tests it. No
+    result changes: float subtraction is monotone, so a box beyond reach of
+    the bounding box is beyond reach of every position inside it, and
+    nearest_lane's own test would skip that lane for each of them.
+    """
+    if not xs:
+        return []
+    reach = _lane_reach(map_graph, lateral_capture)
+    x_lo, y_lo, x_hi, y_hi = min(xs), min(ys), max(xs), max(ys)
+    near = tuple(
+        lane
+        for lane in map_graph.lane_order
+        if not (
+            lane.box[0] - x_hi > reach
+            or x_lo - lane.box[2] > reach
+            or lane.box[1] - y_hi > reach
+            or y_lo - lane.box[3] > reach
+        )
+    )
+    return [_nearest_among(near, x, y, lateral_capture, reach) for x, y in zip(xs, ys)]
+
+
+def _lane_reach(map_graph: MapGraph, lateral_capture: float) -> float:
+    """nearest_lane's reach: the capture distance plus 8 ulps of the larger
+    of the map's largest coordinate and the capture distance."""
     magnitude = max(map_graph.coordinate_magnitude, abs(lateral_capture))
-    reach = lateral_capture + 8.0 * math.ulp(magnitude)
+    return lateral_capture + 8.0 * math.ulp(magnitude)
+
+
+def _nearest_among(
+    lanes: Sequence[Lane], x: float, y: float, lateral_capture: float, reach: float
+) -> Optional[str]:
+    """nearest_lane among lanes, which are in id order, projecting only
+    those whose box is within reach of (x, y) on both axes."""
     best: Optional[Tuple[float, str]] = None
-    for lane in map_graph.lane_order:
+    for lane in lanes:
         x_min, y_min, x_max, y_max = lane.box
         if x_min - x > reach or x - x_max > reach or y_min - y > reach or y - y_max > reach:
             continue

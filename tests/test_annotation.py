@@ -1,19 +1,36 @@
 import json
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import intersection_map_dict, make_track, straight_track, write_json
+from trajpredict import annotation
 from trajpredict.annotation import (
     anchor_times,
-    build_dataset,
+    label_anchor,
     label_exit_taken,
     label_future_trajectory,
     label_lane_sequence,
 )
+from trajpredict.cli import main
 from trajpredict.errors import CoverageError, SceneIntegrityError
-from trajpredict.scene import load_map
+from trajpredict.geometry import Curve, project_point
+from trajpredict.scene import (
+    DEFAULT_LATERAL_CAPTURE_M,
+    TIME_EPS,
+    IntersectionExit,
+    Lane,
+    MapGraph,
+    load_map,
+    load_scene,
+    time_grid,
+)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture
@@ -73,6 +90,29 @@ class TestFutureTrajectoryLabel:
         for rel, x, y in zip(label.times, label.xs, label.ys):
             qx, qy = track.position_at(1.3 + rel)
             assert math.hypot(x - qx, y - qy) <= 1e-9
+
+
+class TestLabelGrid:
+    def test_an_empty_label_grid_is_refused(self):
+        """A horizon shorter than one resolution step labels nothing: every
+        labeller refuses it, by the rule annotate checks before reading the log."""
+        tracks, map_graph, _ = load_scene(
+            os.path.join(FIXTURES, "obstacles.jsonl"), os.path.join(FIXTURES, "map.json")
+        )
+        message = "^the horizon must be at least one resolution step$"
+        for horizon, resolution in ((0.05, 0.1), (0.0, 0.1), (-1.0, 0.1), (0.3, 0.5)):
+            with pytest.raises(ValueError, match=message):
+                annotation.label_times(horizon, resolution)
+            with pytest.raises(ValueError, match=message):
+                label_future_trajectory(tracks[0], 0.0, horizon, resolution)
+            for track in tracks:
+                for anchor in anchor_times(track, 1.0):
+                    with pytest.raises(ValueError, match=message):
+                        label_anchor(
+                            track, anchor, map_graph, road_test_id="obstacles",
+                            horizon=horizon, resolution=resolution,
+                        )
+        assert annotation.label_times(0.1, 0.1) == time_grid(0.1, 0.1) == [0.1]
 
 
 class TestExitLabel:
@@ -182,43 +222,66 @@ class TestLaneSequenceLabel:
         assert label.lane_ids == tuple(seq)
 
 
+def annotate_tracks(tmp_path, capsys, tracks, stride, horizon):
+    """The records annotate writes for tracks, logged in the order given,
+    on the imap fixture's map, and the counts it prints."""
+    rows = [
+        {"obstacle_id": tr.obstacle_id, "t": st.timestamp, "x": st.position.x,
+         "y": st.position.y, "heading": st.heading, "speed": st.speed}
+        for tr in tracks
+        for st in tr.states
+    ]
+    log, out = tmp_path / "run1.jsonl", tmp_path / "dataset.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    argv = ["annotate", "--log", str(log), "--map", str(tmp_path / "map.json")]
+    argv += ["--horizon", str(horizon), "--stride", str(stride), "--out", str(out)]
+    assert main(argv) == 0
+    counts = json.loads(capsys.readouterr().out)
+    with open(out, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh], counts
+
+
 class TestBuildDataset:
+    """The dataset annotate builds: label_anchor's record per (obstacle,
+    anchor), in obstacle-id order, skipping anchors without coverage."""
+
     def test_anchor_arithmetic(self, imap):
         # a "10 second" track sampled at 0.1 s covers [0, 9.9]
         track = straight_track(v=10.0, n=100, x0=-60.0, y=0.3)
-        records, skipped = build_dataset(
-            [track], imap, road_test_id="run1", stride=1.0, horizon=3.0
-        )
+        labelled = [
+            label_anchor(track, anchor, imap, road_test_id="run1", horizon=3.0)
+            for anchor in anchor_times(track, 1.0)
+        ]
+        records = [r for r in labelled if r is not None]
+        skipped = labelled.count(None)
         assert len(records) == 7
         assert [r["anchor_time"] for r in records] == [float(k) for k in range(7)]
         assert skipped == 3  # anchors 7, 8, 9 lack future coverage
 
-    def test_empty_log_builds_empty_dataset(self, imap):
-        records, skipped = build_dataset(
-            [], imap, road_test_id="run1", stride=1.0, horizon=3.0
-        )
-        assert records == [] and skipped == 0
+    def test_empty_log_builds_empty_dataset(self, imap, tmp_path, capsys):
+        records, counts = annotate_tracks(tmp_path, capsys, [], stride=1.0, horizon=3.0)
+        assert records == [] and counts["records"] == counts["skipped"] == 0
 
-    def test_records_keyed_per_obstacle(self, imap):
+    def test_records_keyed_per_obstacle(self, imap, tmp_path, capsys):
         t1 = straight_track("veh_a", v=10.0, n=100, x0=-60.0, y=0.3)
         t2 = straight_track("veh_b", v=8.0, n=100, x0=-70.0, y=0.3)
-        records, _ = build_dataset(
-            [t2, t1], imap, road_test_id="run1", stride=2.0, horizon=3.0
-        )
+        records, _ = annotate_tracks(tmp_path, capsys, [t2, t1], stride=2.0, horizon=3.0)
         keys = [(r["obstacle_id"], r["anchor_time"]) for r in records]
         assert keys == sorted(keys)
         assert {k[0] for k in keys} == {"veh_a", "veh_b"}
 
     def test_rerun_is_byte_identical(self, imap):
         track = straight_track(v=10.0, n=100, x0=-60.0, y=0.3)
-        first, _ = build_dataset([track], imap, road_test_id="r", stride=1.0, horizon=3.0)
-        second, _ = build_dataset([track], imap, road_test_id="r", stride=1.0, horizon=3.0)
+        label_all = lambda: [
+            label_anchor(track, anchor, imap, road_test_id="r", horizon=3.0)
+            for anchor in anchor_times(track, 1.0)
+        ]
+        first, second = label_all(), label_all()
         assert json.dumps(first) == json.dumps(second)
 
     def test_record_schema(self, imap):
         track = straight_track(v=10.0, n=100, x0=-60.0, y=0.3)
-        records, _ = build_dataset([track], imap, road_test_id="r", stride=1.0, horizon=3.0)
-        record = records[0]
+        record = label_anchor(track, 0.0, imap, road_test_id="r", horizon=3.0)
         assert list(record) == [
             "road_test_id",
             "obstacle_id",
@@ -230,6 +293,137 @@ class TestBuildDataset:
         ]
         assert len(record["future"]) == 30
         assert record["history"][-1]["t"] <= record["anchor_time"] + 1e-9
+
+
+def _fixture_map_entries(dx=0.0, dy=0.0, tag=""):
+    """The fixture map's lanes and exits, shifted by (dx, dy), ids suffixed by tag."""
+    with open(os.path.join(FIXTURES, "map.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    lanes = {
+        lane["id"] + tag: Lane(
+            lane["id"] + tag,
+            Curve([(x + dx, y + dy) for x, y in lane["centerline"]]),
+            tuple(succ + tag for succ in lane["successors"]),
+        )
+        for lane in doc["lanes"]
+    }
+    exits = {
+        ex["id"] + tag: IntersectionExit(
+            ex["id"] + tag, ex["x"] + dx, ex["y"] + dy, ex["lane_id"] + tag
+        )
+        for ex in doc["exits"]
+    }
+    return lanes, exits
+
+
+def _grid_map(spacing=150.0):
+    """A 3x3 grid of copies of the fixture map, as the city_grid workload lays it out."""
+    lanes, exits = {}, {}
+    for gi in range(3):
+        for gj in range(3):
+            cell_lanes, cell_exits = _fixture_map_entries(gi * spacing, gj * spacing, f"_g{gi}{gj}")
+            lanes.update(cell_lanes)
+            exits.update(cell_exits)
+    return MapGraph(lanes=lanes, exits=exits)
+
+
+BOX_FILTER_MAPS = {"fixture": MapGraph(*_fixture_map_entries()), "grid": _grid_map()}
+
+
+def full_scan_exit(track, anchor, map_graph, horizon, radius=annotation.DEFAULT_EXIT_CAPTURE_M):
+    """label_exit_taken's exit id, testing every exit."""
+    polyline = annotation._future_polyline(track, anchor, horizon)
+    best = None
+    for ex in map_graph.exit_order if polyline else ():
+        t_hit = annotation._earliest_capture_time(polyline, ex.x, ex.y, radius)
+        if t_hit is not None and (best is None or t_hit < best[0]):
+            best = (t_hit, ex.exit_id)
+    return best and best[1]
+
+
+def full_scan_lanes(track, anchor, map_graph, horizon, resolution, capture):
+    """label_lane_sequence's lane ids, projecting each sample on every lane."""
+    sequence = []
+    for rel in time_grid(horizon, resolution):
+        t = anchor + rel
+        if t > track.last_time + TIME_EPS:
+            break
+        x, y = track.position_at(t)
+        best = None
+        for lane in map_graph.lane_order:
+            _, distance = project_point(lane.centerline, x, y)
+            if distance <= capture and (best is None or distance < best[0]):
+                best = (distance, lane.lane_id)
+        if best and (not sequence or sequence[-1] != best[1]):
+            sequence.append(best[1])
+    return tuple(sequence) or None
+
+
+@st.composite
+def box_filter_cases(draw):
+    """A map, a track over it and an anchor and horizon: tracks that pass an
+    exit at the capture radius along an axis (the exit just beyond the
+    radius, on it, or just inside), from near or far (up to 1e7 m, so the
+    capture quadratic rounds); tracks that run along a side of a lane's box
+    at about the lateral capture distance from it; and random walks that
+    start on or off the map, some at large coordinates."""
+    map_graph = BOX_FILTER_MAPS[draw(st.sampled_from(sorted(BOX_FILTER_MAPS)))]
+    kind = draw(st.sampled_from(["exit", "lane", "walk"]))
+    axis = draw(st.sampled_from([0, 1]))  # the track runs along this axis ...
+    side = draw(st.sampled_from([-1.0, 1.0]))  # ... on this side of the target
+    if kind == "exit":
+        ex = draw(st.sampled_from(map_graph.exit_order))
+        centre = (ex.x, ex.y)
+        excess = draw(
+            st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, -1e-9])
+            | st.floats(-1e-3, 1e-3)
+            | st.floats(0.0, 1.0)
+        )
+        beside = centre[1 - axis] + side * (annotation.DEFAULT_EXIT_CAPTURE_M + excess)
+        before, after = draw(st.floats(-1e7, 1e3)), draw(st.floats(-1e3, 1e7))
+        ends = [centre[axis] + before, centre[axis], centre[axis] + after]
+    elif kind == "lane":
+        box = draw(st.sampled_from(map_graph.lane_order)).box  # (x_min, y_min, x_max, y_max)
+        offset = DEFAULT_LATERAL_CAPTURE_M * draw(st.floats(0.0, 1.1))
+        beside = box[3 - axis] + offset if side > 0 else box[1 - axis] - offset
+        margin = draw(st.floats(0.0, 5.0))
+        ends = [box[axis] - margin, box[axis], box[axis + 2], box[axis + 2] + margin]
+    if kind == "walk":
+        scale = draw(st.sampled_from([100.0, 1e4, 1e7]))
+        step = st.tuples(st.floats(-scale, scale), st.floats(-scale, scale))
+        steps = [draw(step)] + draw(st.lists(step, min_size=1, max_size=4))
+        points = [tuple(map(sum, zip(*steps[: k + 1]))) for k in range(len(steps))]
+    else:
+        points = [(a, beside) if axis == 0 else (beside, a) for a in ends]
+    if draw(st.booleans()):
+        points.reverse()
+    dt = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rows = [(k * dt, x, y, 0.0, 10.0) for k, (x, y) in enumerate(points)]
+    track = make_track("veh", rows)
+    anchor = draw(st.sampled_from(track.times[:-1]))
+    horizon = draw(st.floats(0.1, track.last_time - anchor + 1.0))
+    return map_graph, track, anchor, horizon
+
+
+class TestBoxFilters:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=box_filter_cases())
+    def test_the_box_filters_change_no_label(self, case):
+        """The exit and lane prefilters give the full scans' labels, and
+        label_anchor the labellers' own."""
+        map_graph, track, anchor, horizon = case
+        resolution = annotation.DEFAULT_RESOLUTION_S
+        exit_label = label_exit_taken(track, anchor, map_graph, horizon)
+        exit_id = exit_label and exit_label.exit_id
+        assert exit_id == full_scan_exit(track, anchor, map_graph, horizon)
+        lanes = label_lane_sequence(track, anchor, map_graph, horizon, resolution)
+        capture = DEFAULT_LATERAL_CAPTURE_M
+        expected = full_scan_lanes(track, anchor, map_graph, horizon, resolution, capture)
+        assert (lanes and lanes.lane_ids) == expected
+        record = label_anchor(track, anchor, map_graph, road_test_id="r", horizon=horizon)
+        if record is not None:
+            assert record["exit_label"] == exit_id
+            assert record["lane_sequence_label"] == (list(expected) if expected else None)
 
 
 class TestAnchorTimes:

@@ -1093,6 +1093,11 @@ class TestAnnotateCommand:
             code, out = run_annotate(tmp_path, **{"--horizon": horizon})
             assert code == 2 and not os.path.exists(out)
             assert capsys.readouterr().err.startswith("error: --horizon/--resolution: ")
+        code, out = run_annotate(tmp_path, **{"--horizon": "0.05"})
+        assert (code, os.listdir(tmp_path)) == (2, [])
+        assert capsys.readouterr() == (
+            "", "error: --horizon/--resolution: the horizon must be at least one resolution step\n"
+        )
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
@@ -1518,6 +1523,38 @@ class TestCliContract:
         )
         assert result.stdout.endswith("[0, 0, 0] False\n"), result.stderr
 
+    def test_annotate_loads_only_the_labelling_modules(self, tmp_path):
+        """annotate pays to import what labelling runs, and predict and eval
+        still load no numpy."""
+        annotate = ["annotate", "--log", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
+        annotate += ["--horizon", "3.0", "--stride", "1.0", "--out", str(tmp_path / "d.jsonl")]
+        predict = ["predict", "--scene", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
+        predict += ["--weights", fixture("weights.json"), "--config", fixture("genconfig.json")]
+        predict += ["--out", str(tmp_path / "p.jsonl")]
+        evaluate = ["eval", "--predictions", golden("predictions.jsonl")]
+        evaluate += ["--dataset", golden("dataset.jsonl"), "--out", str(tmp_path / "r.json")]
+        script = (
+            "import contextlib, io, sys\n"
+            "from trajpredict import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main({annotate!r})]\n"
+            "annotated = sorted(m for m in sys.modules if m.startswith(('numpy', 'trajpredict')))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes += [cli.main({predict!r}), cli.main({evaluate!r})]\n"
+            "print(codes, annotated, 'numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(trajpredict.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        labelling = ["annotation", "cli", "errors", "geometry", "jsonio", "scene"]
+        expected = ["trajpredict"] + [f"trajpredict.{name}" for name in labelling]
+        assert result.stdout == f"[0, 0, 0] {expected!r} False\n", result.stderr
+
     def test_loading_a_tuner_config_and_extracting_examples_do_not_import_numpy(self):
         """numpy serves the descent alone, so importing the tuner, loading its
         config and extracting examples must not load it."""
@@ -1801,6 +1838,61 @@ class TestPredictShares:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="annotate forks its shares only where CPU affinity exists"
+)
+class TestAnnotateShares:
+    """annotate labels anchor k in share k mod N."""
+
+    @pytest.mark.parametrize("with_short_obstacle", [False, True])
+    def test_bytes_do_not_depend_on_the_share_count(
+        self, tmp_path, monkeypatch, capsys, with_short_obstacle
+    ):
+        overrides = {"--road-test-id": "obstacles"}
+        if with_short_obstacle:  # 2 s logged: each of its 2 anchors lacks the 3 s horizon
+            short = [
+                {**row, "obstacle_id": "short"}
+                for row in fixture_rows()
+                if row["obstacle_id"] == "veh_1" and row["t"] < 2.0
+            ]
+            overrides["--log"] = write_jsonl(tmp_path / "log.jsonl", fixture_rows() + short)
+        runs = [
+            run_in_shares(run_annotate, tmp_path, monkeypatch, capsys, shares, **overrides)
+            for shares in (1, 2, 3)
+        ]
+        assert runs[0][0] == 0 and runs[0][3] == ""
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        counts = json.loads(runs[0][2])
+        assert (counts["records"], counts["skipped"]) == (16, 6 + 2 * with_short_obstacle)
+        with open(golden("dataset.jsonl"), "rb") as fh:
+            assert runs[0][1] == fh.read()
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_an_ungriddable_obstacle_is_refused_before_any_share_starts(
+        self, tmp_path, monkeypatch, capsys, shares
+    ):
+        # zz_lone sorts last, and its anchors cannot be gridded (a 1 s stride at 1e20 s)
+        log = fixture_rows() + [{**fixture_rows()[0], "obstacle_id": "zz_lone", "t": 1e20}]
+        overrides = {"--log": write_jsonl(tmp_path / "log.jsonl", log)}
+        labelled, forks = [], []
+        label_anchor = annotation.label_anchor
+
+        def recording(track, anchor, *rest, **options):
+            labelled.append((track.obstacle_id, anchor))
+            return label_anchor(track, anchor, *rest, **options)
+
+        monkeypatch.setattr(annotation, "label_anchor", recording)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or -1)
+        code, written, out, err = run_in_shares(
+            run_annotate, tmp_path, monkeypatch, capsys, shares, **overrides
+        )
+        assert (code, written, out) == (1, None, "")
+        assert err.startswith(f"error: {tmp_path / 'log.jsonl'}: obstacle 'zz_lone': anchors: ")
+        assert err.count("\n") == 1
+        assert labelled == [] and forks == []
+        assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
 
 
 def bad_copy(tmp_path, source, edit):

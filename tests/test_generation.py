@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from conftest import intersection_map_dict, straight_track, write_json, write_jsonl
 from test_scene import reference_position_at
 from trajpredict import jsonio
-from trajpredict.annotation import build_dataset, label_future_trajectory, load_dataset_records
+from trajpredict.annotation import (
+    anchor_times,
+    label_anchor,
+    label_future_trajectory,
+    load_dataset_records,
+)
 from trajpredict.autotune import extract_examples
 from trajpredict.costing import (
     CostWeights,
@@ -718,9 +723,13 @@ class TestColumnarCosting:
         priors = [heuristic_exit_priors(track, map_graph) for track in tracks]
         no_point2 = mock.patch.object(Point2, "__post_init__", side_effect=AssertionError("Point2"))
         with no_point2:
-            records, skipped = build_dataset(
-                tracks, map_graph, road_test_id="obstacles", stride=1.0, horizon=3.0
-            )
+            labelled = [
+                label_anchor(track, anchor, map_graph, road_test_id="obstacles", horizon=3.0)
+                for track in tracks
+                for anchor in anchor_times(track, 1.0)
+            ]
+            records = [r for r in labelled if r is not None]
+            skipped = labelled.count(None)
             assert [heuristic_exit_priors(track, map_graph) for track in tracks] == priors
         assert len(priors) == 2 and skipped > 0
         with open(os.path.join(tests, "golden", "dataset.jsonl"), encoding="utf-8") as fh:
