@@ -12,16 +12,11 @@ labelling modules (annotation, scene, geometry, jsonio, errors): predict
 imports costing and generation, eval costing and evaluation, and tune
 autotune and costing.
 
-annotate labels its anchors, and predict ranks them, in one process per CPU
-in the affinity mask, each bound to one of those CPUs (taskset limits them):
-forked children handle every N-th anchor and stream each record back, and
-this process writes them in anchor order, so the bytes do not depend on the
-process count. Each predict process holds one anchor's candidates at a time.
-
-tune reads and joins its inputs in a forked process while this one imports
-numpy for the descent (with one CPU in the mask, as under taskset -c 0, it
-does both here); either way a bad input fails before a missing numpy does.
-eval runs in one process.
+annotate and predict share one anchor driver: _anchor_jobs lists their
+(obstacle, anchor) jobs, and _write_anchor_lines writes each job's line, or
+skips it, in job order, however many processes _in_job_order computes them
+in. tune overlaps reading its inputs with importing numpy (cmd_tune); eval
+runs in one process.
 
 Exit codes: 0 success, 1 data/runtime error, 2 usage or validation error.
 """
@@ -33,11 +28,14 @@ import contextlib
 import math
 import os
 import sys
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from . import annotation, jsonio
 from .errors import AssociationError, ConfigError, JoinError, PipelineError, SceneIntegrityError
 from .scene import MAX_GRID_TIMES, ObstacleTrack, load_ego_plan, load_scene
+
+AnchorJob = Tuple[ObstacleTrack, float]
+AnchorLine = Tuple[Optional[str], List[str]]  # a record line, or None when skipped, and diagnostics
 
 
 def _write_atomic(path: str, lines: Iterable[str]):
@@ -56,10 +54,45 @@ def _write_atomic(path: str, lines: Iterable[str]):
         raise
 
 
-def _positive(value: float, name: str) -> float:
+def _positive(value: float, name: str) -> None:
     if not 0.0 < value < math.inf:
         raise ConfigError(f"--{name} must be positive and finite, got {value}")
-    return value
+
+
+def _anchor_jobs(tracks: List[ObstacleTrack], stride: float, log: str) -> List[AnchorJob]:
+    """Each track's anchors at stride, in the tracks' (obstacle-id) order;
+    SceneIntegrityError, naming log, for an obstacle that cannot be gridded."""
+    try:
+        return [
+            (track, anchor)
+            for track in tracks
+            for anchor in annotation.anchor_times(track, stride)
+        ]
+    except SceneIntegrityError as exc:  # an obstacle's anchor grid
+        raise SceneIntegrityError(f"{log}: {exc}") from exc
+
+
+def _write_anchor_lines(
+    anchor_line: Callable[[AnchorJob], AnchorLine], jobs: List[AnchorJob], out: str, kept: str
+) -> None:
+    """Write each job's anchor_line to out, in job order through _in_job_order;
+    then print the diagnostics to stderr and the counts of kept (under `kept`)
+    and skipped anchors to stdout."""
+    counts = {kept: 0, "skipped": 0}
+    diagnostics: List[str] = []
+
+    def lines(results: Iterable[AnchorLine]) -> Iterator[str]:
+        for line, messages in results:
+            diagnostics.extend(messages)
+            counts["skipped" if line is None else kept] += 1
+            if line is not None:
+                yield line
+
+    with _in_job_order(anchor_line, jobs) as results:
+        _write_atomic(out, lines(results))
+    for message in diagnostics:
+        print(f"predict: {message}", file=sys.stderr)
+    print(jsonio.dumps({**counts, "out": out}))
 
 
 def cmd_annotate(args) -> int:
@@ -72,17 +105,9 @@ def cmd_annotate(args) -> int:
         raise ConfigError(f"--horizon/--resolution: {exc}") from exc
     tracks, map_graph, _ = load_scene(args.log, args.map)
     road_test_id = args.road_test_id or os.path.splitext(os.path.basename(args.log))[0]
-    try:
-        jobs = [
-            (track, anchor)
-            for track in tracks
-            for anchor in annotation.anchor_times(track, args.stride)
-        ]
-    except SceneIntegrityError as exc:  # an obstacle's anchor grid
-        raise SceneIntegrityError(f"{args.log}: {exc}") from exc
 
-    def annotate_anchor(job: Tuple[ObstacleTrack, float]) -> Optional[str]:
-        """One anchor's record line, or None when it is skipped."""
+    def annotate_anchor(job: AnchorJob) -> AnchorLine:
+        """One anchor's record line, or None when it is skipped, and no diagnostics."""
         record = annotation.label_anchor(
             *job,
             map_graph,
@@ -90,101 +115,11 @@ def cmd_annotate(args) -> int:
             horizon=args.horizon,
             resolution=args.resolution,
         )
-        return None if record is None else jsonio.dumps(record) + "\n"
+        return (None if record is None else jsonio.dumps(record) + "\n"), []
 
-    counts = {"records": 0, "skipped": 0}
-
-    def lines(results: Iterable[Optional[str]]) -> Iterator[str]:
-        for line in results:
-            if line is None:
-                counts["skipped"] += 1
-                continue
-            counts["records"] += 1
-            yield line
-
-    with _in_job_order(annotate_anchor, jobs) as results:
-        _write_atomic(args.out, lines(results))
-    print(jsonio.dumps({**counts, "out": args.out}))
+    jobs = _anchor_jobs(tracks, args.stride, args.log)
+    _write_anchor_lines(annotate_anchor, jobs, args.out, "records")
     return 0
-
-
-def _candidates_for_anchor(
-    track: ObstacleTrack,
-    anchor: float,
-    map_graph,
-    ego,
-    weights: costing.CostWeights,
-    config: generation.GenerationConfig,
-    priors_table: Dict[annotation.AnchorKey, List[generation.IntentionPrior]],
-    diagnostics: List[str],
-) -> Optional[costing.PredictionResult]:
-    """Generate, cost, and rank candidates for one (obstacle, anchor).
-
-    ConfigError refuses an anchor whose candidates would hold more than
-    MAX_GRID_TIMES points in all, counted before each intention is realized,
-    and one whose candidates' sub-costs sum beyond the float range.
-    """
-    from . import costing, generation
-
-    state = track.state_at(anchor)
-    priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
-    if priors is None:
-        if not map_graph.exits:
-            diagnostics.append(
-                f"{track.obstacle_id}@{anchor}: no priors supplied and map has no exits"
-            )
-            return None
-        # the latest state known at the anchor: the last one logged, or the anchor's if later
-        latest = max(track.known_at(anchor)[-1], state, key=lambda st: st.timestamp)
-        priors = generation.heuristic_exit_priors(
-            ObstacleTrack(track.obstacle_id, (latest,)), map_graph, config.temperature
-        )
-
-    profiles = generation.sample_profiles(  # nonempty: the config keeps an admissible acceleration
-        state.speed, config.accel_set, config.horizon_secs, config.resolution_secs, config.limits
-    )
-    candidates_by_intention = {}
-    kept = []
-    points = 0
-    for prior in priors:
-        try:
-            paths = generation.search_paths(
-                prior.intention_id,
-                state,
-                map_graph,
-                config.min_path_length_m,
-                config.max_lanes,
-            )
-        except AssociationError as exc:
-            diagnostics.append(f"{track.obstacle_id}@{anchor}: {exc}")
-            continue
-        points += len(paths) * len(profiles) * len(profiles[0].times)
-        if points > MAX_GRID_TIMES:
-            raise ConfigError(
-                f"obstacle {track.obstacle_id!r} at anchor {anchor}: the candidates "
-                f"would hold more than {MAX_GRID_TIMES} points"
-            )
-        candidates = [
-            generation.realize_trajectory(path, profile)
-            for path in paths
-            for profile in profiles
-        ]
-        if candidates:
-            kept.append(prior)
-            candidates_by_intention[prior.intention_id] = candidates
-    if not kept:
-        diagnostics.append(f"{track.obstacle_id}@{anchor}: no realizable intention")
-        return None
-    kept = generation.normalize_priors(kept)
-    try:
-        return costing.rank_intentions(
-            track.obstacle_id, anchor, candidates_by_intention, kept, ego, weights
-        )
-    except OverflowError as exc:  # a sub-cost's sum, before any weight or normalizer applies
-        raise ConfigError(
-            f"the generation config gives non-finite sub-costs for obstacle "
-            f"{track.obstacle_id!r} at anchor {anchor}: {exc}"
-        ) from exc
 
 
 def _process_count() -> int:
@@ -298,18 +233,72 @@ def cmd_predict(args) -> int:
     config = generation.GenerationConfig.from_file(args.config)
     priors_table = generation.load_priors(args.priors) if args.priors else {}
 
-    def predict_anchor(job: Tuple[ObstacleTrack, float]) -> Tuple[Optional[str], List[str]]:
-        """One anchor's record line, or None when it is skipped, and its diagnostics."""
+    def predict_anchor(job: AnchorJob) -> AnchorLine:
+        """Generate, cost, and rank one anchor's candidates. ConfigError refuses,
+        naming --config, candidates that would hold more than MAX_GRID_TIMES
+        points in all (counted before each intention is realized) or sum their
+        sub-costs beyond the float range, and, naming --weights, non-finite totals."""
         track, anchor = job
-        diagnostics: List[str] = []
-        try:
-            result = _candidates_for_anchor(
-                track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
+        state = track.state_at(anchor)
+        priors = priors_table.get(annotation.anchor_key(track.obstacle_id, anchor))
+        if priors is None:
+            if not map_graph.exits:
+                return None, [
+                    f"{track.obstacle_id}@{anchor}: no priors supplied and map has no exits"
+                ]
+            # the latest state known at the anchor: the last one logged, or the anchor's if later
+            latest = max(track.known_at(anchor)[-1], state, key=lambda st: st.timestamp)
+            priors = generation.heuristic_exit_priors(
+                ObstacleTrack(track.obstacle_id, (latest,)), map_graph, config.temperature
             )
-        except ConfigError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from exc
-        if result is None:
+
+        # nonempty: the config keeps an admissible acceleration
+        profiles = generation.sample_profiles(
+            state.speed, config.accel_set, config.horizon_secs, config.resolution_secs, config.limits
+        )
+        diagnostics: List[str] = []
+        candidates_by_intention = {}
+        kept = []
+        points = 0
+        for prior in priors:
+            try:
+                paths = generation.search_paths(
+                    prior.intention_id,
+                    state,
+                    map_graph,
+                    config.min_path_length_m,
+                    config.max_lanes,
+                )
+            except AssociationError as exc:
+                diagnostics.append(f"{track.obstacle_id}@{anchor}: {exc}")
+                continue
+            points += len(paths) * len(profiles) * len(profiles[0].times)
+            if points > MAX_GRID_TIMES:
+                raise ConfigError(
+                    f"{args.config}: obstacle {track.obstacle_id!r} at anchor {anchor}: the "
+                    f"candidates would hold more than {MAX_GRID_TIMES} points"
+                )
+            candidates = [
+                generation.realize_trajectory(path, profile)
+                for path in paths
+                for profile in profiles
+            ]
+            if candidates:
+                kept.append(prior)
+                candidates_by_intention[prior.intention_id] = candidates
+        if not kept:
+            diagnostics.append(f"{track.obstacle_id}@{anchor}: no realizable intention")
             return None, diagnostics
+        kept = generation.normalize_priors(kept)
+        try:
+            result = costing.rank_intentions(
+                track.obstacle_id, anchor, candidates_by_intention, kept, ego, weights
+            )
+        except OverflowError as exc:  # a sub-cost's sum, before any weight or normalizer applies
+            raise ConfigError(
+                f"{args.config}: the generation config gives non-finite sub-costs for "
+                f"obstacle {track.obstacle_id!r} at anchor {anchor}: {exc}"
+            ) from exc
         totals = [row[3] for r in result.intentions for row in r.candidate_costs]
         if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
             raise ConfigError(
@@ -318,32 +307,8 @@ def cmd_predict(args) -> int:
             )
         return jsonio.dumps(costing.result_to_record(result, weights)) + "\n", diagnostics
 
-    try:
-        jobs = [
-            (track, anchor)
-            for track in tracks
-            for anchor in annotation.anchor_times(track, args.stride)
-        ]
-    except SceneIntegrityError as exc:  # an obstacle's anchor grid
-        raise SceneIntegrityError(f"{args.scene}: {exc}") from exc
-
-    counts = {"predictions": 0, "skipped": 0}
-    diagnostics: List[str] = []
-
-    def lines(results: Iterable[Tuple[Optional[str], List[str]]]) -> Iterator[str]:
-        for line, messages in results:
-            diagnostics.extend(messages)
-            if line is None:
-                counts["skipped"] += 1
-                continue
-            counts["predictions"] += 1
-            yield line
-
-    with _in_job_order(predict_anchor, jobs) as results:
-        _write_atomic(args.out, lines(results))
-    for message in diagnostics:
-        print(f"predict: {message}", file=sys.stderr)
-    print(jsonio.dumps({**counts, "out": args.out}))
+    jobs = _anchor_jobs(tracks, args.stride, args.scene)
+    _write_anchor_lines(predict_anchor, jobs, args.out, "predictions")
     return 0
 
 
@@ -463,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priors", default=None, help="intention priors file (JSON-lines), optional")
     p.add_argument("--weights", required=True, help="cost weights file (JSON)")
     p.add_argument("--config", required=True, help="generation config (JSON)")
-    p.add_argument("--stride", type=float, default=1.0, help="anchor stride, seconds")
+    p.add_argument("--stride", type=float, required=True, help="anchor stride, seconds")
     p.add_argument("--out", required=True, help="predictions output path (JSON-lines)")
     p.set_defaults(func=cmd_predict)
 

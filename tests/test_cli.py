@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import trajpredict
@@ -66,7 +66,8 @@ def run_predict(tmp_path, out="predictions.jsonl", **overrides):
     args.update(overrides)
     argv = ["predict"]
     for key, value in args.items():
-        argv += [key, value]
+        if value is not None:  # None leaves the flag out
+            argv += [key, value]
     return main(argv), str(tmp_path / out)
 
 
@@ -867,6 +868,7 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
         (run_annotate, "--resolution", "nan"),
         (run_annotate, "--resolution", "inf"),
         (run_predict, "--stride", "nan"),
+        (run_predict, "--stride", None),
         (run_eval, "--horizons", "nan"),
         (run_eval, "--horizons", "1,nan"),
         (run_eval, "--horizons", "inf"),
@@ -875,7 +877,11 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
 def test_non_finite_number_is_usage_error(tmp_path, capsys, runner, flag, value):
     code, out = runner(tmp_path, **{flag: value})
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+    err = capsys.readouterr().err
+    if value is None:  # a required number left out
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+    else:
+        assert err.startswith(f"error: {flag} ")
     assert not os.path.exists(out)
 
 
@@ -1180,30 +1186,27 @@ class TestPredictCommand:
         assert "lost" in captured.err
         assert json.loads(captured.out)["skipped"] == 3
 
-    def test_obstacle_too_far_for_squared_distances_is_skipped(self):
+    def test_obstacle_too_far_for_squared_distances_is_skipped(self, tmp_path, monkeypatch, capsys):
         # every squared distance to the map overflows, so no lane may capture it;
-        # the log loader refuses such a position, so predict's anchor loop runs
-        # on tracks built in memory
-        tracks, map_graph, ego = scene.load_scene(
-            fixture("obstacles.jsonl"), fixture("map.json"), fixture("ego.jsonl")
-        )
-        far = lambda tr: [(s.timestamp, 1e200, s.position.y, s.heading, s.speed) for s in tr.states]
-        tracks = [make_track("veh_2", far(t)) if t.obstacle_id == "veh_2" else t for t in tracks]
-        weights = costing.CostWeights.from_file(fixture("weights.json"))
-        config = GenerationConfig.from_file(fixture("genconfig.json"))
-        priors_table = generation.load_priors(fixture("priors.jsonl"))
-        predicted, skipped, diagnostics = [], 0, []
-        for track in tracks:
-            for anchor in annotation.anchor_times(track, 1.0):
-                result = cli._candidates_for_anchor(
-                    track, anchor, map_graph, ego, weights, config, priors_table, diagnostics
-                )
-                if result is None:
-                    skipped += 1
-                else:
-                    predicted.append(result.obstacle_id)
+        # the log loader refuses such a position, so predict runs on tracks
+        # built in memory
+        load_scene = scene.load_scene
+
+        def with_veh_2_far(*paths):
+            tracks, map_graph, ego = load_scene(*paths)
+            far = lambda tr: [(s.timestamp, 1e200, s.position.y, s.heading, s.speed) for s in tr.states]
+            tracks = [make_track("veh_2", far(t)) if t.obstacle_id == "veh_2" else t for t in tracks]
+            return tracks, map_graph, ego
+
+        monkeypatch.setattr(cli, "load_scene", with_veh_2_far)
+        code, out = run_predict(tmp_path)
+        assert code == 0
+        predicted = [json.loads(line)["obstacle_id"] for line in Path(out).read_text().splitlines()]
+        captured = capsys.readouterr()
+        assert all(line.startswith("predict: ") for line in captured.err.splitlines())
+        diagnostics = [line[len("predict: "):] for line in captured.err.splitlines()]
         assert predicted and all(oid == "veh_1" for oid in predicted)
-        assert skipped == 10
+        assert json.loads(captured.out)["skipped"] == 10
         assert sum(message.startswith("veh_2@") for message in diagnostics) > 10
         assert "veh_2@9.0: no realizable intention" in diagnostics
 
@@ -1530,7 +1533,7 @@ class TestCliContract:
         annotate += ["--horizon", "3.0", "--stride", "1.0", "--out", str(tmp_path / "d.jsonl")]
         predict = ["predict", "--scene", fixture("obstacles.jsonl"), "--map", fixture("map.json")]
         predict += ["--weights", fixture("weights.json"), "--config", fixture("genconfig.json")]
-        predict += ["--out", str(tmp_path / "p.jsonl")]
+        predict += ["--stride", "1.0", "--out", str(tmp_path / "p.jsonl")]
         evaluate = ["eval", "--predictions", golden("predictions.jsonl")]
         evaluate += ["--dataset", golden("dataset.jsonl"), "--out", str(tmp_path / "r.json")]
         script = (
@@ -1663,6 +1666,45 @@ def run_in_shares(runner, tmp_path, monkeypatch, capsys, shares, **overrides):
 
 
 @pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="a forced share forks only where CPU affinity exists"
+)
+# no shrinking: each step would rerun both stages on a new order of 220 log rows
+@settings(max_examples=5, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=st.data())
+def test_shuffled_input_rows_change_no_output(tmp_path_factory, data):
+    """Log order: with the rows of the obstacle log, ego plan and priors file
+    shuffled, under their own names, annotate and predict write the goldens,
+    and print what the unshuffled runs print, in one process or two."""
+    tmp = tmp_path_factory.mktemp("shuffled")
+    shuffled = {"--scene": "obstacles.jsonl", "--ego": "ego.jsonl", "--priors": "priors.jsonl"}
+    for flag, name in shuffled.items():
+        with open(fixture(name), encoding="utf-8") as fh:
+            rows = fh.read().splitlines(keepends=True)
+        (tmp / name).write_text("".join(data.draw(st.permutations(rows))), encoding="utf-8")
+        shuffled[flag] = str(tmp / name)
+
+    def run(runner, shares, **overrides):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_process_count", lambda: shares)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code, path = runner(tmp, **overrides)
+        with open(path, "rb") as fh:
+            return code, fh.read(), out.getvalue(), err.getvalue()
+
+    unshuffled = {runner: run(runner, 1) for runner in (run_annotate, run_predict)}
+    assert unshuffled[run_predict][3].startswith("predict: ")
+    for shares in (1, 2):
+        for runner, name in ((run_annotate, "dataset.jsonl"), (run_predict, "predictions.jsonl")):
+            overrides = {"--log": shuffled["--scene"]} if runner is run_annotate else shuffled
+            code, written, out, err = run(runner, shares, **overrides)
+            with open(golden(name), "rb") as fh:
+                assert (code, written) == (0, fh.read())
+            assert (out, err) == unshuffled[runner][2:]
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="predict forks its shares only where CPU affinity exists"
 )
 class TestPredictShares:
@@ -1704,13 +1746,13 @@ class TestPredictShares:
         assert serial[:3] == (2, None, "")
         assert "would hold more than 300 points" in serial[3]
         ranked_here = []  # the anchors this process ranks; a child's are not seen here
-        candidates_for_anchor = cli._candidates_for_anchor
+        anchor_key = annotation.anchor_key
 
-        def recording(track, anchor, *rest):
-            ranked_here.append(track.obstacle_id)
-            return candidates_for_anchor(track, anchor, *rest)
+        def recording(obstacle_id, anchor):  # called once as each anchor is ranked
+            ranked_here.append(obstacle_id)
+            return anchor_key(obstacle_id, anchor)
 
-        monkeypatch.setattr(cli, "_candidates_for_anchor", recording)
+        monkeypatch.setattr(annotation, "anchor_key", recording)
         assert run_in_shares(run_predict, tmp_path, monkeypatch, capsys, shares, **{"--scene": log}) == serial
         assert ("veh_2" in ranked_here) == (owner == "parent")
         assert sorted(os.listdir(tmp_path)) == ["log.jsonl"]
@@ -1725,13 +1767,13 @@ class TestPredictShares:
         log = fixture_rows(7.0) + [{**fixture_rows()[0], "obstacle_id": "zz_lone", "t": 1e20}]
         overrides = {"--scene": write_jsonl(tmp_path / "log.jsonl", log)}
         ranked = []  # the anchors this process ranks
-        candidates_for_anchor = cli._candidates_for_anchor
+        anchor_key = annotation.anchor_key
 
-        def recording(track, anchor, *rest):
-            ranked.append((track.obstacle_id, anchor))
-            return candidates_for_anchor(track, anchor, *rest)
+        def recording(obstacle_id, anchor):  # called once as each anchor is ranked
+            ranked.append((obstacle_id, anchor))
+            return anchor_key(obstacle_id, anchor)
 
-        monkeypatch.setattr(cli, "_candidates_for_anchor", recording)
+        monkeypatch.setattr(annotation, "anchor_key", recording)
         for max_grid_times in (cli.MAX_GRID_TIMES, 300):
             monkeypatch.setattr(cli, "MAX_GRID_TIMES", max_grid_times)
             code, written, out, err = run_in_shares(
@@ -1774,16 +1816,16 @@ class TestPredictShares:
     @pytest.mark.parametrize("how", ["exits", "raises"])
     def test_a_failing_child_fails_predict(self, tmp_path, monkeypatch, capsys, how):
         parent = os.getpid()
-        candidates_for_anchor = cli._candidates_for_anchor
+        anchor_key = annotation.anchor_key
 
-        def failing_in_a_child(track, anchor, *rest):
+        def failing_in_a_child(obstacle_id, anchor):  # called as each anchor is ranked
             if os.getpid() != parent:
                 if how == "exits":
                     os._exit(3)
-                raise ValueError(f"{track.obstacle_id}@{anchor}")
-            return candidates_for_anchor(track, anchor, *rest)
+                raise ValueError(f"{obstacle_id}@{anchor}")
+            return anchor_key(obstacle_id, anchor)
 
-        monkeypatch.setattr(cli, "_candidates_for_anchor", failing_in_a_child)
+        monkeypatch.setattr(annotation, "anchor_key", failing_in_a_child)
         monkeypatch.setattr(cli, "_process_count", lambda: 2)
         if how == "exits":
             code, out = run_predict(tmp_path)
