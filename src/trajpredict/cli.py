@@ -291,7 +291,7 @@ def cmd_predict(args) -> int:
             return None, diagnostics
         kept = generation.normalize_priors(kept)
         try:
-            result = costing.rank_intentions(
+            record = costing.rank_intentions(
                 track.obstacle_id, anchor, candidates_by_intention, kept, ego, weights
             )
         except OverflowError as exc:  # a sub-cost's sum, before any weight or normalizer applies
@@ -299,13 +299,13 @@ def cmd_predict(args) -> int:
                 f"{args.config}: the generation config gives non-finite sub-costs for "
                 f"obstacle {track.obstacle_id!r} at anchor {anchor}: {exc}"
             ) from exc
-        totals = [row[3] for r in result.intentions for row in r.candidate_costs]
+        totals = [row[3] for entry in record["intentions"] for row in entry["candidates"]]
         if not all(map(math.isfinite, totals)):  # a weight or a normalizer overflowed them
             raise ConfigError(
                 f"{args.weights}: the weights give non-finite costs for obstacle "
                 f"{track.obstacle_id!r} at anchor {anchor}"
             )
-        return jsonio.dumps(costing.result_to_record(result, weights)) + "\n", diagnostics
+        return jsonio.dumps(record) + "\n", diagnostics
 
     jobs = _anchor_jobs(tracks, args.stride, args.scene)
     _write_anchor_lines(predict_anchor, jobs, args.out, "predictions")
@@ -331,16 +331,22 @@ def cmd_tune(args) -> int:
         dataset = annotation.load_dataset_records(args.dataset)
         config = autotune.TunerConfig.from_file(args.tuner_config)
         ego = load_ego_plan(args.ego) if args.ego else None
+        inputs = f"{args.predictions}, {args.dataset}"
         try:
             examples, skipped = autotune.extract_examples(predictions, dataset, ego)
         except JoinError as exc:
-            raise JoinError(f"{args.predictions}, {args.dataset}: {exc}") from exc
+            raise JoinError(f"{inputs}: {exc}") from exc
         if not examples:
-            raise PipelineError("no tuning examples: prediction and dataset keys do not overlap")
+            raise PipelineError(
+                f"{inputs}: no tuning examples: prediction and dataset keys do not overlap"
+            )
 
         normalizers = {(float(r["z1"]), float(r["z2"])) for r in predictions}
         if len(normalizers) != 1:
-            raise PipelineError(f"predictions carry inconsistent normalizers: {sorted(normalizers)}")
+            raise PipelineError(
+                f"{args.predictions}: predictions carry inconsistent normalizers: "
+                f"{sorted(normalizers)}"
+            )
         return examples, skipped, config, next(iter(normalizers))
 
     with _in_job_order(lambda job: job(), [import_numpy, read_inputs]) as results:
@@ -389,7 +395,7 @@ def cmd_eval(args) -> int:
     dataset = annotation.load_dataset_records(args.dataset)
     try:
         report = evaluation.evaluate_run(predictions, dataset, horizons)
-    except ValueError as exc:  # a prediction and its label on different time grids
+    except (JoinError, ValueError) as exc:  # a repeated anchor key, or differing time grids
         raise PipelineError(f"{args.predictions}, {args.dataset}: {exc}") from exc
     _write_atomic(args.out, [jsonio.dumps(report) + "\n"])
 

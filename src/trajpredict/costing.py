@@ -5,7 +5,8 @@ by three penalties: squared longitudinal acceleration (comfort), squared
 centripetal acceleration (lateral comfort), and an exponential proximity
 kernel against the ego vehicle's planned trajectory (safety). Each
 intention's likelihood exp(-C) of its cheapest candidate reweights the
-intention priors into posteriors. A prediction record holds each fact once:
+intention priors into posteriors, and rank_intentions returns an anchor's
+ranking as its prediction record. The record holds each fact once:
 the likelihood is left to its min cost, and a best trajectory's speeds and
 accelerations to its speed profile, so its points are [t, x, y] rows. A
 candidate's costs are the row total_cost returns, (c_acc, c_centripetal,
@@ -141,26 +142,6 @@ def total_cost(
     return ca, cc, ccol, total
 
 
-@dataclass(frozen=True)
-class IntentionRanking:
-    """Per-intention outcome: prior, cheapest candidate, and its posterior."""
-
-    intention_id: str
-    prior: float
-    min_cost: float
-    posterior: float
-    best_trajectory: CandidateTrajectory
-    candidate_costs: Tuple[CostRow, ...]
-
-
-@dataclass(frozen=True)
-class PredictionResult:
-    obstacle_id: str
-    anchor_time: float
-    intentions: Tuple[IntentionRanking, ...]
-    selected_intention: str
-
-
 def rank_intentions(
     obstacle_id: str,
     anchor_time: float,
@@ -168,8 +149,9 @@ def rank_intentions(
     priors: Sequence[IntentionPrior],
     ego: Optional[EgoPlan],
     weights: CostWeights,
-) -> PredictionResult:
-    """Rank intentions by posterior = prior * exp(-min cost) / Z.
+) -> dict:
+    """Rank intentions by posterior = prior * exp(-min cost) / Z, and return
+    the anchor's prediction record.
 
     Each intention's likelihood uses its cheapest candidate; that candidate
     is the intention's predicted trajectory. Cost ties break to the smaller
@@ -185,6 +167,10 @@ def rank_intentions(
     The ego plan is interpolated once per distinct candidate time grid (the
     times column a speed profile shares with its candidates), and every
     candidate on that grid reads those x and y columns.
+
+    The record embeds the normalizers (z1, z2) used for its sub-costs and
+    each intention's candidate cost rows, so the weight tuner can consume
+    prediction files without re-running generation.
     """
     ego_by_grid: Dict[Sequence[float], EgoColumns] = {}
 
@@ -216,23 +202,28 @@ def rank_intentions(
         for p, _, min_cost, _ in costed
     ]
     z = math.fsum(masses)
-    rankings = tuple(
-        IntentionRanking(
-            intention_id=p.intention_id,
-            prior=p.prior,
-            min_cost=min_cost,
-            posterior=mass / z,
-            best_trajectory=best_trajectory,
-            candidate_costs=costs,
-        )
-        for (p, best_trajectory, min_cost, costs), mass in zip(costed, masses)
-    )
-    return PredictionResult(
-        obstacle_id=obstacle_id,
-        anchor_time=anchor_time,
-        intentions=rankings,
-        selected_intention=max(rankings, key=lambda r: r.posterior).intention_id,
-    )
+    intentions = [
+        {
+            "intention_id": p.intention_id,
+            "prior": p.prior,
+            "min_cost": min_cost,
+            "posterior": mass / z,
+            "best_trajectory": {
+                "profile": _profile_to_dict(best.source_profile),
+                "points": [[t, x, y] for t, x, y in zip(best.times, best.xs, best.ys)],
+            },
+            "candidates": costs,
+        }
+        for (p, best, min_cost, costs), mass in zip(costed, masses)
+    ]
+    return {
+        "obstacle_id": obstacle_id,
+        "anchor_time": anchor_time,
+        "z1": weights.z1,
+        "z2": weights.z2,
+        "selected_intention": max(intentions, key=lambda e: e["posterior"])["intention_id"],
+        "intentions": intentions,
+    }
 
 
 def _profile_to_dict(profile: SpeedProfile) -> dict:
@@ -245,39 +236,10 @@ def _profile_to_dict(profile: SpeedProfile) -> dict:
     }
 
 
-def result_to_record(result: PredictionResult, weights: CostWeights) -> dict:
-    """Serialize a PredictionResult to the JSON-lines prediction schema.
-
-    The record embeds the normalizers (z1, z2) used for its sub-costs and
-    each intention's candidate cost rows, so the weight tuner can consume
-    prediction files without re-running generation.
-    """
-    return {
-        "obstacle_id": result.obstacle_id,
-        "anchor_time": result.anchor_time,
-        "z1": weights.z1,
-        "z2": weights.z2,
-        "selected_intention": result.selected_intention,
-        "intentions": [
-            {
-                "intention_id": r.intention_id,
-                "prior": r.prior,
-                "min_cost": r.min_cost,
-                "posterior": r.posterior,
-                "best_trajectory": {
-                    "profile": _profile_to_dict(r.best_trajectory.source_profile),
-                    "points": [
-                        [t, x, y]
-                        for t, x, y in zip(
-                            r.best_trajectory.times, r.best_trajectory.xs, r.best_trajectory.ys
-                        )
-                    ],
-                },
-                "candidates": r.candidate_costs,
-            }
-            for r in result.intentions
-        ],
-    }
+def result_to_record(record: dict, weights: CostWeights) -> dict:
+    """record, unchanged: rank_intentions returns the prediction record; kept
+    only for bench/traced.py, until a benchmark change stops calling it."""
+    return record
 
 
 def load_prediction_records(path: str) -> List[dict]:

@@ -91,11 +91,11 @@ def test_criterion_1_posterior_contract():
             for name in ("exit_e", "exit_n", "exit_s")
         }
         priors = [Prior("exit_e", 0.4), Prior("exit_n", 0.4), Prior("exit_s", 0.2)]
-        result = rank_intentions("veh", 0.0, candidates, priors, None, weights)
-        assert abs(math.fsum(r.posterior for r in result.intentions) - 1.0) <= 1e-9
+        record = rank_intentions("veh", 0.0, candidates, priors, None, weights)
+        assert abs(math.fsum(e["posterior"] for e in record["intentions"]) - 1.0) <= 1e-9
         # identical candidates per intention: min-costs equalized, so the
         # likelihood cancels and the posterior reproduces the prior
-        by_id = {r.intention_id: r.posterior for r in result.intentions}
+        by_id = {e["intention_id"]: e["posterior"] for e in record["intentions"]}
         assert abs(by_id["exit_e"] - 0.4) <= 1e-9
         assert abs(by_id["exit_n"] - 0.4) <= 1e-9
         assert abs(by_id["exit_s"] - 0.2) <= 1e-9

@@ -16,7 +16,7 @@ from trajpredict.autotune import (
     hinge_subgradient,
     tune_weights,
 )
-from trajpredict.costing import CostWeights, cost_acc, rank_intentions, result_to_record
+from trajpredict.costing import CostWeights, cost_acc, rank_intentions
 from trajpredict.errors import ConfigError, JoinError, PipelineError
 from trajpredict.generation import PathCandidate, SpeedProfile, realize_trajectory
 from trajpredict.geometry import Curve
@@ -230,8 +230,7 @@ def fake_prediction_record(obstacle_id, anchor, n_points=12):
     profile = SpeedProfile(v0=5.0, a=1.0, duration=n_points * 0.1, resolution=0.1, v_max=30.0)
     traj = realize_trajectory(path, profile)
     weights = CostWeights(1.0, 1.0, 1.0, 2.0, 3.0)
-    result = rank_intentions(obstacle_id, anchor, {"go": [traj]}, [Prior("go", 1.0)], None, weights)
-    return result_to_record(result, weights)
+    return rank_intentions(obstacle_id, anchor, {"go": [traj]}, [Prior("go", 1.0)], None, weights)
 
 
 def fake_dataset_record(obstacle_id, anchor, n_points=12):

@@ -844,14 +844,14 @@ def test_refusal_on_a_later_anchor_leaves_no_output(tmp_path, monkeypatch, capsy
         tmp_path / "log.jsonl", [r for r in rows if r["obstacle_id"] == "veh_2" or r["t"] >= 6.0]
     )
     written = []
-    to_record = costing.result_to_record
+    rank = costing.rank_intentions
 
-    def counting_result_to_record(result, weights):
-        written.append(result.obstacle_id)
-        return to_record(result, weights)
+    def counting_rank(obstacle_id, *rest):
+        written.append(obstacle_id)
+        return rank(obstacle_id, *rest)
 
     monkeypatch.setattr(cli, "MAX_GRID_TIMES", 300)
-    monkeypatch.setattr(costing, "result_to_record", counting_result_to_record)
+    monkeypatch.setattr(costing, "rank_intentions", counting_rank)
     monkeypatch.setattr(cli, "_process_count", lambda: 1)  # a forked share's calls are not counted here
     code, out = run_predict(tmp_path, **{"--scene": log})
     assert code == 2
@@ -980,13 +980,19 @@ def old_shape_predictions(tmp_path, monkeypatch):
     """The golden predictions in the shape written before a best trajectory held
     only [t, x, y] rows: each row with its candidate's v, kappa and a after
     them, and each intention with its likelihood exp(-min_cost)."""
-    record_of = costing.result_to_record
+    rank = costing.rank_intentions
 
-    def old_record(result, weights):
-        record = record_of(result, weights)
-        for ranking, entry in zip(result.intentions, record["intentions"]):
-            best = ranking.best_trajectory
-            entry["best_trajectory"]["points"] = [
+    def old_record(obstacle_id, anchor, candidates_by_intention, *rest):
+        record = rank(obstacle_id, anchor, candidates_by_intention, *rest)
+        for entry in record["intentions"]:
+            written = entry["best_trajectory"]
+            best = next(
+                c
+                for c in candidates_by_intention[entry["intention_id"]]
+                if c.source_profile.a == written["profile"]["a"]
+                and [[t, x, y] for t, x, y in zip(c.times, c.xs, c.ys)] == written["points"]
+            )
+            written["points"] = [
                 list(row)
                 for row in zip(
                     best.times, best.xs, best.ys, best.speeds, best.curvatures, best.accels
@@ -994,11 +1000,11 @@ def old_shape_predictions(tmp_path, monkeypatch):
             ]
             # the likelihood went between min_cost and posterior
             tail = {key: entry.pop(key) for key in ("posterior", "best_trajectory", "candidates")}
-            entry.update(likelihood=math.exp(-ranking.min_cost), **tail)
+            entry.update(likelihood=math.exp(-entry["min_cost"]), **tail)
         return record
 
     with monkeypatch.context() as patch:
-        patch.setattr(costing, "result_to_record", old_record)
+        patch.setattr(costing, "rank_intentions", old_record)
         code, path = run_predict(tmp_path, out="old_predictions.jsonl")
     assert code == 0
     return path
@@ -1353,6 +1359,7 @@ class TestTuneCommand:
 
     def test_empty_join_is_data_error(self, tmp_path, capsys):
         predictions, _ = self._predictions_and_dataset(tmp_path)
+        capsys.readouterr()  # predict's diagnostics
         other_dataset = write_jsonl(
             tmp_path / "other.jsonl",
             [
@@ -1381,7 +1388,19 @@ class TestTuneCommand:
             ]
         )
         assert code == 1
-        assert "no tuning examples" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {predictions}, {other_dataset}: no tuning examples: "
+            "prediction and dataset keys do not overlap\n"
+        )
+
+    def test_inconsistent_normalizers_name_the_predictions(self, tmp_path, capsys):
+        bad = bad_copy(tmp_path, golden("predictions.jsonl"), text_edit(edit_first_line(z1=1.0)))
+        code, out = run_tune(tmp_path, **{"--predictions": bad})
+        assert code == 1 and not os.path.exists(out)
+        assert capsys.readouterr().err == (
+            f"error: {bad}: predictions carry inconsistent normalizers: "
+            "[(1.0, 40.0), (5062.5, 40.0)]\n"
+        )
 
     def test_rerun_identical(self, tmp_path):
         predictions, dataset = self._predictions_and_dataset(tmp_path)
@@ -1459,6 +1478,18 @@ class TestEvalCommand:
             expected = json.load(fh)
         assert report["horizons"][0] == {"h": 0.05, "ade": None, "fde": None, "count": 0}
         assert report["horizons"][1] == expected["horizons"][0]
+
+    def test_a_repeated_prediction_key_names_both_files(self, tmp_path, capsys):
+        def repeat_first_record(text):
+            return text.split("\n", 1)[0] + "\n" + text
+
+        bad = bad_copy(tmp_path, golden("predictions.jsonl"), text_edit(repeat_first_record))
+        code, out = run_eval(tmp_path, **{"--predictions": bad})
+        assert code == 1 and not os.path.exists(out)
+        assert capsys.readouterr() == (
+            "",
+            f"error: {bad}, {golden('dataset.jsonl')}: duplicate prediction key ('veh_1', 0.0)\n",
+        )
 
     def test_horizons_parsing_contract(self, tmp_path):
         _, dataset = run_annotate(tmp_path)
@@ -1665,6 +1696,49 @@ def run_in_shares(runner, tmp_path, monkeypatch, capsys, shares, **overrides):
     return code, written, captured.out, captured.err
 
 
+def run_captured(runner, tmp, shares, **overrides):
+    """Exit code, output bytes, stdout and stderr of an in-process run in
+    `shares` processes, forced through the cli._process_count seam."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_process_count", lambda: shares)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code, path = runner(tmp, **overrides)
+    with open(path, "rb") as fh:
+        return code, fh.read(), out.getvalue(), err.getvalue()
+
+
+def write_shuffled(tmp, data, sources):
+    """Each {flag: path} source's rows, permuted by data, written under its
+    own file name in tmp: {flag: the shuffled copy's path}."""
+    shuffled = {}
+    for flag, source in sources.items():
+        with open(source, encoding="utf-8") as fh:
+            rows = fh.read().splitlines(keepends=True)
+        copy = tmp / os.path.basename(source)
+        copy.write_text("".join(data.draw(st.permutations(rows))), encoding="utf-8")
+        shuffled[flag] = str(copy)
+    return shuffled
+
+
+def priors_rows():
+    """Priors for each of veh_1's fixture anchors, one row an anchor, each
+    with a lane-sequence intention besides two exits; veh_2 keeps the
+    heuristic priors."""
+    return [
+        {
+            "obstacle_id": "veh_1",
+            "anchor_time": float(k),
+            "intentions": [
+                {"id": "exit_e", "prior": 1.0 + k},
+                {"id": "exit_n", "prior": 1.0},
+                {"id": "ln_approach_e->ln_x_straight", "prior": 0.5},
+            ],
+        }
+        for k in range(12)
+    ]
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="a forced share forks only where CPU affinity exists"
 )
@@ -1676,31 +1750,92 @@ def test_shuffled_input_rows_change_no_output(tmp_path_factory, data):
     shuffled, under their own names, annotate and predict write the goldens,
     and print what the unshuffled runs print, in one process or two."""
     tmp = tmp_path_factory.mktemp("shuffled")
-    shuffled = {"--scene": "obstacles.jsonl", "--ego": "ego.jsonl", "--priors": "priors.jsonl"}
-    for flag, name in shuffled.items():
-        with open(fixture(name), encoding="utf-8") as fh:
-            rows = fh.read().splitlines(keepends=True)
-        (tmp / name).write_text("".join(data.draw(st.permutations(rows))), encoding="utf-8")
-        shuffled[flag] = str(tmp / name)
-
-    def run(runner, shares, **overrides):
-        out, err = io.StringIO(), io.StringIO()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_process_count", lambda: shares)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code, path = runner(tmp, **overrides)
-        with open(path, "rb") as fh:
-            return code, fh.read(), out.getvalue(), err.getvalue()
-
-    unshuffled = {runner: run(runner, 1) for runner in (run_annotate, run_predict)}
+    shuffled = write_shuffled(
+        tmp,
+        data,
+        {
+            "--scene": fixture("obstacles.jsonl"),
+            "--ego": fixture("ego.jsonl"),
+            "--priors": fixture("priors.jsonl"),
+        },
+    )
+    unshuffled = {runner: run_captured(runner, tmp, 1) for runner in (run_annotate, run_predict)}
     assert unshuffled[run_predict][3].startswith("predict: ")
     for shares in (1, 2):
         for runner, name in ((run_annotate, "dataset.jsonl"), (run_predict, "predictions.jsonl")):
             overrides = {"--log": shuffled["--scene"]} if runner is run_annotate else shuffled
-            code, written, out, err = run(runner, shares, **overrides)
+            code, written, out, err = run_captured(runner, tmp, shares, **overrides)
             with open(golden(name), "rb") as fh:
                 assert (code, written) == (0, fh.read())
             assert (out, err) == unshuffled[runner][2:]
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="a forced share forks only where CPU affinity exists"
+)
+# no shrinking: each step would rerun predict on a new order of 220 log rows
+@settings(max_examples=5, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=st.data())
+def test_shuffled_priors_rows_change_no_output(tmp_path_factory, data):
+    """Log order on a priors file with rows to reorder: one per anchor of
+    veh_1, each with a lane-sequence intention. With its rows, and the
+    obstacle log's and ego plan's, shuffled under their own names, predict
+    writes and prints what the unshuffled run does, in one process or two."""
+    tmp = tmp_path_factory.mktemp("shuffled_priors")
+    (tmp / "source").mkdir()
+    priors = write_jsonl(tmp / "source" / "priors.jsonl", priors_rows())
+    unshuffled = run_captured(run_predict, tmp, 1, **{"--priors": priors})
+    code, written, _, err = unshuffled
+    assert code == 0 and "ln_approach_e->ln_x_straight" in written.decode()
+    assert err.startswith("predict: ")
+    with open(golden("predictions.jsonl"), "rb") as fh:
+        assert written != fh.read()  # the rows reach the records
+    shuffled = write_shuffled(
+        tmp,
+        data,
+        {"--scene": fixture("obstacles.jsonl"), "--ego": fixture("ego.jsonl"), "--priors": priors},
+    )
+    for shares in (1, 2):
+        assert run_captured(run_predict, tmp, shares, **shuffled) == unshuffled
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="a forced share forks only where CPU affinity exists"
+)
+def test_prefixed_obstacle_ids_change_no_output(tmp_path):
+    """Id renaming: with every obstacle id in the log and the priors file
+    prefixed by zz_, which keeps their sort order, annotate and predict
+    write the goldens and print what the unrenamed runs print, once the
+    prefix is removed, in one process or two."""
+    (tmp_path / "renamed").mkdir()
+    renamed = {}
+    for flag, name in (("--scene", "obstacles.jsonl"), ("--priors", "priors.jsonl")):
+        with open(fixture(name), encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        for row in rows:
+            assert not row["obstacle_id"].startswith("zz_")
+            row["obstacle_id"] = "zz_" + row["obstacle_id"]
+        renamed[flag] = write_jsonl(tmp_path / "renamed" / name, rows)  # the log's stem is kept
+
+    def unprefixed(run):
+        code, written, out, err = run
+        return code, written.replace(b"zz_", b""), out, err.replace("zz_", "")
+
+    plain = {}
+    for runner, name in ((run_annotate, "dataset.jsonl"), (run_predict, "predictions.jsonl")):
+        plain[runner] = run_captured(runner, tmp_path, 1)
+        with open(golden(name), "rb") as fh:
+            assert plain[runner][:2] == (0, fh.read())
+        assert "zz_" not in plain[runner][1].decode() + plain[runner][3]
+    assert "predict: veh_2@" in plain[run_predict][3]
+    for shares in (1, 2):
+        for runner in (run_annotate, run_predict):
+            overrides = {"--log": renamed["--scene"]} if runner is run_annotate else renamed
+            run = run_captured(runner, tmp_path, shares, **overrides)
+            assert run[1].count(b'"obstacle_id":"zz_') == run[1].count(b'"obstacle_id":') > 0
+            assert unprefixed(run) == plain[runner]
         assert_no_child_left()
 
 

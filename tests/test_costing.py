@@ -205,8 +205,8 @@ def ranked_posteriors(*costs):
     equal priors, one intention per cost, every cost in its acceleration term."""
     candidates = {f"i{k}": [trajectory_with_cost(c)] for k, c in enumerate(costs)}
     priors = [Prior(f"i{k}", 1.0) for k in range(len(costs))]
-    result = rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
-    return [(r.min_cost, r.posterior) for r in result.intentions]
+    record = rank_intentions("veh", 0.0, candidates, priors, None, CostWeights())
+    return [(e["min_cost"], e["posterior"]) for e in record["intentions"]]
 
 
 class TestLikelihood:
@@ -236,6 +236,25 @@ class Prior:
         self.prior = prior
 
 
+def best_trajectory_of(candidate):
+    """The best_trajectory entry a prediction record holds for candidate."""
+    profile = candidate.source_profile
+    return {
+        "profile": {
+            "v0": profile.v0,
+            "a": profile.a,
+            "duration": profile.duration,
+            "resolution": profile.resolution,
+            "v_max": None if math.isinf(profile.v_max) else profile.v_max,
+        },
+        "points": [[t, x, y] for t, x, y in zip(candidate.times, candidate.xs, candidate.ys)],
+    }
+
+
+def posteriors_by_id(record):
+    return {e["intention_id"]: e["posterior"] for e in record["intentions"]}
+
+
 def trajectory_with_cost(total, n=10, a_mag=None):
     """All cost in the acceleration term: accel = sqrt(total / n) per point."""
     accel = math.sqrt(total / n)
@@ -252,12 +271,12 @@ class TestRankIntentions:
             "left": [trajectory_with_cost(2.0)],
         }
         priors = [Prior("right", 0.2), Prior("straight", 0.4), Prior("left", 0.4)]
-        result = rank_intentions("veh", 0.0, candidates, priors, None, weights)
-        by_id = {r.intention_id: r for r in result.intentions}
-        assert by_id["right"].posterior == pytest.approx(0.2, abs=1e-9)
-        assert by_id["straight"].posterior == pytest.approx(0.4, abs=1e-9)
-        assert by_id["left"].posterior == pytest.approx(0.4, abs=1e-9)
-        assert math.fsum(r.posterior for r in result.intentions) == pytest.approx(1.0, abs=1e-9)
+        record = rank_intentions("veh", 0.0, candidates, priors, None, weights)
+        by_id = posteriors_by_id(record)
+        assert by_id["right"] == pytest.approx(0.2, abs=1e-9)
+        assert by_id["straight"] == pytest.approx(0.4, abs=1e-9)
+        assert by_id["left"] == pytest.approx(0.4, abs=1e-9)
+        assert math.fsum(by_id.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_cost_gap_reweights_priors(self):
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -265,17 +284,17 @@ class TestRankIntentions:
             "a": [trajectory_with_cost(0.0)],
             "b": [trajectory_with_cost(math.log(3.0))],
         }
-        result = rank_intentions(
+        record = rank_intentions(
             "veh", 0.0, candidates, [Prior("a", 0.5), Prior("b", 0.5)], None, weights
         )
-        by_id = {r.intention_id: r for r in result.intentions}
-        assert by_id["a"].posterior == pytest.approx(0.75, abs=1e-9)
-        assert by_id["b"].posterior == pytest.approx(0.25, abs=1e-9)
-        assert result.selected_intention == "a"
+        by_id = posteriors_by_id(record)
+        assert by_id["a"] == pytest.approx(0.75, abs=1e-9)
+        assert by_id["b"] == pytest.approx(0.25, abs=1e-9)
+        assert record["selected_intention"] == "a"
 
     def test_single_intention_is_certain(self):
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
-        result = rank_intentions(
+        record = rank_intentions(
             "veh",
             0.0,
             {"only": [trajectory_with_cost(7.0)]},
@@ -283,7 +302,7 @@ class TestRankIntentions:
             None,
             weights,
         )
-        assert result.intentions[0].posterior == 1.0
+        assert record["intentions"][0]["posterior"] == 1.0
 
     def test_missing_candidates_error_names_intention(self):
         weights = CostWeights()
@@ -314,10 +333,12 @@ class TestRankIntentions:
         weights = CostWeights(0.0, 1.0, 1.0, 1.0, 1.0)  # accel ignored: all totals zero
         fast = trajectory_with_cost(4.0, a_mag=2.0)
         slow = trajectory_with_cost(9.0, a_mag=1.0)
-        result = rank_intentions(
+        record = rank_intentions(
             "veh", 0.0, {"go": [fast, slow]}, [Prior("go", 1.0)], None, weights
         )
-        assert result.intentions[0].best_trajectory is slow  # tie on cost, smaller |a|
+        best = record["intentions"][0]["best_trajectory"]
+        assert best == best_trajectory_of(slow)  # tie on cost, smaller |a|
+        assert best != best_trajectory_of(fast)
 
     def test_scaling_thetas_preserves_best_candidates(self):
         rng = random.Random(21)
@@ -347,9 +368,9 @@ class TestRankIntentions:
             priors.append(Prior(name, 1.0 / 3.0))
         base = rank_intentions("veh", 0.0, candidates, priors, ego, weights)
         double = rank_intentions("veh", 0.0, candidates, priors, ego, scaled)
-        for r1, r2 in zip(base.intentions, double.intentions):
-            assert r1.best_trajectory is r2.best_trajectory
-            assert r2.min_cost == pytest.approx(2.0 * r1.min_cost, rel=1e-12)
+        for e1, e2 in zip(base["intentions"], double["intentions"], strict=True):
+            assert e1["best_trajectory"] == e2["best_trajectory"]
+            assert e2["min_cost"] == pytest.approx(2.0 * e1["min_cost"], rel=1e-12)
 
     def test_constant_cost_shift_leaves_posteriors_unchanged(self):
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -359,10 +380,10 @@ class TestRankIntentions:
                 "a": [trajectory_with_cost(1.0 + shift)],
                 "b": [trajectory_with_cost(2.5 + shift)],
             }
-            result = rank_intentions(
+            record = rank_intentions(
                 "veh", 0.0, candidates, [Prior("a", 0.3), Prior("b", 0.7)], None, weights
             )
-            return [r.posterior for r in result.intentions]
+            return [e["posterior"] for e in record["intentions"]]
 
         assert posteriors(0.0) == pytest.approx(posteriors(5.0), abs=1e-9)
 
@@ -373,24 +394,24 @@ class TestRankIntentions:
             "a": [trajectory_with_cost(2000.0)],
             "b": [trajectory_with_cost(2000.0 + math.log(3.0))],
         }
-        result = rank_intentions(
+        record = rank_intentions(
             "veh", 0.0, candidates, [Prior("a", 0.5), Prior("b", 0.5)], None, weights
         )
-        by_id = {r.intention_id: r for r in result.intentions}
-        assert by_id["a"].posterior == pytest.approx(0.75, abs=1e-9)
-        assert by_id["b"].posterior == pytest.approx(0.25, abs=1e-9)
+        by_id = posteriors_by_id(record)
+        assert by_id["a"] == pytest.approx(0.75, abs=1e-9)
+        assert by_id["b"] == pytest.approx(0.25, abs=1e-9)
 
     def test_zero_prior_on_the_cheapest_intention_gets_no_mass(self):
         # "a" is cheaper by far more than exp can span; its zero prior leaves
         # all the mass to "b" instead of a zero normalizer
         weights = CostWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         candidates = {"a": [trajectory_with_cost(0.0)], "b": [trajectory_with_cost(2000.0)]}
-        result = rank_intentions(
+        record = rank_intentions(
             "veh", 0.0, candidates, [Prior("a", 0.0), Prior("b", 1.0)], None, weights
         )
-        by_id = {r.intention_id: r for r in result.intentions}
-        assert (by_id["a"].posterior, by_id["b"].posterior) == (0.0, 1.0)
-        assert result.selected_intention == "b"
+        by_id = posteriors_by_id(record)
+        assert (by_id["a"], by_id["b"]) == (0.0, 1.0)
+        assert record["selected_intention"] == "b"
 
     def test_posteriors_always_sum_to_one(self):
         rng = random.Random(33)
@@ -408,10 +429,8 @@ class TestRankIntentions:
                 priors.append(Prior(name, rng.uniform(0.05, 1.0)))
             total = sum(p.prior for p in priors)
             priors = [Prior(p.intention_id, p.prior / total) for p in priors]
-            result = rank_intentions("veh", 0.0, candidates, priors, None, weights)
-            assert math.fsum(r.posterior for r in result.intentions) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            record = rank_intentions("veh", 0.0, candidates, priors, None, weights)
+            assert math.fsum(posteriors_by_id(record).values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSerialization:
@@ -423,23 +442,27 @@ class TestSerialization:
             "b": SpeedProfile(v0=10.0, a=4.0, duration=1.0, resolution=0.1, v_max=12.0),
         }
         candidates = {name: [realize_trajectory(path, p)] for name, p in profiles.items()}
-        result = rank_intentions(
+        ranked = rank_intentions(
             "veh", 1.5, candidates, [Prior("a", 0.6), Prior("b", 0.4)], None, weights
         )
-        record = json.loads(json.dumps(result_to_record(result, weights)))
+        assert result_to_record(ranked, weights) is ranked  # kept for the traced benchmark run
+        record = json.loads(json.dumps(ranked))
+        assert list(record) == [
+            "obstacle_id", "anchor_time", "z1", "z2", "selected_intention", "intentions"
+        ]
         assert record["obstacle_id"] == "veh"
         assert record["z1"] == 4.0 and record["z2"] == 5.0
-        assert record["selected_intention"] == result.selected_intention
+        assert record["selected_intention"] == ranked["selected_intention"]
         # an unbounded v_max is written as null
         assert [e["best_trajectory"]["profile"]["v_max"] for e in record["intentions"]] == [
             None, 12.0
         ]
-        for ranking, entry in zip(result.intentions, record["intentions"], strict=True):
-            assert set(entry) == {
+        for ranking, entry in zip(ranked["intentions"], record["intentions"], strict=True):
+            assert list(entry) == [
                 "intention_id", "prior", "min_cost", "posterior", "best_trajectory", "candidates"
-            }
-            assert entry["min_cost"] == ranking.min_cost
-            best = ranking.best_trajectory
+            ]
+            assert entry["min_cost"] == ranking["min_cost"]
+            best = candidates[entry["intention_id"]][0]
             points = entry["best_trajectory"]["points"]
             assert len(points) == 10 and all(len(row) == 3 for row in points)
             assert points[0][0] == pytest.approx(0.1)

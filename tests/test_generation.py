@@ -695,9 +695,9 @@ class TestColumnarCosting:
                 intention: [realize_trajectory(path, profile) for path in found for profile in profiles]
                 for intention, found in paths.items()
             }
-            result = rank_intentions("veh", 1.0, candidates, priors, ego, CostWeights())
+            record = rank_intentions("veh", 1.0, candidates, priors, ego, CostWeights())
         assert sum(len(c) for c in candidates.values()) == 3 * sum(map(len, paths.values()))
-        assert result.selected_intention in ("exit_e", "exit_n")
+        assert record["selected_intention"] in ("exit_e", "exit_n")
 
     def test_lane_search_and_tuning_build_no_point2(self, imap):
         tests = os.path.dirname(__file__)
